@@ -24,7 +24,7 @@ GRID = GridSpec(
 
 
 def run_grid():
-    return GridRunner(backend="stream").run(GRID)
+    return GridRunner().run(GRID)
 
 
 def test_ablation_drain_policy(benchmark, emit):

@@ -23,7 +23,7 @@ GRID = GridSpec(
 
 
 def run_grid():
-    return GridRunner(backend="stream").run(GRID)
+    return GridRunner().run(GRID)
 
 
 def test_ablation_fabric_rollout(benchmark, emit):

@@ -2,16 +2,17 @@
 
 Not a paper artifact — the engineering case for :mod:`repro.runtime`:
 before the unified execution layer, a full intra report ran one
-corpus scan per analysis; the executor's streaming backend folds every
-analysis in a single shared pass, and the result cache makes a re-run
-over an unchanged corpus free.  A counting proxy around the store
-proves the pass counts exactly: N analyses fan-out = N passes, fused =
-one pass, cached re-run = zero.
+corpus scan per analysis; the per-row reference fold folds every
+analysis in a single shared pass, the executor's plan answers them
+from SQL without walking the records at all, and the result cache
+makes a re-run over an unchanged corpus free.  A counting proxy
+around the store proves the pass counts exactly: N analyses fan-out =
+N passes, fused = one pass, planned = zero, cached re-run = zero.
 """
 
 import time
 
-from repro.runtime import Executor, ResultCache, RunContext
+from repro.runtime import Executor, ResultCache, RunContext, reference_fold
 from repro.runtime.analyses import intra_report_analyses
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_scenario
@@ -51,7 +52,7 @@ def test_runtime_fanin(benchmark, emit):
     start = time.perf_counter()
     fanout = {}
     for analysis in intra_report_analyses():
-        fanout.update(Executor(backend="stream").run([analysis], context))
+        fanout.update(reference_fold([analysis], context))
     fanout_s = time.perf_counter() - start
     fanout_passes = store.passes
     assert fanout_passes == len(analyses)
@@ -59,30 +60,37 @@ def test_runtime_fanin(benchmark, emit):
     # Fused: every analysis folded in one shared pass.
     store.passes = 0
     fused = benchmark.pedantic(
-        Executor(backend="stream").run, args=(analyses, context),
+        reference_fold, args=(analyses, context),
         rounds=3, iterations=1,
     )
     fused_passes = store.passes / 3
     assert fused_passes == 1
     store.passes = 0
     start = time.perf_counter()
-    Executor(backend="stream").run(analyses, context)
+    reference_fold(analyses, context)
     fused_s = time.perf_counter() - start
+
+    # Planned: SQL on the store, no record walk.
+    store.passes = 0
+    start = time.perf_counter()
+    planned = Executor().run(analyses, context)
+    planned_s = time.perf_counter() - start
+    assert store.passes == 0
 
     # Cached: an unchanged corpus costs no pass at all.
     cache = ResultCache()
     store.passes = 0
-    Executor(backend="stream", cache=cache).run(analyses, context)
+    Executor(cache=cache).run(analyses, context)
     warm_passes = store.passes
     start = time.perf_counter()
-    cached = Executor(backend="stream", cache=cache).run(analyses, context)
+    cached = Executor(cache=cache).run(analyses, context)
     cached_s = time.perf_counter() - start
     assert store.passes == warm_passes  # re-run added zero passes
     assert cache.hits == len(analyses)
     assert cached == fused
 
     # Same answers whichever way the corpus was walked.
-    assert fanout == fused
+    assert fanout == fused == planned
 
     emit("runtime_fanin", format_table(
         ["Strategy", "Corpus passes", "Seconds", "Speedup"],
@@ -91,6 +99,8 @@ def test_runtime_fanin(benchmark, emit):
              f"{fanout_s:.3f}", "1.0x"],
             ["fused (1 run)", 1, f"{fused_s:.3f}",
              f"{fanout_s / fused_s:.1f}x"],
+            ["planned (SQL)", 0, f"{planned_s:.3f}",
+             f"{fanout_s / planned_s:.1f}x"],
             ["cached re-run", 0, f"{cached_s:.4f}",
              f"{fanout_s / cached_s:.0f}x"],
         ],

@@ -54,12 +54,12 @@ def main() -> None:
           f"{len(corpus.vendors)} vendors)")
 
     # One executor run over the ticket corpus answers every section 6
-    # artifact; the streaming backend folds each ticket exactly once.
+    # artifact; the plan folds the tickets as column batches, once.
     context = RunContext(
         monitor=monitor, topology=corpus.topology,
         window_h=corpus.window_h, corpus_seed=scenario.seed,
     )
-    report = run_backbone_report(context, backend="stream")
+    report = run_backbone_report(context)
     rel = report.reliability
 
     section("6.1 Edge reliability (Figures 15-16)")

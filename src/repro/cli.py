@@ -4,7 +4,7 @@ Exposes the pipeline without writing Python::
 
     python -m repro report intra            # the intra DC study
     python -m repro report backbone         # the backbone study
-    python -m repro report backbone --backend sharded --jobs auto
+    python -m repro report backbone --jobs auto  # pooled column folds
     python -m repro export sevs out.csv     # generate + export SEVs
     python -m repro export tickets out.json # generate + export tickets
     python -m repro analyze sevs.csv        # analyze an imported corpus
@@ -57,9 +57,6 @@ from repro import (
 from repro.incidents import RootCause, SEVStore, Severity
 from repro.viz import format_table
 
-BACKEND_CHOICES = ["batch", "stream", "sharded", "columnar"]
-
-
 def _parse_jobs(value: str):
     """``--jobs`` accepts a positive worker count or ``auto``."""
     if value == "auto":
@@ -111,20 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=int, default=None)
     report.add_argument("--scale", type=float, default=1.0,
                         help="intra corpus scale factor")
-    report.add_argument("--backend", choices=BACKEND_CHOICES,
-                        default="batch",
-                        help="execution backend for the analyses "
-                             "(all agree on every count, for both the "
-                             "intra and the backbone study)")
     report.add_argument("--cache", metavar="DIR", default=None,
                         help="result cache directory: analyses of an "
                              "unchanged corpus are reused, not recomputed")
-    report.add_argument("--jobs", type=_parse_jobs, default=None,
+    report.add_argument("--jobs", type=_parse_jobs, default=1,
                         metavar="N",
-                        help="shard count for --backend sharded (a count, "
-                             "or 'auto' to size from the host); with "
-                             "N > 1 the shards fold in parallel worker "
-                             "processes (results are bit-identical)")
+                        help="worker processes for the column-batch "
+                             "folds (a count, or 'auto' to size from the "
+                             "host); SQL folds stay in this process and "
+                             "results are bit-identical for any N")
     report.add_argument("--digest", action="store_true",
                         help="also print the canonical report_digest; "
                              "bit-identical to the digest the serve "
@@ -155,9 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "or .jsonl — every format export "
                                       "emits; the dataset kind is sniffed "
                                       "from the content)")
-    analyze.add_argument("--backend", choices=BACKEND_CHOICES,
-                         default="batch",
-                         help="execution backend for the analyses")
 
     verify = sub.add_parser(
         "verify",
@@ -212,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run the seeded fault-injection drill suite "
              "(repro.faultline): inject component faults, verify "
-             "every recovery path, and cross-check the backends",
+             "every recovery path, and hold the planned folds "
+             "against the per-row reference",
     )
     chaos.add_argument("--seed", type=int, default=7,
                        help="fault plan seed; the same seed replays "
@@ -222,8 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "inject (default: all); see "
                             "repro.faultline.SITES")
     chaos.add_argument("--quick", action="store_true",
-                       help="smaller corpora, no process pools (the CI "
-                            "smoke configuration)")
+                       help="smaller corpora (the CI smoke "
+                            "configuration)")
     chaos.add_argument("--out", metavar="PATH", default=None,
                        help="write the JSON fault report here")
 
@@ -347,14 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "tables; re-runs with --cache are cache hits"
     )
     _grid_base_args(g_run)
-    g_run.add_argument("--backend", choices=BACKEND_CHOICES,
-                       default="batch",
-                       help="execution backend for every cell (all "
-                            "backends produce bit-identical digests)")
-    g_run.add_argument("--jobs", type=_parse_jobs, default=None,
+    g_run.add_argument("--jobs", type=_parse_jobs, default=1,
                        metavar="N",
-                       help="shard count for --backend sharded; with "
-                            "N > 1 shards fold in worker processes")
+                       help="worker processes for each cell's "
+                            "column-batch folds (digests are "
+                            "bit-identical for any N)")
     g_run.add_argument("--cache", metavar="DIR", default=None,
                        help="result cache directory: whole cells are "
                             "keyed on their spec digest, so repeated "
@@ -399,8 +386,7 @@ def _open_partitioned(store_dir: str):
 
 
 def _intra_report(seed: Optional[int], scale: float,
-                  backend: str = "batch",
-                  jobs: Optional[int] = None,
+                  jobs: int = 1,
                   digest: bool = False,
                   store_dir: Optional[str] = None) -> None:
     if store_dir is not None:
@@ -422,7 +408,7 @@ def _intra_report(seed: Optional[int], scale: float,
                     if seed is not None else paper_scenario(scale=scale))
         store = IntraSimulator(scenario).run()
     fleet = scenario.fleet
-    _print_intra_tables(store, fleet, backend=backend, jobs=jobs)
+    _print_intra_tables(store, fleet, jobs=jobs)
     if digest:
         from repro.faultline.oracle import report_digest
         from repro.runtime import RunContext, run_intra_report
@@ -430,16 +416,12 @@ def _intra_report(seed: Optional[int], scale: float,
         report = run_intra_report(
             RunContext(store=store, fleet=fleet,
                        corpus_seed=scenario.seed),
-            backend=backend,
-            jobs=jobs if jobs is not None else 4,
-            use_processes=jobs is not None and jobs > 1,
+            jobs=jobs,
         )
         print(f"\nreport_digest: {report_digest(report)}")
 
 
-def _print_intra_tables(store: SEVStore, fleet,
-                        backend: str = "batch",
-                        jobs: Optional[int] = None) -> None:
+def _print_intra_tables(store: SEVStore, fleet, jobs: int = 1) -> None:
     from repro.runtime import Executor, RunContext
     from repro.runtime.analyses import (
         DesignComparisonAnalysis,
@@ -453,11 +435,7 @@ def _print_intra_tables(store: SEVStore, fleet,
     print(f"corpus: {len(store)} SEVs, years "
           f"{store.years()[0]}-{store.years()[-1]}\n")
 
-    executor = Executor(
-        backend=backend,
-        jobs=jobs if jobs is not None else 4,
-        use_processes=jobs is not None and jobs > 1,
-    )
+    executor = Executor(jobs=jobs)
     context = RunContext(store=store, fleet=fleet)
     results = executor.run(
         [RootCausesAnalysis(), SeverityByDeviceAnalysis(),
@@ -515,15 +493,13 @@ def _print_intra_tables(store: SEVStore, fleet,
 
 
 def _survivability_report(seed: Optional[int],
-                          backend: str = "batch",
                           cache_dir: Optional[str] = None,
-                          jobs: Optional[int] = None,
+                          jobs: int = 1,
                           digest: bool = False) -> None:
     """The survivability study: correlated failures over both designs.
 
-    Same executor, same cache, same backends as ``report intra`` —
-    the generated trial corpus is just another record source, and
-    every backend answers it bit-identically.
+    Same executor, same cache as ``report intra`` — the generated
+    trial corpus is just another record source.
     """
     from repro.runtime import ResultCache, RunContext
     from repro.survivability import generate_trials, run_survivability_report
@@ -532,12 +508,7 @@ def _survivability_report(seed: Optional[int],
     trials = generate_trials(seed=seed)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     context = RunContext(trials=trials, corpus_seed=seed)
-    report = run_survivability_report(
-        context, backend=backend,
-        jobs=jobs if jobs is not None else 4,
-        cache=cache,
-        use_processes=jobs is not None and jobs > 1,
-    )
+    report = run_survivability_report(context, jobs=jobs, cache=cache)
     print(f"corpus: {len(trials)} trial records, seed {seed}, "
           f"designs cluster+fabric\n")
     print(report.render())
@@ -557,15 +528,14 @@ def _survivability_report(seed: Optional[int],
 
 
 def _backbone_report(seed: Optional[int],
-                     backend: str = "batch",
                      cache_dir: Optional[str] = None,
-                     jobs: Optional[int] = None,
+                     jobs: int = 1,
                      digest: bool = False,
                      store_dir: Optional[str] = None) -> None:
     """The backbone study through the domain-generic runtime.
 
-    Same executor, same cache, same backends as ``report intra`` —
-    the ticket corpus is just another record source.  With
+    Same executor, same cache as ``report intra`` — the ticket corpus
+    is just another record source.  With
     ``store_dir`` the tickets stream from a partitioned store; the
     topology and window are rebuilt from the seed the manifest
     recorded (the ticket corpus itself is the store's, not the
@@ -599,11 +569,7 @@ def _backbone_report(seed: Optional[int],
         window_h=corpus.window_h, corpus_seed=scenario.seed,
         tickets=tickets,
     )
-    report = run_backbone_report(
-        context, cache=cache, backend=backend,
-        jobs=jobs if jobs is not None else 4,
-        use_processes=jobs is not None and jobs > 1,
-    )
+    report = run_backbone_report(context, cache=cache, jobs=jobs)
 
     print(f"corpus: {len(tickets)} tickets, "
           f"{len(corpus.topology.edges)} edges, "
@@ -813,14 +779,14 @@ def _stream_tickets(source, banner: str) -> None:
     print(ticket_dashboard(outages, durations))
 
 
-def _analyze(path: str, backend: str = "batch") -> None:
+def _analyze(path: str) -> None:
     from repro.io import (
         import_sevs_csv, import_sevs_json, import_sevs_jsonl,
         sniff_dataset, strip_gz_suffix,
     )
 
     if sniff_dataset(path) == "tickets":
-        _analyze_tickets(path, backend)
+        _analyze_tickets(path)
         return
     stem = strip_gz_suffix(path)
     if stem.endswith(".jsonl"):
@@ -830,15 +796,15 @@ def _analyze(path: str, backend: str = "batch") -> None:
     else:
         reader = import_sevs_csv
     store = reader(path)
-    _print_intra_tables(store, paper_fleet(), backend=backend)
+    _print_intra_tables(store, paper_fleet())
 
 
-def _analyze_tickets(path: str, backend: str = "batch") -> None:
+def _analyze_tickets(path: str) -> None:
     """Analyze an imported ticket corpus through the runtime.
 
     Without a topology there are no edge-level artifacts; the
     vendor scorecards and repair-duration percentiles cover what a
-    standalone ticket export can support, on any backend.
+    standalone ticket export can support.
     """
     from repro.io import (
         import_tickets_csv, import_tickets_json, import_tickets_jsonl,
@@ -861,7 +827,7 @@ def _analyze_tickets(path: str, backend: str = "batch") -> None:
     db = reader(path)
     print(f"corpus: {len(db.completed())} completed tickets, "
           f"{len(db.links())} links, {len(db.vendors())} vendors\n")
-    results = Executor(backend=backend).run(
+    results = Executor().run(
         [VendorScorecardAnalysis(), RepairDurationAnalysis()],
         RunContext(tickets=db),
     )
@@ -870,9 +836,8 @@ def _analyze_tickets(path: str, backend: str = "batch") -> None:
 
 
 def _full_report(seed: Optional[int], scale: float,
-                 backend: str = "batch",
                  cache_dir: Optional[str] = None,
-                 jobs: Optional[int] = None,
+                 jobs: int = 1,
                  digest: bool = False) -> None:
     from repro.core import backbone_study_report
     from repro.runtime import ResultCache, RunContext, run_intra_report
@@ -884,11 +849,7 @@ def _full_report(seed: Optional[int], scale: float,
     context = RunContext(
         store=store, fleet=scenario.fleet, corpus_seed=scenario.seed
     )
-    intra = run_intra_report(
-        context, backend=backend, cache=cache,
-        jobs=jobs if jobs is not None else 4,
-        use_processes=jobs is not None and jobs > 1,
-    )
+    intra = run_intra_report(context, cache=cache, jobs=jobs)
     print(intra.render())
     if digest:
         from repro.faultline.oracle import report_digest
@@ -911,7 +872,7 @@ def _full_report(seed: Optional[int], scale: float,
         print(f"\nreport_digest: {report_digest(backbone)}")
 
     print()
-    _survivability_report(seed, backend, cache_dir, jobs, digest=digest)
+    _survivability_report(seed, cache_dir, jobs, digest=digest)
 
 
 def _chaos(seed: int, sites: Optional[str], quick: bool,
@@ -1067,13 +1028,9 @@ def _grid(args) -> int:
     from repro.runtime import ResultCache
 
     cache = ResultCache(args.cache) if args.cache is not None else None
-    jobs = args.jobs
-    runner = GridRunner(
-        backend=args.backend,
-        jobs=jobs if jobs is not None else 4,
-        use_processes=jobs is not None and jobs > 1,
-        cache=cache,
-    )
+    from repro.stream import resolve_jobs
+
+    runner = GridRunner(jobs=resolve_jobs(args.jobs), cache=cache)
     report = runner.run(grid)
     print(grid_table(report))
     table_axis = args.table_axis
@@ -1145,16 +1102,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "report":
-        jobs = args.jobs
-        if jobs == "auto":
-            from repro.stream import resolve_jobs
+        from repro.stream import resolve_jobs
 
-            jobs = resolve_jobs("auto")
+        jobs = resolve_jobs(args.jobs)
         if args.study == "intra":
-            _intra_report(args.seed, args.scale, args.backend, jobs,
+            _intra_report(args.seed, args.scale, jobs,
                           digest=args.digest, store_dir=args.store_dir)
         elif args.study == "backbone":
-            _backbone_report(args.seed, args.backend, args.cache, jobs,
+            _backbone_report(args.seed, args.cache, jobs,
                              digest=args.digest, store_dir=args.store_dir)
         elif args.study == "survivability":
             if args.store_dir is not None:
@@ -1162,8 +1117,8 @@ def _dispatch(args) -> int:
                     "survivability trials are generated, not stored; "
                     "'report survivability' does not take --store-dir"
                 )
-            _survivability_report(args.seed, args.backend, args.cache,
-                                  jobs, digest=args.digest)
+            _survivability_report(args.seed, args.cache, jobs,
+                                  digest=args.digest)
         else:
             if args.store_dir is not None:
                 raise SystemExit(
@@ -1171,8 +1126,8 @@ def _dispatch(args) -> int:
                     "--store-dir with 'report intra' or "
                     "'report backbone'"
                 )
-            _full_report(args.seed, args.scale, args.backend, args.cache,
-                         jobs, digest=args.digest)
+            _full_report(args.seed, args.scale, args.cache, jobs,
+                         digest=args.digest)
         if args.cache_prune is not None:
             if args.cache is None:
                 raise SystemExit(
@@ -1189,7 +1144,7 @@ def _dispatch(args) -> int:
     elif args.command == "export":
         _export(args.dataset, args.path, args.seed, args.scale)
     elif args.command == "analyze":
-        _analyze(args.path, args.backend)
+        _analyze(args.path)
     elif args.command == "stream":
         _stream(args.seed, args.scale, args.jobs,
                 args.replay, args.checkpoint, args.dataset,

@@ -52,7 +52,7 @@ def reliability_from_outages(
 
     The pure finalizer behind :func:`backbone_reliability`: the monitor
     path and the fold states of :mod:`repro.runtime` both reduce to
-    these two views, so every execution backend runs the identical
+    these two views, so every execution path runs the identical
     curve math.  Per-entity interval lists must be chronologically
     sorted (both producers guarantee it) so the float summations agree
     bit for bit.

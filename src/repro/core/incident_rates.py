@@ -54,9 +54,9 @@ def rates_from_counts(
 ) -> IncidentRateSeries:
     """The Figure 3 math over already-tallied per-year/type counts.
 
-    Shared by the SQL path (:func:`incident_rates`) and the streaming
-    fold path (:mod:`repro.runtime`): any backend that produces the
-    same counts produces the same rates.
+    Shared by the SQL path (:func:`incident_rates`) and the fold
+    states of :mod:`repro.runtime`: any path that produces the same
+    counts produces the same rates.
     """
     rates: Dict[int, Dict[DeviceType, float]] = {}
     for year in sorted(counts):

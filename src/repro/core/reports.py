@@ -133,16 +133,13 @@ def intra_study_report(
     store: SEVStore,
     fleet: FleetModel,
     year: Optional[int] = None,
-    backend: str = "batch",
     cache=None,
 ) -> IntraStudyReport:
     """Run every intra data center analysis over one corpus.
 
-    Composition and execution live in :mod:`repro.runtime`; this entry
-    point keeps its historical signature and default batch semantics.
-    ``backend`` selects the execution strategy (``batch`` / ``stream``
-    / ``sharded``) and ``cache`` an optional
-    :class:`repro.runtime.ResultCache` for fingerprint-keyed reuse.
+    Composition and execution live in :mod:`repro.runtime`; ``cache``
+    is an optional :class:`repro.runtime.ResultCache` for
+    fingerprint-keyed reuse.
     """
     # Imported lazily: repro.runtime folds with these report dataclasses.
     from repro.runtime import RunContext, run_intra_report
@@ -150,7 +147,7 @@ def intra_study_report(
     if not store.years():
         raise ValueError("the SEV corpus is empty")
     context = RunContext(store=store, fleet=fleet, year=year)
-    return run_intra_report(context, backend=backend, cache=cache)
+    return run_intra_report(context, cache=cache)
 
 
 def backbone_study_report(monitor, topology, window_h: float

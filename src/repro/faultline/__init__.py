@@ -11,8 +11,9 @@ Three layers:
     when no plan is active) plus the :func:`~repro.faultline.hooks.injected`
     activation context manager.
 :mod:`~repro.faultline.oracle` / :mod:`~repro.faultline.drills`
-    the differential-testing oracle (batch == stream == sharded under
-    an active plan, or a typed :class:`FaultToleranceError`) and the
+    the differential-testing oracle (the planned path == the per-row
+    reference fold under an active plan, or a typed
+    :class:`FaultToleranceError`) and the
     ``python -m repro chaos`` drill suite built on it.
 
 ``plan`` and ``hooks`` import only the standard library, so every
@@ -50,6 +51,7 @@ __all__ = [
     "JobWorkerCrash",
     "OracleReport",
     "PartitionLost",
+    "PlanRun",
     "ShardWorkerCrash",
     "SurvivabilitySweepCrash",
     "active_plan",
@@ -63,6 +65,7 @@ __all__ = [
 
 _LAZY = {
     "OracleReport": "repro.faultline.oracle",
+    "PlanRun": "repro.faultline.oracle",
     "report_digest": "repro.faultline.oracle",
     "run_differential": "repro.faultline.oracle",
     "chaos_suite": "repro.faultline.drills",

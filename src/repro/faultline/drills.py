@@ -4,9 +4,10 @@ Nine drills, each aimed at one hardened failure surface, all driven by
 one seed so a failed run replays exactly:
 
 ``differential``
-    the oracle (:mod:`repro.faultline.oracle`): every backend must
-    reproduce the fault-free baseline bit-identically while the cache
-    and shard-worker fault sites fire;
+    the oracle (:mod:`repro.faultline.oracle`): the planned path — at
+    two jobs on the shared pool, then serially over the cache the
+    first run wrote — must reproduce the fault-free reference fold
+    bit-identically while the cache and shard-worker fault sites fire;
 ``checkpoint``
     kill a cadenced checkpoint save mid-write, resume from the last
     good snapshot, and demand the resumed aggregates equal an
@@ -31,9 +32,9 @@ one seed so a failed run replays exactly:
     digest;
 ``columnar``
     make column-batch folds raise mid-batch (``runtime.fold``) and
-    demand the columnar backend fall back to the per-row reference
-    fold — suppressed and counted — with the report digest unchanged
-    from the fault-free run;
+    demand the executor fall back to the per-row reference fold —
+    suppressed and counted — with the report digest unchanged from
+    the fault-free run;
 ``grid``
     crash what-if grid cells mid-execution (``grid.cell``) and demand
     the grid runner's retry-then-suppress recovery re-run each
@@ -46,10 +47,11 @@ one seed so a failed run replays exactly:
     counted — with the survivability report digest unchanged from the
     fault-free run.
 
-The suite returns a JSON-able fault report that is *deterministic in
-the seed*: no timestamps, no host paths — two runs with the same seed
-produce byte-identical reports, which is itself one of the
-``repro.verify`` anchors.
+Every drill's detail reports ``fired_per_site``, and a drill fires
+each site it selects at least once.  The suite returns a JSON-able
+fault report that is *deterministic in the seed*: no timestamps, no
+host paths — two runs with the same seed produce byte-identical
+reports, which is itself one of the ``repro.verify`` anchors.
 """
 
 from __future__ import annotations
@@ -84,6 +86,13 @@ def _selected(sites: Optional[Sequence[str]],
     return [site for site in wanted if site in sites]
 
 
+def _fired_per_site(plans: Sequence[FaultPlan],
+                    active: Sequence[str]) -> dict:
+    """How often each active site fired, summed over ``plans``."""
+    return {site: sum(plan.fired(site) for plan in plans)
+            for site in active}
+
+
 def _differential_drill(seed: int, quick: bool,
                         sites: Optional[Sequence[str]]) -> dict:
     from repro.faultline.oracle import run_differential
@@ -91,8 +100,11 @@ def _differential_drill(seed: int, quick: bool,
     active = _selected(
         sites, "cache.lookup", "cache.store", "executor.shard",
     )
+    # Certain fires, capped: the first run's first two shard
+    # submissions and first two cache writes fail, the second run's
+    # first two disk reads find torn entries.
     plan = FaultPlan(seed, [
-        FaultSpec(site, probability=0.5, max_fires=4) for site in active
+        FaultSpec(site, probability=1.0, max_fires=2) for site in active
     ])
     detail: dict = {"sites": active}
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,8 +113,7 @@ def _differential_drill(seed: int, quick: bool,
                 seed=seed,
                 scale=0.25,
                 plan=plan,
-                jobs=4,
-                use_processes=not quick,
+                jobs=2,
                 cache_dir=Path(tmp) / "cache",
             )
         except FaultToleranceError as exc:
@@ -111,6 +122,7 @@ def _differential_drill(seed: int, quick: bool,
             return {"name": "differential", "passed": False,
                     "detail": detail}
     detail.update(report.summary())
+    detail["fired_per_site"] = _fired_per_site([plan], active)
     return {"name": "differential", "passed": report.identical,
             "detail": detail}
 
@@ -158,6 +170,7 @@ def _checkpoint_drill(seed: int, quick: bool,
         "events": total,
         "checkpoint_every": cadence,
         "faults_fired": plan.fired(),
+        "fired_per_site": _fired_per_site([plan], active),
         "crashed": crashed,
         "uninterrupted_digest": expected,
         "resumed_digest": final,
@@ -210,6 +223,7 @@ def _jsonl_drill(seed: int, quick: bool,
         "sites": active,
         "lines": total,
         "faults_fired": tolerant_plan.fired(),
+        "fired_per_site": _fired_per_site([tolerant_plan], active),
         "survivors": survivors,
         "skipped": errors.skipped,
         "accounted": accounted,
@@ -256,6 +270,7 @@ def _ingest_drill(seed: int, quick: bool,
         "sites": active,
         "rows": len(reports),
         "faults_fired": transient.fired(),
+        "fired_per_site": _fired_per_site([transient], active),
         "recovered": recovered,
         "bounded_retries_give_up": gave_up,
     }
@@ -324,7 +339,7 @@ def _serve_jobs_drill(seed: int, quick: bool,
         "sites": active,
         "jobs": len(job_specs),
         "faults_fired": plan.fired(),
-        "fired_per_site": {site: plan.fired(site) for site in active},
+        "fired_per_site": _fired_per_site([plan], active),
         "statuses": statuses,
         "digests_match_fault_free": matched,
         "artifact_digests": expected,
@@ -337,7 +352,7 @@ def _storage_drill(seed: int, quick: bool,
                    sites: Optional[Sequence[str]]) -> dict:
     """Lose a shard, tear the manifest; reports must not change.
 
-    A fault-free partitioned store fixes the expected stream-report
+    A fault-free partitioned store fixes the expected report
     digest.  Then two recoveries, each from genuine damage:
 
     * ``storage.shard`` deletes a partition file mid-scan and raises
@@ -367,7 +382,6 @@ def _storage_drill(seed: int, quick: bool,
         report = run_intra_report(
             RunContext(store=store, fleet=scenario.fleet,
                        corpus_seed=seed),
-            backend="stream",
         )
         return report_digest(report)
 
@@ -442,26 +456,34 @@ def _storage_drill(seed: int, quick: bool,
         and (crashed or not shard_plan.fired())
     )
     detail["faults_fired"] = shard_plan.fired() + manifest_plan.fired()
+    detail["fired_per_site"] = _fired_per_site(
+        [shard_plan, manifest_plan], active
+    )
     return {"name": "storage", "passed": passed, "detail": detail}
 
 
 def _columnar_drill(seed: int, quick: bool,
                     sites: Optional[Sequence[str]]) -> dict:
-    """Break columnar folds mid-batch; digests must not move.
+    """Break column-batch folds mid-batch; digests must not move.
 
-    A fault-free run fixes the stream and columnar report digests
-    (already provably equal).  The same corpus then re-runs on the
-    columnar backend under a plan firing ``runtime.fold`` — each fire
-    makes one ``fold_batch`` raise, which must drop that batch to the
-    per-row reference fold, suppressed and counted.  The drill passes
-    when the faulted report digest equals the fault-free baseline and
-    the executor's fallback count equals the number of fired faults.
+    The fault-free per-row reference fold fixes the baseline digest.
+    The corpus is then fed to the executor as an explicit record
+    source — framed into 32-row column batches, so every analysis
+    folds batches instead of taking SQL — under a plan firing
+    ``runtime.fold``: each fire makes one ``fold_batch`` raise, which
+    must drop that batch to the per-row reference fold, suppressed
+    and counted.  The drill passes when the faulted report digest
+    equals the baseline and the executor's fallback count equals the
+    number of fired faults.
     """
-    from repro.core.reports import IntraStudyReport
     from repro.faultline.oracle import report_digest
-    from repro.runtime import RunContext, run_intra_report
-    from repro.runtime.analyses import intra_report_analyses
-    from repro.runtime.executor import Executor
+    from repro.runtime import (
+        Executor,
+        RunContext,
+        intra_report_analyses,
+        intra_report_from,
+        reference_fold,
+    )
     from repro.simulation.generator import IntraSimulator
     from repro.simulation.scenarios import paper_scenario
 
@@ -471,38 +493,26 @@ def _columnar_drill(seed: int, quick: bool,
                          corpus_seed=seed)
     active = _selected(sites, "runtime.fold")
 
-    stream_digest = report_digest(
-        run_intra_report(context, backend="stream")
-    )
-    baseline = report_digest(
-        run_intra_report(context, backend="columnar")
-    )
+    baseline = report_digest(intra_report_from(
+        reference_fold(intra_report_analyses(), context)
+    ))
 
     plan = FaultPlan(seed, [
         FaultSpec(site, probability=1.0, max_fires=2) for site in active
     ])
-    executor = Executor(backend="columnar")
+    executor = Executor(batch_size=32)
     with hooks.injected(plan):
-        results = executor.run(intra_report_analyses(), context)
-    severity = results["severity_by_device"]
-    faulted = report_digest(IntraStudyReport(
-        root_causes=results["root_causes"],
-        rates=results["incident_rates"],
-        severity=severity,
-        severity_over_time=results["severity_over_time"],
-        distribution=results["distribution"],
-        designs=results["design_comparison"],
-        switches=results["switch_reliability"],
-        growth=results["growth"],
-        last_year=severity.year,
-    ))
+        faulted = report_digest(intra_report_from(executor.run(
+            intra_report_analyses(), context, source=store.all_reports()
+        )))
 
-    converged = faulted == baseline == stream_digest
+    converged = faulted == baseline
     accounted = executor.columnar_fallbacks == plan.fired()
     detail = {
         "sites": active,
         "rows": len(store),
         "faults_fired": plan.fired(),
+        "fired_per_site": _fired_per_site([plan], active),
         "fallbacks": executor.columnar_fallbacks,
         "fallbacks_match_fires": accounted,
         "baseline_digest": baseline,
@@ -532,12 +542,12 @@ def _grid_drill(seed: int, quick: bool,
     base = preset("paper").with_updates(seed=seed, scale=0.05)
     grid = GridSpec(base=base, axes={"fabric_year": [2015, 2016]})
 
-    baseline = GridRunner(backend="stream").run(grid)
+    baseline = GridRunner().run(grid)
 
     plan = FaultPlan(seed, [
         FaultSpec(site, probability=1.0, max_fires=2) for site in active
     ])
-    runner = GridRunner(backend="stream")
+    runner = GridRunner()
     with hooks.injected(plan):
         faulted = runner.run(grid)
 
@@ -547,6 +557,7 @@ def _grid_drill(seed: int, quick: bool,
         "sites": active,
         "cells": grid.cell_count(),
         "faults_fired": plan.fired(),
+        "fired_per_site": _fired_per_site([plan], active),
         "cell_retries": runner.cell_retries,
         "retries_match_fires": accounted,
         "baseline_digest": baseline["summary_digest"],
@@ -581,7 +592,7 @@ def _survivability_drill(seed: int, quick: bool,
     def run(trials):
         context = RunContext(trials=trials, corpus_seed=seed)
         return report_digest(
-            run_survivability_report(context, backend="stream")
+            run_survivability_report(context)
         )
 
     baseline_trials = generate_trials(seed=seed, correlated=knobs)
@@ -600,6 +611,7 @@ def _survivability_drill(seed: int, quick: bool,
         "sites": active,
         "rows": len(faulted_trials),
         "faults_fired": plan.fired(),
+        "fired_per_site": _fired_per_site([plan], active),
         "sweep_retries": faulted_trials.retries,
         "retries_match_fires": accounted,
         "baseline_digest": baseline,

@@ -1,14 +1,16 @@
 """The differential-testing oracle.
 
-The runtime's core correctness claim is that every backend — batch,
-stream, sharded (serial or process-parallel) — answers the same
-analysis set bit-identically.  The oracle re-asserts that claim *under
-an active fault plan*: it computes a fault-free baseline report, then
-runs every backend with injection enabled and demands each one either
-reproduce the baseline exactly (the recovery paths absorbed every
-fault) or die with a typed :class:`FaultToleranceError` — never a
-silently different answer, never a raw injected exception leaking
-through a path that claims to tolerate it.
+The runtime's core correctness claim is that its planned path — SQL on
+every SQLite shard, column batches everywhere else, pooled at
+``jobs > 1`` — answers every analysis bit-identically to the per-row
+reference fold.  The oracle re-asserts that claim *under an active
+fault plan*: the fault-free reference fold fixes a baseline digest,
+then the plan runs at ``jobs`` and at ``jobs=1`` with injection
+enabled, and each run must either reproduce the baseline exactly (the
+recovery paths absorbed every fault) or die with a typed
+:class:`FaultToleranceError` — never a silently different answer,
+never a raw injected exception leaking through a path that claims to
+tolerate it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import dataclasses
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.faultline import hooks
 from repro.faultline.plan import (
@@ -27,8 +29,8 @@ from repro.faultline.plan import (
 )
 
 __all__ = [
-    "BackendRun",
     "OracleReport",
+    "PlanRun",
     "report_digest",
     "run_differential",
 ]
@@ -37,10 +39,10 @@ __all__ = [
 def _canonical(obj) -> str:
     """A canonical rendering under which ``a == b`` implies equal text.
 
-    Dataclass equality ignores dict insertion order (the batch backend
-    builds its counts in SQL-result order, the fold backends in record
-    order), so a plain ``repr`` distinguishes reports that compare
-    equal.  Canonicalization sorts dict items and set members, renders
+    Dataclass equality ignores dict insertion order (SQL fills build
+    their counts in SQL-result order, folds in record order), so a
+    plain ``repr`` distinguishes reports that compare equal.
+    Canonicalization sorts dict items and set members, renders
     dataclasses field by field, and round-trips floats through
     ``repr`` — bitwise-different values stay different.
     """
@@ -67,25 +69,22 @@ def _canonical(obj) -> str:
 def report_digest(report) -> str:
     """A stable content hash of a report dataclass.
 
-    Equal reports — on any backend, in any process — digest equally;
-    any bitwise difference in any field digests differently.
+    Equal reports — on any execution path, in any process — digest
+    equally; any bitwise difference in any field digests differently.
     """
     return hashlib.sha256(_canonical(report).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
-class BackendRun:
-    """One backend's answer under the plan."""
+class PlanRun:
+    """One planned run's answer under the fault plan."""
 
-    backend: str
+    jobs: int
     digest: str
-    use_processes: bool = False
 
     @property
     def label(self) -> str:
-        if self.backend == "sharded" and self.use_processes:
-            return "sharded+processes"
-        return self.backend
+        return f"plan@jobs={self.jobs}"
 
 
 @dataclass
@@ -95,7 +94,7 @@ class OracleReport:
     seed: int
     scale: float
     baseline_digest: str
-    runs: List[BackendRun] = field(default_factory=list)
+    runs: List[PlanRun] = field(default_factory=list)
     fault_log_digest: str = ""
     faults_fired: int = 0
 
@@ -110,7 +109,7 @@ class OracleReport:
             "scale": self.scale,
             "baseline_digest": self.baseline_digest,
             "runs": [
-                {"backend": r.label, "digest": r.digest} for r in self.runs
+                {"run": r.label, "digest": r.digest} for r in self.runs
             ],
             "fault_log_digest": self.fault_log_digest,
             "faults_fired": self.faults_fired,
@@ -118,75 +117,80 @@ class OracleReport:
         }
 
 
-def _backend_matrix(use_processes: bool) -> List[Tuple[str, bool]]:
-    matrix: List[Tuple[str, bool]] = [
-        ("batch", False), ("stream", False), ("sharded", False),
-    ]
-    if use_processes:
-        matrix.append(("sharded", True))
-    return matrix
-
-
 def run_differential(
     seed: int = 1,
     scale: float = 0.25,
     plan: Optional[FaultPlan] = None,
-    jobs: int = 4,
-    use_processes: bool = False,
+    jobs: int = 2,
     cache_dir=None,
-    backends: Optional[Sequence[str]] = None,
 ) -> OracleReport:
-    """Run the intra report on every backend under ``plan``.
+    """Hold the planned intra report against the reference under ``plan``.
 
-    Returns an :class:`OracleReport` whose runs all match the
-    fault-free baseline, or raises :class:`FaultToleranceError` — on
-    divergence, or on an injected fault escaping a recovery path.
-    ``cache_dir`` routes every run through one shared on-disk
+    The corpus is laid out as a tiered store whose newest years stay
+    hot (answered by SQL) and whose oldest years are compacted cold
+    (folded as 32-row column batches — small enough that even a quick
+    corpus frames several — shipped to the shared pool at
+    ``jobs > 1``), so both halves of the plan run.
+    The baseline is the fault-free per-row reference fold over the
+    monolithic store.  Returns an :class:`OracleReport` whose runs all
+    match it, or raises :class:`FaultToleranceError` — on divergence,
+    or on an injected fault escaping a recovery path.  ``cache_dir``
+    routes every run through one shared on-disk
     :class:`~repro.runtime.cache.ResultCache`, putting the
-    ``cache.store``/``cache.lookup`` fault sites in play.
+    ``cache.store``/``cache.lookup`` fault sites in play: the second
+    run reads back what the first one wrote.
     """
+    import tempfile
+    from pathlib import Path
+
     from repro.runtime import (
+        Executor,
         ResultCache,
         RunContext,
-        run_intra_report,
+        intra_report_analyses,
+        intra_report_from,
+        reference_fold,
     )
     from repro.simulation.generator import IntraSimulator
     from repro.simulation.scenarios import paper_scenario
+    from repro.storage import PartitionedSEVStore
 
     scenario = paper_scenario(seed=seed, scale=scale)
     store = IntraSimulator(scenario).run()
-    context = RunContext(
-        store=store, fleet=scenario.fleet, corpus_seed=scenario.seed,
-    )
+    baseline_digest = report_digest(intra_report_from(reference_fold(
+        intra_report_analyses(),
+        RunContext(store=store, fleet=scenario.fleet,
+                   corpus_seed=scenario.seed),
+    )))
 
-    baseline = run_intra_report(context, backend="batch")
-    baseline_digest = report_digest(baseline)
-
-    matrix = _backend_matrix(use_processes)
-    if backends is not None:
-        matrix = [(b, p) for b, p in matrix if b in backends]
-
-    runs: List[BackendRun] = []
-    with hooks.injected(plan):
-        for backend, processes in matrix:
-            # Each run gets a fresh cache *instance* over the shared
-            # directory, so disk entries (and their injected tears)
-            # actually get read back instead of hitting memory.
-            cache = ResultCache(cache_dir) if cache_dir is not None else None
-            try:
-                report = run_intra_report(
-                    context, backend=backend, jobs=jobs, cache=cache,
-                    use_processes=processes,
-                )
-            except InjectedFault as exc:
-                raise FaultToleranceError(
-                    f"backend {backend!r} died on an injected fault its "
-                    f"recovery path should have absorbed: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            runs.append(BackendRun(
-                backend, report_digest(report), use_processes=processes,
-            ))
+    runs: List[PlanRun] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tiered = PartitionedSEVStore.init(Path(tmp) / "sev")
+        tiered.ingest(store.all_reports())
+        years = tiered.years()
+        tiered.compact(keep_hot_years=max(1, len(years) // 2))
+        context = RunContext(store=tiered, fleet=scenario.fleet,
+                             corpus_seed=scenario.seed)
+        with hooks.injected(plan):
+            for run_jobs in (jobs, 1):
+                # Each run gets a fresh cache *instance* over the shared
+                # directory, so disk entries (and their injected tears)
+                # actually get read back instead of hitting memory.
+                cache = (ResultCache(cache_dir) if cache_dir is not None
+                         else None)
+                executor = Executor(jobs=run_jobs, cache=cache,
+                                    batch_size=32)
+                try:
+                    report = intra_report_from(
+                        executor.run(intra_report_analyses(), context)
+                    )
+                except InjectedFault as exc:
+                    raise FaultToleranceError(
+                        f"the plan at jobs={run_jobs} died on an injected "
+                        f"fault its recovery path should have absorbed: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
+                runs.append(PlanRun(run_jobs, report_digest(report)))
 
     result = OracleReport(
         seed=seed,
@@ -202,7 +206,7 @@ def run_differential(
             if r.digest != baseline_digest
         ]
         raise FaultToleranceError(
-            "backends diverged under the fault plan: "
+            "the plan diverged from the reference under the fault plan: "
             f"baseline={baseline_digest[:12]} vs {', '.join(divergent)} "
             f"(seed={seed}, fault log {result.fault_log_digest[:12]})"
         )

@@ -54,9 +54,9 @@ SITES = (
     "checkpoint.save",
     # SEVStore write batches: transient sqlite3.OperationalError.
     "store.insert",
-    # runtime.executor sharded backend: a shard worker crashes.
+    # runtime.executor pooled column shards: a shard worker crashes.
     "executor.shard",
-    # runtime.executor columnar backend: a column-batch fold raises
+    # runtime.executor column batches: a column-batch fold raises
     # mid-batch; the executor falls back to the per-row reference
     # fold over the batch's records.
     "runtime.fold",
@@ -95,7 +95,7 @@ class CheckpointKilled(InjectedFault):
 
 
 class ShardWorkerCrash(InjectedFault):
-    """Simulated crash of one shard worker in the sharded backend."""
+    """Simulated crash of one pooled column-shard worker."""
 
 
 class JobWorkerCrash(InjectedFault):
@@ -130,9 +130,9 @@ class PartitionLost(InjectedFault):
 class FaultToleranceError(FaultlineError):
     """The differential oracle's typed failure.
 
-    Raised when backends diverge under an active fault plan, or when a
-    backend dies on an injected fault its recovery path should have
-    absorbed — never silently.
+    Raised when a planned run diverges from the reference under an
+    active fault plan, or dies on an injected fault its recovery path
+    should have absorbed — never silently.
     """
 
 

@@ -98,26 +98,6 @@ class SEVQuery:
             out.setdefault(Severity(s), {})[DeviceType(t)] = n
         return out
 
-    def count_by_year_severity_and_type(
-        self,
-    ) -> Dict[Tuple[int, Severity, DeviceType], int]:
-        """The full year x severity x device-type cube (typed reports).
-
-        The per-shard pushdown query behind the runtime's
-        :class:`~repro.runtime.states.SeverityTallies`: one GROUP BY
-        answers the Figure 4 cross-tabulation for every year at once,
-        so a partitioned store folds each SQLite shard without ever
-        materializing its rows.
-        """
-        return {
-            (year, Severity(s), DeviceType(t)): n
-            for year, s, t, n in self._conn.execute(
-                "SELECT opened_year, severity, device_type, COUNT(*) "
-                "FROM sevs WHERE device_type IS NOT NULL "
-                "GROUP BY opened_year, severity, device_type"
-            )
-        }
-
     def count_by_year_and_severity(self) -> Dict[int, Dict[Severity, int]]:
         out: Dict[int, Dict[Severity, int]] = {}
         for year, s, n in self._conn.execute(

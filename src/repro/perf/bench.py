@@ -1,6 +1,6 @@
 """The built-in benchmark suite (``python -m repro bench``).
 
-Four hot paths, each measured with :mod:`repro.perf` primitives and
+Eight hot paths, each measured with :mod:`repro.perf` primitives and
 recorded as a JSON :class:`~repro.perf.record.BenchRecord`:
 
 ``stream_throughput``
@@ -18,38 +18,35 @@ recorded as a JSON :class:`~repro.perf.record.BenchRecord`:
 ``partitioned_scan``
     the full intra report over a monolithic store vs a tiered
     partitioned store (half its history demoted to the gzip cold
-    tier), on the streaming and sharded backends; asserts every
-    variant's ``report_digest`` is bit-identical and reports the
-    partitioned-scan overhead.
+    tier), by the per-row reference fold and by the plan; asserts
+    every variant's ``report_digest`` is bit-identical and reports
+    the partitioned-scan overhead.
 ``fold_matrix``
-    the fold engine across every execution strategy (per-row serial
-    fold, SQL batch, columnar, sharded and columnar on the shared
-    process pool) × both storage layouts; asserts all ten digests
-    are bit-identical and reports the columnar speedup over the
-    serial fold plus parallel efficiency against ``cpu_count``.
+    the fold engine's three strategies — the per-row reference fold,
+    the plan, and the plan at ``jobs`` on the shared process pool —
+    × both storage layouts; asserts all six digests are bit-identical
+    and quotes every speedup against the fastest serial strategy
+    (parallel metrics only where ``cpu_count`` covers ``jobs``).
 ``backbone_report``
-    the section 6 ticket-domain report answered by every runtime
-    backend — batch (monitor path), streaming fold, sharded fold
-    (serial and process-parallel) — plus a content-addressed cached
-    re-run; reports tickets/s per backend and the cache speedup, and
-    asserts all backends agree bit for bit.
+    the section 6 ticket-domain report by the same three strategies
+    plus a content-addressed cached re-run; reports tickets/s per
+    strategy and the cache speedup, and asserts all agree bit for
+    bit.
 ``serve_latency``
     a live :mod:`repro.serve` server under concurrent readers plus one
     job-submitting writer; reports requests/s and p50/p99 latency per
     endpoint with zero tolerated errors.
 ``grid_sweep``
     a small what-if lattice expanded by :class:`~repro.scenarios.GridSpec`
-    and run through :class:`~repro.scenarios.GridRunner` on the batch,
-    sharded, and columnar backends (fresh :class:`~repro.runtime.ResultCache`
-    per backend) followed by a warm re-run; reports cells/s per backend,
-    the cached re-run's cache-hit ratio, and asserts the grid's
-    ``summary_digest`` is bit-identical across backends.
+    and run cold through :class:`~repro.scenarios.GridRunner` at one
+    and two jobs (fresh :class:`~repro.runtime.ResultCache` each),
+    then warm; reports cells/s per run, the warm re-run's cache-hit
+    ratio, and asserts the grid's ``summary_digest`` never moves.
 ``survivability``
     the correlated-failure survivability study over one generated
-    trial corpus, answered by the batch, sharded (process-parallel),
-    and columnar backends plus a warm cached re-run; asserts every
-    backend's ``report_digest`` is bit-identical and reports rows/s
-    per backend and the cache-hit ratio.
+    trial corpus by the three fold strategies plus a warm cached
+    re-run; asserts every ``report_digest`` is bit-identical and
+    reports rows/s per strategy and the cache-hit ratio.
 
 The suite prints rendered tables and writes one record per benchmark
 to the output directory, so successive PRs accumulate a comparable
@@ -61,7 +58,7 @@ from __future__ import annotations
 import tempfile
 import time
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.perf.record import BenchRecord, write_record
 from repro.perf.timers import events_per_second
@@ -73,6 +70,20 @@ QUICK_SCALE = 1.0
 
 _JOBS_FULL: Tuple = (1, 2, 4, "auto")
 _JOBS_QUICK: Tuple = (1, 2, "auto")
+
+#: Pool width of the ``planned_jobs*`` strategies: the recording
+#: host's core count, so the parallel rows are measurable there.
+POOLED_JOBS = 2
+
+
+def _best_of(rounds: int, run) -> Tuple[float, object]:
+    """(best wall seconds over ``rounds`` calls of ``run``, last result)."""
+    best, result = float("inf"), None
+    for _ in range(max(1, rounds)):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def bench_stream_throughput(
@@ -88,22 +99,19 @@ def bench_stream_throughput(
     also carries the cross-jobs digest check: every worker count must
     produce bit-identical aggregates.
     """
+    from repro.runtime import shutdown_executor_pool
     from repro.simulation.scenarios import paper_scenario
     from repro.stream import generate_aggregates
-    from repro.stream.sharding import resolve_jobs, shutdown_pool
+    from repro.stream.sharding import resolve_jobs
 
     scenario = paper_scenario(seed=seed, scale=scale)
     per_jobs = []
     digests = set()
     events = 0
     for jobs in jobs_list:
-        best = float("inf")
-        for _ in range(max(1, rounds)):
-            start = time.perf_counter()
-            aggregates = generate_aggregates(
-                scenario, jobs=jobs, use_processes=jobs != 1
-            )
-            best = min(best, time.perf_counter() - start)
+        best, aggregates = _best_of(
+            rounds, lambda: generate_aggregates(scenario, jobs=jobs)
+        )
         events = aggregates.events
         digests.add(aggregates.digest())
         per_jobs.append({
@@ -113,7 +121,7 @@ def bench_stream_throughput(
             "events": events,
             "events_per_s": events_per_second(events, best),
         })
-    shutdown_pool()
+    shutdown_executor_pool()
 
     by_jobs = {entry["jobs"]: entry for entry in per_jobs}
     metrics = {
@@ -226,22 +234,90 @@ def bench_ingest(
     )
 
 
+def _fold_strategies(analyses, context, assemble, jobs: int,
+                     batch_size: Optional[int] = None) -> list:
+    """``(label, run)`` for the strategies every fold bench times.
+
+    The per-row reference fold, the plan, and the plan at ``jobs``
+    (``batch_size``-row column batches, so small corpora still ship
+    shards to the pool).
+    """
+    from repro.runtime import Executor, reference_fold
+
+    def planned(n: int):
+        return lambda: assemble(Executor(jobs=n, batch_size=batch_size).run(
+            analyses(), context
+        ))
+
+    return [
+        ("reference", lambda: assemble(reference_fold(analyses(), context))),
+        ("planned", planned(1)),
+        (f"planned_jobs{jobs}", planned(jobs)),
+    ]
+
+
+def _quote_speedups(entries: List[dict]) -> str:
+    """Add ``speedup_vs_fastest_serial`` to each entry; returns the
+    fastest serial strategy's label (every strategy but the pooled
+    one is serial)."""
+    serial = [e for e in entries if not e["strategy"].startswith(
+        "planned_jobs")]
+    fastest = min(serial, key=lambda e: e["seconds"])
+    for entry in entries:
+        entry["speedup_vs_fastest_serial"] = (
+            fastest["seconds"] / entry["seconds"]
+            if entry["seconds"] > 0 else 0.0
+        )
+    return fastest["strategy"]
+
+
+def _parallel_metrics(entries: List[dict], jobs: int, cores: int) -> dict:
+    """Parallel speedup of the plan at ``jobs`` over the fastest serial
+    strategy — ``None`` with a reason when the host has fewer cores
+    than workers, where no parallel speedup can be measured."""
+    if cores < jobs:
+        return {
+            "parallel_speedup_vs_serial": None,
+            "parallel_efficiency_vs_cores": None,
+            "parallel_reason": f"cpu_count {cores} < jobs {jobs}",
+        }
+    (pooled,) = [e for e in entries
+                 if e["strategy"] == f"planned_jobs{jobs}"]
+    speedup = pooled["speedup_vs_fastest_serial"]
+    return {
+        "parallel_speedup_vs_serial": speedup,
+        "parallel_efficiency_vs_cores": speedup / jobs,
+        "parallel_reason": None,
+    }
+
+
 def bench_backbone(
     seed: int = 7,
     links_per_edge: int = 3,
     rounds: int = 3,
 ) -> BenchRecord:
-    """Measure the backbone report across runtime backends.
+    """Measure the backbone report: reference fold vs the plan.
 
     One ticket corpus, one :class:`~repro.runtime.RunContext`, and the
-    identical section 6 report answered by each backend; every backend
-    runs ``rounds`` times and keeps the best time.  A cached re-run
-    (second pass against a warm :class:`~repro.runtime.ResultCache`)
-    is timed separately — its corpus pass count is zero, so it bounds
-    the price of the report plumbing itself.
+    identical section 6 report from the per-row reference fold, the
+    plan, and the plan at :data:`POOLED_JOBS` (256-ticket batches
+    shipped to the pool); each runs ``rounds`` times and keeps the
+    best time.  A cached re-run (second pass against a warm
+    :class:`~repro.runtime.ResultCache`) is timed separately — its
+    corpus pass count is zero, so it bounds the price of the report
+    plumbing itself.
     """
+    import os
+
     from repro.backbone.monitor import BackboneMonitor
-    from repro.runtime import ResultCache, RunContext, run_backbone_report
+    from repro.runtime import (
+        ResultCache,
+        RunContext,
+        backbone_report_analyses,
+        backbone_report_from,
+        run_backbone_report,
+        shutdown_executor_pool,
+    )
     from repro.simulation.backbone_sim import BackboneSimulator
     from repro.simulation.scenarios import paper_backbone_scenario
 
@@ -255,85 +331,70 @@ def bench_backbone(
     )
     tickets = len(corpus.tickets)
 
-    backends = [
-        ("batch", {}),
-        ("stream", {}),
-        ("sharded", {"jobs": 4}),
-        ("sharded_processes", {"jobs": 4, "use_processes": True}),
-    ]
-    per_backend = []
-    reports = {}
-    for label, kwargs in backends:
-        backend = "sharded" if label.startswith("sharded") else label
-        best = float("inf")
-        for _ in range(max(1, rounds)):
-            start = time.perf_counter()
-            report = run_backbone_report(context, backend=backend, **kwargs)
-            best = min(best, time.perf_counter() - start)
-        reports[label] = report
-        per_backend.append({
-            "backend": label,
-            "seconds": best,
-            "tickets": tickets,
-            "tickets_per_s": events_per_second(tickets, best),
-        })
+    def assemble(results):
+        return backbone_report_from(results, corpus.window_h)
 
+    per_strategy = []
+    reports = []
+    strategies = _fold_strategies(backbone_report_analyses, context,
+                                  assemble, POOLED_JOBS, batch_size=256)
     cache = ResultCache()
-    run_backbone_report(context, backend="stream", cache=cache)
-    best_cached = float("inf")
-    for _ in range(max(1, rounds)):
-        start = time.perf_counter()
-        cached = run_backbone_report(context, backend="stream", cache=cache)
-        best_cached = min(best_cached, time.perf_counter() - start)
-    reports["cached"] = cached
-    per_backend.append({
-        "backend": "cached",
-        "seconds": best_cached,
-        "tickets": tickets,
-        "tickets_per_s": events_per_second(tickets, best_cached),
-    })
-
-    by_backend = {entry["backend"]: entry for entry in per_backend}
-    stream_s = by_backend["stream"]["seconds"]
+    run_backbone_report(context, cache=cache)
+    strategies.append(
+        ("cached", lambda: run_backbone_report(context, cache=cache))
+    )
+    for label, run in strategies:
+        seconds, report = _best_of(rounds, run)
+        reports.append(report)
+        per_strategy.append({
+            "strategy": label,
+            "seconds": seconds,
+            "tickets": tickets,
+            "tickets_per_s": events_per_second(tickets, seconds),
+        })
+    shutdown_executor_pool()
+    fastest = _quote_speedups(per_strategy[:-1])
+    by_strategy = {e["strategy"]: e for e in per_strategy}
     metrics = {
         "tickets": tickets,
         "window_h": corpus.window_h,
-        "backends_identical": all(
-            report == reports["batch"] for report in reports.values()
+        "cores": os.cpu_count() or 1,
+        "digests_identical": all(r == reports[0] for r in reports),
+        "per_strategy": per_strategy,
+        "fastest_serial": fastest,
+        "cache_speedup_vs_fastest_serial": (
+            by_strategy[fastest]["seconds"] / by_strategy["cached"]["seconds"]
+            if by_strategy["cached"]["seconds"] > 0 else 0.0
         ),
-        "per_backend": per_backend,
-        "cache_speedup_vs_stream": (
-            stream_s / best_cached if best_cached > 0 else 0.0
-        ),
+        **_parallel_metrics(per_strategy, POOLED_JOBS, os.cpu_count() or 1),
     }
     return BenchRecord(
         name="backbone_report",
         params={
             "seed": seed, "links_per_edge": links_per_edge,
-            "rounds": rounds,
+            "rounds": rounds, "jobs": POOLED_JOBS,
         },
         metrics=metrics,
     )
 
 
-def bench_partitioned_scan(
-    seed: int = 2,
-    scale: float = FULL_SCALE,
-    rounds: int = 3,
-) -> BenchRecord:
-    """Measure the intra report over monolithic vs partitioned storage.
+def _layout_strategies(seed: int, scale: float, rounds: int, jobs: int,
+                       strategies: int) -> Tuple[int, dict, List[dict]]:
+    """Time the intra report's fold strategies over both storage layouts.
 
-    One corpus, stored twice: the monolithic SQLite file and a tiered
+    One corpus, stored twice — the monolithic SQLite file and a tiered
     partitioned store with roughly half its history demoted to the
-    gzip cold tier.  The identical report runs over each on the
-    streaming backend (and over the partitioned store on the sharded
-    backend, whose shards are the manifest's partitions); every
-    variant must produce the same ``report_digest`` bit for bit — the
-    storage refactor's core acceptance criterion, measured rather
-    than assumed.
+    gzip cold tier — and the first ``strategies`` entries of
+    :func:`_fold_strategies` run over each.  Returns ``(rows, tiers,
+    entries)``, one entry per (layout, strategy).
     """
     from repro.faultline.oracle import report_digest
-    from repro.runtime import RunContext, run_intra_report
+    from repro.runtime import (
+        RunContext,
+        intra_report_analyses,
+        intra_report_from,
+        shutdown_executor_pool,
+    )
     from repro.simulation.generator import IntraSimulator
     from repro.simulation.scenarios import paper_scenario
     from repro.storage import PartitionedSEVStore
@@ -341,27 +402,7 @@ def bench_partitioned_scan(
     scenario = paper_scenario(seed=seed, scale=scale)
     mono = IntraSimulator(scenario).run()
     rows = len(mono)
-
-    def timed(label: str, target, backend: str, **kwargs) -> dict:
-        best = float("inf")
-        digest = None
-        for _ in range(max(1, rounds)):
-            context = RunContext(
-                store=target, fleet=scenario.fleet, corpus_seed=seed
-            )
-            start = time.perf_counter()
-            report = run_intra_report(context, backend=backend, **kwargs)
-            best = min(best, time.perf_counter() - start)
-            digest = report_digest(report)
-        return {
-            "variant": label,
-            "backend": backend,
-            "seconds": best,
-            "rows": rows,
-            "rows_per_s": events_per_second(rows, best),
-            "report_digest": digest,
-        }
-
+    entries = []
     with tempfile.TemporaryDirectory() as tmp:
         store = PartitionedSEVStore.init(
             Path(tmp) / "tiered", meta={"seed": seed, "scale": scale}
@@ -371,15 +412,44 @@ def bench_partitioned_scan(
         if len(years) > 1:
             store.compact(keep_hot_years=max(1, len(years) // 2))
         tiers = store.status()["tiers"]
-        variants = [
-            timed("monolithic_stream", mono, "stream"),
-            timed("partitioned_stream", store, "stream"),
-            timed("partitioned_sharded", store, "sharded", jobs=4),
-        ]
+        for layout, target in (("monolithic", mono), ("partitioned", store)):
+            context = RunContext(
+                store=target, fleet=scenario.fleet, corpus_seed=seed
+            )
+            for label, run in _fold_strategies(
+                intra_report_analyses, context, intra_report_from, jobs
+            )[:strategies]:
+                seconds, report = _best_of(rounds, run)
+                entries.append({
+                    "layout": layout,
+                    "strategy": label,
+                    "seconds": seconds,
+                    "rows": rows,
+                    "rows_per_s": events_per_second(rows, seconds),
+                    "report_digest": report_digest(report),
+                })
+    shutdown_executor_pool()
+    return rows, tiers, entries
 
-    by_variant = {entry["variant"]: entry for entry in variants}
-    mono_s = by_variant["monolithic_stream"]["seconds"]
-    part_s = by_variant["partitioned_stream"]["seconds"]
+
+def bench_partitioned_scan(
+    seed: int = 2,
+    scale: float = FULL_SCALE,
+    rounds: int = 3,
+) -> BenchRecord:
+    """Measure the intra report over monolithic vs partitioned storage.
+
+    The per-row reference fold and the plan run over each layout;
+    every variant must produce the same ``report_digest`` bit for bit
+    — the storage layer's core acceptance criterion, measured rather
+    than assumed.  ``partitioned_overhead`` compares the plan across
+    the two layouts.
+    """
+    rows, tiers, variants = _layout_strategies(seed, scale, rounds, 1, 2)
+    for layout in ("monolithic", "partitioned"):
+        _quote_speedups([e for e in variants if e["layout"] == layout])
+    planned = {e["layout"]: e["seconds"] for e in variants
+               if e["strategy"] == "planned"}
     metrics = {
         "rows": rows,
         "partitions": tiers["hot"] + tiers["cold"],
@@ -388,7 +458,10 @@ def bench_partitioned_scan(
             {entry["report_digest"] for entry in variants}
         ) == 1,
         "per_variant": variants,
-        "partitioned_overhead": part_s / mono_s if mono_s > 0 else 0.0,
+        "partitioned_overhead": (
+            planned["partitioned"] / planned["monolithic"]
+            if planned["monolithic"] > 0 else 0.0
+        ),
     }
     return BenchRecord(
         name="partitioned_scan",
@@ -400,111 +473,39 @@ def bench_partitioned_scan(
 def bench_fold_matrix(
     seed: int = 2,
     scale: float = FULL_SCALE,
-    jobs: int = 4,
+    jobs: int = POOLED_JOBS,
     rounds: int = 3,
 ) -> BenchRecord:
-    """Measure the fold engine across execution strategies and layouts.
+    """Measure the fold engine across strategies and storage layouts.
 
-    One corpus, stored twice — the monolithic SQLite file and a tiered
-    partitioned store with roughly half its history demoted to the
-    gzip cold tier — answered by every fold strategy the runtime
-    offers:
+    Both layouts are answered three ways:
 
-    ``serial_fold``
-        the per-row reference fold (stream backend) — the baseline
-        every speedup is quoted against
-    ``batch_sql``
-        per-analysis SQL (per-partition pushdown on the tiered store)
-    ``columnar``
-        array-at-a-time folds over ``ColumnBatch`` chunks
-    ``sharded_processes``
-        row shards folded on the shared worker pool
-    ``columnar_processes``
-        chunk-framed column batches shipped to the shared worker pool
+    ``reference``
+        the per-row reference fold
+    ``planned``
+        the executor's plan: SQL on every SQLite shard, column batches
+        for the cold partitions
+    ``planned_jobs{N}``
+        the plan with its column batches shipped to ``jobs`` pool
+        workers (SQL folds stay in the parent, so this differs from
+        ``planned`` only where batches exist)
 
-    Every variant must produce the identical ``report_digest`` — the
-    columnar engine's core acceptance criterion, measured rather than
-    assumed.  The record carries throughput per variant, the columnar
-    speedup over the serial fold, and parallel efficiency against the
-    recorded ``cpu_count``.
+    Every variant must produce the identical ``report_digest``.
+    Speedups are quoted against the fastest serial strategy of the
+    same layout; the parallel metrics are ``None``, with a reason,
+    when the recorded ``cpu_count`` is below ``jobs``.
     """
-    from repro.faultline.oracle import report_digest
-    from repro.runtime import (
-        RunContext,
-        run_intra_report,
-        shutdown_executor_pool,
-    )
-    from repro.simulation.generator import IntraSimulator
-    from repro.simulation.scenarios import paper_scenario
-    from repro.storage import PartitionedSEVStore
-
-    scenario = paper_scenario(seed=seed, scale=scale)
-    mono = IntraSimulator(scenario).run()
-    rows = len(mono)
-
-    strategies = [
-        ("serial_fold", "stream", {}),
-        ("batch_sql", "batch", {}),
-        ("columnar", "columnar", {}),
-        ("sharded_processes", "sharded",
-         {"jobs": jobs, "use_processes": True}),
-        ("columnar_processes", "columnar",
-         {"jobs": jobs, "use_processes": True}),
-    ]
-
-    def timed(layout: str, target, strategy: str, backend: str,
-              kwargs: dict) -> dict:
-        best = float("inf")
-        digest = None
-        for _ in range(max(1, rounds)):
-            context = RunContext(
-                store=target, fleet=scenario.fleet, corpus_seed=seed
-            )
-            start = time.perf_counter()
-            report = run_intra_report(context, backend=backend, **kwargs)
-            best = min(best, time.perf_counter() - start)
-            digest = report_digest(report)
-        return {
-            "layout": layout,
-            "strategy": strategy,
-            "backend": backend,
-            "seconds": best,
-            "rows": rows,
-            "rows_per_s": events_per_second(rows, best),
-            "report_digest": digest,
-        }
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = PartitionedSEVStore.init(
-            Path(tmp) / "tiered", meta={"seed": seed, "scale": scale}
-        )
-        store.ingest(mono.all_reports())
-        years = store.years()
-        if len(years) > 1:
-            store.compact(keep_hot_years=max(1, len(years) // 2))
-        tiers = store.status()["tiers"]
-        variants = [
-            timed(layout, target, strategy, backend, kwargs)
-            for layout, target in (
-                ("monolithic", mono), ("partitioned", store),
-            )
-            for strategy, backend, kwargs in strategies
-        ]
-    shutdown_executor_pool()
-
-    def seconds(layout: str, strategy: str) -> float:
-        for entry in variants:
-            if entry["layout"] == layout and entry["strategy"] == strategy:
-                return entry["seconds"]
-        raise KeyError((layout, strategy))
-
     import os
 
     cores = os.cpu_count() or 1
-    serial_s = seconds("monolithic", "serial_fold")
-    columnar_s = seconds("monolithic", "columnar")
-    parallel_s = seconds("monolithic", "columnar_processes")
-    parallel_speedup = serial_s / parallel_s if parallel_s > 0 else 0.0
+    rows, tiers, variants = _layout_strategies(seed, scale, rounds, jobs, 3)
+    layouts = {}
+    for layout in ("monolithic", "partitioned"):
+        entries = [e for e in variants if e["layout"] == layout]
+        layouts[layout] = {
+            "fastest_serial": _quote_speedups(entries),
+            **_parallel_metrics(entries, jobs, cores),
+        }
     metrics = {
         "rows": rows,
         "jobs": jobs,
@@ -515,15 +516,7 @@ def bench_fold_matrix(
             {entry["report_digest"] for entry in variants}
         ) == 1,
         "per_variant": variants,
-        "columnar_speedup_vs_serial": (
-            serial_s / columnar_s if columnar_s > 0 else 0.0
-        ),
-        "batch_sql_speedup_vs_serial": (
-            serial_s / seconds("monolithic", "batch_sql")
-            if seconds("monolithic", "batch_sql") > 0 else 0.0
-        ),
-        "parallel_speedup_vs_serial": parallel_speedup,
-        "parallel_efficiency_vs_cores": parallel_speedup / cores,
+        "layouts": layouts,
     }
     return BenchRecord(
         name="fold_matrix",
@@ -539,16 +532,15 @@ def bench_grid(
     scale: float = 0.1,
     rounds: int = 1,
 ) -> BenchRecord:
-    """Measure the what-if grid runner across runtime backends.
+    """Measure the what-if grid runner: cold at 1 and 2 jobs, then warm.
 
     One six-cell lattice (three fabric-rollout years × two CORE hazard
     multipliers) expanded once and run through a fresh
-    :class:`~repro.runtime.ResultCache` on the batch, sharded
-    (process-parallel), and columnar backends, then re-run warm on the
-    batch backend.  Reports cells/s per backend and the warm re-run's
-    cache-hit ratio, and asserts every backend's ``summary_digest`` is
-    bit-identical — the grid runner's core acceptance criterion,
-    measured rather than assumed.
+    :class:`~repro.runtime.ResultCache` with the plan at one job and
+    at :data:`POOLED_JOBS`, then re-run warm over the one-job cache.  Reports
+    cells/s per run and the warm re-run's cache-hit ratio, and asserts
+    every run's ``summary_digest`` is bit-identical — the grid
+    runner's core acceptance criterion, measured rather than assumed.
     """
     from repro.runtime import ResultCache, shutdown_executor_pool
     from repro.scenarios import GridRunner, GridSpec, preset
@@ -563,67 +555,54 @@ def bench_grid(
     )
     cells = grid.cell_count()
 
-    backends = [
-        ("batch", {}),
-        ("sharded_processes", {"jobs": 2, "use_processes": True}),
-        ("columnar", {}),
-    ]
-    per_backend = []
-    digests = set()
-    warm_cache = None
-    for label, kwargs in backends:
-        backend = "sharded" if label.startswith("sharded") else label
-        best = float("inf")
-        digest = None
-        for _ in range(max(1, rounds)):
-            cache = ResultCache()
-            runner = GridRunner(backend=backend, cache=cache, **kwargs)
-            start = time.perf_counter()
-            report = runner.run(grid)
-            best = min(best, time.perf_counter() - start)
-            digest = report["summary_digest"]
-            if label == "batch":
-                # Keep the populated cache for the warm re-run below.
-                warm_cache = cache
-        digests.add(digest)
-        per_backend.append({
-            "backend": label,
-            "seconds": best,
+    caches = {}
+
+    def cold(n: int):
+        def run():
+            caches[n] = ResultCache()
+            return GridRunner(jobs=n, cache=caches[n]).run(grid)
+        return run
+
+    per_strategy = []
+    for label, run in (("planned", cold(1)),
+                       (f"planned_jobs{POOLED_JOBS}", cold(POOLED_JOBS))):
+        seconds, report = _best_of(rounds, run)
+        per_strategy.append({
+            "strategy": label,
+            "seconds": seconds,
             "cells": cells,
-            "cells_per_s": events_per_second(cells, best),
-            "summary_digest": digest,
+            "cells_per_s": events_per_second(cells, seconds),
+            "summary_digest": report["summary_digest"],
         })
     shutdown_executor_pool()
 
-    runner = GridRunner(backend="batch", cache=warm_cache)
-    start = time.perf_counter()
-    warm = runner.run(grid)
-    warm_s = time.perf_counter() - start
+    warm_s, warm = _best_of(
+        1, lambda: GridRunner(cache=caches[1]).run(grid)
+    )
     hits = warm["cache"]["cell_hits"]
     misses = warm["cache"]["cell_misses"]
-    hit_ratio = hits / (hits + misses) if hits + misses else 0.0
-    digests.add(warm["summary_digest"])
-    per_backend.append({
-        "backend": "cached",
+    per_strategy.append({
+        "strategy": "cached",
         "seconds": warm_s,
         "cells": cells,
         "cells_per_s": events_per_second(cells, warm_s),
         "summary_digest": warm["summary_digest"],
     })
-
-    by_backend = {entry["backend"]: entry for entry in per_backend}
-    batch_s = by_backend["batch"]["seconds"]
+    cold_s = per_strategy[0]["seconds"]
     metrics = {
         "cells": cells,
         "axes": grid.axis_paths,
-        "digests_identical": len(digests) == 1,
-        "per_backend": per_backend,
-        "cache_hit_ratio": hit_ratio,
-        "cache_speedup_vs_batch": batch_s / warm_s if warm_s > 0 else 0.0,
+        "digests_identical": len(
+            {e["summary_digest"] for e in per_strategy}
+        ) == 1,
+        "per_strategy": per_strategy,
+        "cache_hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
+        "cache_speedup_vs_cold": cold_s / warm_s if warm_s > 0 else 0.0,
     }
     return BenchRecord(
         name="grid_sweep",
-        params={"seed": seed, "scale": scale, "rounds": rounds},
+        params={"seed": seed, "scale": scale, "rounds": rounds,
+                "jobs": POOLED_JOBS},
         metrics=metrics,
     )
 
@@ -633,92 +612,75 @@ def bench_survivability(
     trials: int = 24,
     rounds: int = 1,
 ) -> BenchRecord:
-    """Measure the survivability study across runtime backends.
+    """Measure the survivability study: reference fold vs the plan.
 
     One correlated-failure trial corpus (generated once, timed
-    separately) answered by the batch, sharded (process-parallel), and
-    columnar backends through a fresh
-    :class:`~repro.runtime.ResultCache`, then re-run warm on the batch
-    backend.  Reports rows/s per backend and the warm re-run's
-    cache-hit ratio, and asserts every backend's ``report_digest`` is
-    bit-identical — the survivability family's core acceptance
-    criterion, measured rather than assumed.
+    separately) answered by the per-row reference fold, the plan, and
+    the plan at :data:`POOLED_JOBS` (256-row batches shipped to the
+    pool), then
+    re-run warm through a :class:`~repro.runtime.ResultCache`.
+    Reports rows/s per strategy and the warm re-run's cache-hit
+    ratio, and asserts every ``report_digest`` is bit-identical — the
+    survivability family's core acceptance criterion, measured rather
+    than assumed.
     """
     from repro.faultline.oracle import report_digest
     from repro.runtime import ResultCache, RunContext, shutdown_executor_pool
-    from repro.survivability import generate_trials, run_survivability_report
+    from repro.survivability import (
+        generate_trials,
+        run_survivability_report,
+        survivability_report_analyses,
+        survivability_report_from,
+    )
 
-    start = time.perf_counter()
-    corpus = generate_trials(seed=seed, correlated={"trials": trials})
-    generate_s = time.perf_counter() - start
+    generate_s, corpus = _best_of(
+        1, lambda: generate_trials(seed=seed, correlated={"trials": trials})
+    )
     rows = len(corpus)
     context = RunContext(trials=corpus, corpus_seed=seed)
 
-    backends = [
-        ("batch", {}),
-        ("sharded_processes", {"jobs": 2, "use_processes": True}),
-        ("columnar", {}),
-    ]
-    per_backend = []
-    digests = set()
-    warm_cache = None
-    for label, kwargs in backends:
-        backend = "sharded" if label.startswith("sharded") else label
-        best = float("inf")
-        digest = None
-        for _ in range(max(1, rounds)):
-            cache = ResultCache()
-            start = time.perf_counter()
-            report = run_survivability_report(
-                context, backend=backend, cache=cache, **kwargs
-            )
-            best = min(best, time.perf_counter() - start)
-            digest = report_digest(report)
-            if label == "batch":
-                # Keep the populated cache for the warm re-run below.
-                warm_cache = cache
-        digests.add(digest)
-        per_backend.append({
-            "backend": label,
-            "seconds": best,
+    cache = ResultCache()
+    run_survivability_report(context, cache=cache)
+    hits_before, misses_before = cache.hits, cache.misses
+    strategies = _fold_strategies(survivability_report_analyses, context,
+                                  survivability_report_from, POOLED_JOBS,
+                                  batch_size=256)
+    strategies.append(
+        ("cached", lambda: run_survivability_report(context, cache=cache))
+    )
+    per_strategy = []
+    for label, run in strategies:
+        seconds, report = _best_of(rounds, run)
+        per_strategy.append({
+            "strategy": label,
+            "seconds": seconds,
             "rows": rows,
-            "rows_per_s": events_per_second(rows, best),
-            "report_digest": digest,
+            "rows_per_s": events_per_second(rows, seconds),
+            "report_digest": report_digest(report),
         })
     shutdown_executor_pool()
-
-    hits_before = warm_cache.hits
-    misses_before = warm_cache.misses
-    start = time.perf_counter()
-    warm = run_survivability_report(
-        context, backend="batch", cache=warm_cache
-    )
-    warm_s = time.perf_counter() - start
-    hits = warm_cache.hits - hits_before
-    misses = warm_cache.misses - misses_before
-    hit_ratio = hits / (hits + misses) if hits + misses else 0.0
-    digests.add(report_digest(warm))
-    per_backend.append({
-        "backend": "cached",
-        "seconds": warm_s,
-        "rows": rows,
-        "rows_per_s": events_per_second(rows, warm_s),
-        "report_digest": report_digest(warm),
-    })
-
-    by_backend = {entry["backend"]: entry for entry in per_backend}
-    batch_s = by_backend["batch"]["seconds"]
+    hits = cache.hits - hits_before
+    misses = cache.misses - misses_before
+    fastest = _quote_speedups(per_strategy[:-1])
+    by_strategy = {e["strategy"]: e for e in per_strategy}
+    warm_s = by_strategy["cached"]["seconds"]
     metrics = {
         "rows": rows,
         "generate_seconds": generate_s,
-        "digests_identical": len(digests) == 1,
-        "per_backend": per_backend,
-        "cache_hit_ratio": hit_ratio,
-        "cache_speedup_vs_batch": batch_s / warm_s if warm_s > 0 else 0.0,
+        "digests_identical": len(
+            {e["report_digest"] for e in per_strategy}
+        ) == 1,
+        "per_strategy": per_strategy,
+        "fastest_serial": fastest,
+        "cache_hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
+        "cache_speedup_vs_fastest_serial": (
+            by_strategy[fastest]["seconds"] / warm_s if warm_s > 0 else 0.0
+        ),
     }
     return BenchRecord(
         name="survivability",
-        params={"seed": seed, "trials": trials, "rounds": rounds},
+        params={"seed": seed, "trials": trials, "rounds": rounds,
+                "jobs": POOLED_JOBS},
         metrics=metrics,
     )
 
@@ -901,30 +863,8 @@ def render_ingest_record(record: BenchRecord) -> str:
     )
 
 
-def render_partitioned_record(record: BenchRecord) -> str:
-    from repro.viz.tables import format_table
-
-    rows = [
-        [
-            entry["variant"],
-            entry["backend"],
-            entry["rows"],
-            f"{entry['seconds']:.3f}",
-            f"{entry['rows_per_s']:,.0f}",
-        ]
-        for entry in record.metrics["per_variant"]
-    ]
-    tiers = record.metrics["tiers"]
-    return format_table(
-        ["Variant", "Backend", "Rows", "Seconds", "Rows/sec"],
-        rows,
-        title=(f"Partitioned vs monolithic scan "
-               f"({tiers['hot']} hot + {tiers['cold']} cold partitions, "
-               f"identical={record.metrics['digests_identical']})"),
-    )
-
-
-def render_fold_matrix_record(record: BenchRecord) -> str:
+def _render_layouts(record: BenchRecord, title: str) -> str:
+    """The shared table of the per-(layout, strategy) records."""
     from repro.viz.tables import format_table
 
     rows = [
@@ -934,87 +874,94 @@ def render_fold_matrix_record(record: BenchRecord) -> str:
             entry["rows"],
             f"{entry['seconds']:.3f}",
             f"{entry['rows_per_s']:,.0f}",
+            _speedup(entry),
         ]
         for entry in record.metrics["per_variant"]
     ]
-    metrics = record.metrics
     return format_table(
-        ["Layout", "Strategy", "Rows", "Seconds", "Rows/sec"],
-        rows,
-        title=(f"Fold matrix (scale={record.params['scale']}, "
-               f"columnar {metrics['columnar_speedup_vs_serial']:.1f}x, "
-               f"parallel {metrics['parallel_speedup_vs_serial']:.1f}x "
-               f"on {metrics['cores']} cores, "
-               f"identical={metrics['digests_identical']})"),
+        ["Layout", "Strategy", "Rows", "Seconds", "Rows/sec",
+         "vs fastest serial"],
+        rows, title=title,
     )
 
 
-def render_backbone_record(record: BenchRecord) -> str:
+def render_partitioned_record(record: BenchRecord) -> str:
+    tiers = record.metrics["tiers"]
+    return _render_layouts(
+        record,
+        f"Partitioned vs monolithic scan "
+        f"({tiers['hot']} hot + {tiers['cold']} cold partitions, "
+        f"identical={record.metrics['digests_identical']})",
+    )
+
+
+def _speedup(entry: dict) -> str:
+    speedup = entry.get("speedup_vs_fastest_serial")
+    return "-" if speedup is None else f"{speedup:.2f}x"
+
+
+def render_fold_matrix_record(record: BenchRecord) -> str:
+    metrics = record.metrics
+    return _render_layouts(
+        record,
+        f"Fold matrix (scale={record.params['scale']}, "
+        f"jobs={metrics['jobs']} on {metrics['cores']} cores, "
+        f"identical={metrics['digests_identical']})",
+    )
+
+
+def _render_strategies(record: BenchRecord, unit: str, title: str) -> str:
+    """The shared table of the per-strategy records."""
     from repro.viz.tables import format_table
 
+    digest_key = next(
+        (k for k in ("summary_digest", "report_digest")
+         if k in record.metrics["per_strategy"][0]), None,
+    )
     rows = [
         [
-            entry["backend"],
-            entry["tickets"],
+            entry["strategy"],
+            entry[unit],
             f"{entry['seconds']:.3f}",
-            f"{entry['tickets_per_s']:,.0f}",
-        ]
-        for entry in record.metrics["per_backend"]
+            f"{entry[f'{unit}_per_s']:,.1f}",
+            _speedup(entry),
+        ] + ([entry[digest_key][:12]] if digest_key else [])
+        for entry in record.metrics["per_strategy"]
     ]
-    return format_table(
-        ["Backend", "Tickets", "Seconds", "Tickets/sec"],
-        rows,
-        title=(f"Backbone report across runtime backends "
-               f"(seed={record.params['seed']}, "
-               f"identical={record.metrics['backends_identical']})"),
+    headers = ["Strategy", unit.capitalize(), "Seconds",
+               f"{unit.capitalize()}/sec", "vs fastest serial"]
+    if digest_key:
+        headers.append("Digest")
+    return format_table(headers, rows, title=title)
+
+
+def render_backbone_record(record: BenchRecord) -> str:
+    return _render_strategies(
+        record, "tickets",
+        f"Backbone report, reference vs planned "
+        f"(seed={record.params['seed']}, "
+        f"identical={record.metrics['digests_identical']})",
     )
 
 
 def render_grid_record(record: BenchRecord) -> str:
-    from repro.viz.tables import format_table
-
-    rows = [
-        [
-            entry["backend"],
-            entry["cells"],
-            f"{entry['seconds']:.3f}",
-            f"{entry['cells_per_s']:,.1f}",
-            entry["summary_digest"][:12],
-        ]
-        for entry in record.metrics["per_backend"]
-    ]
     metrics = record.metrics
-    return format_table(
-        ["Backend", "Cells", "Seconds", "Cells/sec", "Summary digest"],
-        rows,
-        title=(f"What-if grid sweep (scale={record.params['scale']}, "
-               f"cache hits {metrics['cache_hit_ratio']:.0%}, "
-               f"identical={metrics['digests_identical']})"),
+    return _render_strategies(
+        record, "cells",
+        f"What-if grid sweep (scale={record.params['scale']}, "
+        f"cache hits {metrics['cache_hit_ratio']:.0%}, "
+        f"identical={metrics['digests_identical']})",
     )
 
 
 def render_survivability_record(record: BenchRecord) -> str:
-    from repro.viz.tables import format_table
-
-    rows = [
-        [
-            entry["backend"],
-            entry["rows"],
-            f"{entry['seconds']:.3f}",
-            f"{entry['rows_per_s']:,.1f}",
-            entry["report_digest"][:12],
-        ]
-        for entry in record.metrics["per_backend"]
-    ]
     metrics = record.metrics
-    return format_table(
-        ["Backend", "Rows", "Seconds", "Rows/sec", "Report digest"],
-        rows,
-        title=(f"Survivability study "
-               f"(trials={record.params['trials']}, "
-               f"gen {metrics['generate_seconds']:.3f}s, "
-               f"cache hits {metrics['cache_hit_ratio']:.0%}, "
-               f"identical={metrics['digests_identical']})"),
+    return _render_strategies(
+        record, "rows",
+        f"Survivability study (trials={record.params['trials']}, "
+        f"gen {metrics['generate_seconds']:.3f}s, "
+        f"cache hits {metrics['cache_hit_ratio']:.0%}, "
+        f"identical={metrics['digests_identical']})",
     )
 
 
@@ -1068,8 +1015,7 @@ def run_bench_suite(
         seed=seed, scale=QUICK_SCALE if quick else scale, rounds=rounds
     )
     fold = bench_fold_matrix(
-        seed=seed, scale=QUICK_SCALE if quick else scale,
-        jobs=2 if quick else 4, rounds=rounds,
+        seed=seed, scale=QUICK_SCALE if quick else scale, rounds=rounds,
     )
     backbone = bench_backbone(rounds=rounds)
     grid = bench_grid(

@@ -2,14 +2,13 @@
 
 Every paper artifact is declared once as an
 :class:`~repro.runtime.analysis.Analysis` (prepare / fold / merge /
-finalize, optionally a substrate-querying ``batch`` fast path) and the
-:class:`~repro.runtime.executor.Executor` runs any set of them over
-four interchangeable backends — ``batch`` (per-analysis shortcut, with
-per-partition SQL pushdown over tiered stores), ``stream`` (one fused
-corpus pass), ``sharded`` (fold partitions independently, merge
-states), ``columnar`` (array-at-a-time folds over
-:class:`~repro.runtime.columns.ColumnBatch` chunks, per-row fallback
-for analyses that don't opt in).  The runtime is domain-generic: a
+finalize, optionally ``fold_sql`` and ``fold_batch``) and the
+:class:`~repro.runtime.executor.Executor` answers any set of them with
+one plan: SQL pushdown on every SQLite shard the corpus has, and
+array-at-a-time folds over :class:`~repro.runtime.columns.ColumnBatch`
+chunks everywhere else, fanned out over one shared process pool when
+``jobs > 1``.  :func:`~repro.runtime.executor.reference_fold` keeps the
+per-row fold as the oracle.  The runtime is domain-generic: a
 :class:`~repro.runtime.domain.Corpus` abstracts the record source, and
 both of the paper's datasets ship as corpora —
 :class:`~repro.runtime.domain.SEVCorpus` over the intra data center
@@ -41,13 +40,16 @@ from repro.runtime.columns import (
 )
 from repro.runtime.domain import Corpus, SEVCorpus, TicketCorpus, TrialCorpus
 from repro.runtime.executor import (
-    BACKENDS,
     Executor,
+    backbone_report_from,
+    intra_report_from,
+    reference_fold,
     run_backbone_report,
     run_intra_report,
     shutdown_executor_pool,
 )
 from repro.runtime.states import (
+    CauseCounts,
     CauseTallies,
     DurationSketches,
     OutageTallies,
@@ -58,8 +60,8 @@ from repro.runtime.states import (
 
 __all__ = [
     "Analysis",
-    "BACKENDS",
     "COLUMN_BATCH_ROWS",
+    "CauseCounts",
     "CauseTallies",
     "ColumnBatch",
     "Corpus",
@@ -79,8 +81,11 @@ __all__ = [
     "YearTypeCounts",
     "shutdown_executor_pool",
     "backbone_report_analyses",
+    "backbone_report_from",
     "corpus_fingerprint",
     "intra_report_analyses",
+    "intra_report_from",
+    "reference_fold",
     "registry",
     "run_backbone_report",
     "run_intra_report",

@@ -3,10 +3,10 @@
 One :class:`~repro.runtime.analysis.Analysis` per artifact of
 :mod:`repro.core`.  Each corpus analysis pairs a mergeable fold state
 (:mod:`repro.runtime.states`) with the pure finalizer math extracted
-into the core modules (``rates_from_counts`` and friends), plus the
-original SQL implementation as its :meth:`~Analysis.batch` fast path —
-so every backend, SQL or fold, runs the *same* math over the same
-counts and can only differ in how the counts were gathered.
+into the core modules (``rates_from_counts`` and friends) — so SQL
+pushdown, column batches and the per-row reference fold run the *same*
+math over the same counts and can only differ in how the counts were
+gathered.
 
 Two domains of corpus analysis coexist: the sections 4-5 analyses fold
 SEV reports (``domain = "sev"``), the section 6 analyses fold repair
@@ -25,44 +25,26 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.backbone.monitor import failures_from_link_outages
-from repro.backbone.scorecards import vendor_scorecards
 from repro.core.backbone_reliability import (
-    backbone_reliability,
     continent_rows_from_failures,
-    continent_table,
     reliability_from_outages,
 )
 from repro.core.design_comparison import (
     DesignComparison,
-    design_comparison,
     design_counts_from_type_counts,
 )
-from repro.core.distribution import (
-    IncidentDistribution,
-    growth_from_totals,
-    incident_distribution,
-    incident_growth,
-)
-from repro.core.incident_rates import incident_rates, rates_from_counts
+from repro.core.distribution import IncidentDistribution, growth_from_totals
+from repro.core.incident_rates import rates_from_counts
 from repro.core.remediation_stats import remediation_table
 from repro.core.root_causes import (
     RootCauseBreakdown,
     device_fractions_from_counts,
-    root_cause_breakdown,
-    root_causes_by_device,
 )
-from repro.core.severity import (
-    SeverityByDevice,
-    severity_by_device,
-    severity_rates_from_counts,
-    severity_rates_over_time,
-)
-from repro.core.switch_reliability import (
-    switch_reliability,
-    switch_reliability_from_counts,
-)
+from repro.core.severity import SeverityByDevice, severity_rates_from_counts
+from repro.core.switch_reliability import switch_reliability_from_counts
 from repro.runtime.analysis import Analysis, RunContext
 from repro.runtime.states import (
+    CauseCounts,
     CauseTallies,
     DurationSketches,
     OutageTallies,
@@ -96,100 +78,83 @@ __all__ = [
 # -- corpus analyses ---------------------------------------------------
 
 
-class _StateColumnar:
-    """Mixin: opt into the columnar fast path by delegation.
+class _Delegating:
+    """Mixin: an analysis whose fold dialects delegate to its state.
 
-    Works for any analysis whose fold state implements ``fold_batch``
-    (every mergeable state in :mod:`repro.runtime.states` does) — the
-    analysis absorbs a whole :class:`~repro.runtime.columns.ColumnBatch`
-    by handing it to the state's array-at-a-time fold.
+    ``state_type`` names the mergeable state (every state in
+    :mod:`repro.runtime.states` speaks ``fold`` and ``fold_batch``);
+    ``prepare`` builds one, and records and whole
+    :class:`~repro.runtime.columns.ColumnBatch` chunks are handed to
+    it — which opts the analysis into the column-batch fast path.
     """
+
+    state_type: type
+
+    def prepare(self, context: RunContext):
+        return self.state_type()
+
+    def fold(self, record, state) -> None:
+        state.fold(record)
 
     def fold_batch(self, batch, state) -> None:
         state.fold_batch(batch)
 
 
-class _StateSQL:
-    """Mixin: opt into per-shard SQL pushdown by delegation.
+class _DelegatingSQL(_Delegating):
+    """Mixin: ...plus SQL pushdown, for states with ``fold_sql(store)``.
 
-    For analyses whose state implements ``fold_sql(store)`` — the
-    state runs GROUP BY queries against one monolithic-schema SQLite
-    shard and adds the tallies, instead of folding rows in Python.
+    The state runs GROUP BY queries against one monolithic-schema
+    SQLite shard and adds the tallies, instead of folding rows in
+    Python.
     """
 
     def fold_sql(self, store, state) -> None:
         state.fold_sql(store)
 
 
-class RootCausesAnalysis(_StateColumnar, _StateSQL, Analysis):
-    """Table 2: root-cause counts and fractions over the whole study."""
+class RootCausesAnalysis(_DelegatingSQL, Analysis):
+    """Table 2: root-cause counts and fractions over the whole study.
+
+    Its own state, not Figure 2's: Table 2 needs no per-type join, so
+    its SQL fill is the single ``count_by_root_cause`` query.
+    """
 
     name = "root_causes"
-    state_key = "causes"
+    state_type = CauseCounts
 
-    def prepare(self, context: RunContext) -> CauseTallies:
-        return CauseTallies()
-
-    def fold(self, report, state: CauseTallies) -> None:
-        state.fold(report)
-
-    def finalize(self, state: CauseTallies, context: RunContext):
+    def finalize(self, state: CauseCounts, context: RunContext):
         return RootCauseBreakdown(counts=dict(state.counts))
 
-    def batch(self, context: RunContext):
-        return root_cause_breakdown(context.store)
 
-
-class RootCausesByDeviceAnalysis(_StateColumnar, _StateSQL, Analysis):
+class RootCausesByDeviceAnalysis(_DelegatingSQL, Analysis):
     """Figure 2: per root cause, incident fractions by device type."""
 
     name = "root_causes_by_device"
     state_key = "causes"
-
-    def prepare(self, context: RunContext) -> CauseTallies:
-        return CauseTallies()
-
-    def fold(self, report, state: CauseTallies) -> None:
-        state.fold(report)
+    state_type = CauseTallies
 
     def finalize(self, state: CauseTallies, context: RunContext):
         return device_fractions_from_counts(state.by_type)
 
-    def batch(self, context: RunContext):
-        return root_causes_by_device(context.store)
 
-
-class IncidentRatesAnalysis(_StateColumnar, _StateSQL, Analysis):
+class IncidentRatesAnalysis(_DelegatingSQL, Analysis):
     """Figure 3: per-year, per-type incident rates."""
 
     name = "incident_rates"
     state_key = "year_type"
-
-    def prepare(self, context: RunContext) -> YearTypeCounts:
-        return YearTypeCounts()
-
-    def fold(self, report, state: YearTypeCounts) -> None:
-        state.fold(report)
+    state_type = YearTypeCounts
 
     def finalize(self, state: YearTypeCounts, context: RunContext):
         return rates_from_counts(state.counts, context.fleet)
 
-    def batch(self, context: RunContext):
-        return incident_rates(context.store, context.fleet)
 
-
-class SeverityByDeviceAnalysis(_StateColumnar, _StateSQL, Analysis):
+class SeverityByDeviceAnalysis(_DelegatingSQL, Analysis):
     """Figure 4: the severity-by-device cross-tabulation for the
     target year (explicit, or the newest year in the corpus)."""
 
     name = "severity_by_device"
     state_key = "severity"
-
-    def prepare(self, context: RunContext) -> SeverityTallies:
-        return SeverityTallies()
-
-    def fold(self, report, state: SeverityTallies) -> None:
-        state.fold(report)
+    state_type = SeverityTallies
 
     def finalize(self, state: SeverityTallies, context: RunContext):
         year = context.resolve_year(state.by_year)
@@ -197,41 +162,24 @@ class SeverityByDeviceAnalysis(_StateColumnar, _StateSQL, Analysis):
             counts=state.by_year_type.get(year, {}), year=year
         )
 
-    def batch(self, context: RunContext):
-        year = context.resolve_year(context.store.years())
-        return severity_by_device(context.store, year)
 
-
-class SeverityOverTimeAnalysis(_StateColumnar, _StateSQL, Analysis):
+class SeverityOverTimeAnalysis(_DelegatingSQL, Analysis):
     """Figure 5: yearly SEV rates per device, by severity level."""
 
     name = "severity_over_time"
     state_key = "severity"
-
-    def prepare(self, context: RunContext) -> SeverityTallies:
-        return SeverityTallies()
-
-    def fold(self, report, state: SeverityTallies) -> None:
-        state.fold(report)
+    state_type = SeverityTallies
 
     def finalize(self, state: SeverityTallies, context: RunContext):
         return severity_rates_from_counts(state.by_year, context.fleet)
 
-    def batch(self, context: RunContext):
-        return severity_rates_over_time(context.store, context.fleet)
 
-
-class DistributionAnalysis(_StateColumnar, _StateSQL, Analysis):
+class DistributionAnalysis(_DelegatingSQL, Analysis):
     """Figures 7/8: per-year incident counts by device type."""
 
     name = "distribution"
     state_key = "year_type"
-
-    def prepare(self, context: RunContext) -> YearTypeCounts:
-        return YearTypeCounts()
-
-    def fold(self, report, state: YearTypeCounts) -> None:
-        state.fold(report)
+    state_type = YearTypeCounts
 
     def finalize(self, state: YearTypeCounts, context: RunContext):
         return IncidentDistribution(
@@ -239,25 +187,14 @@ class DistributionAnalysis(_StateColumnar, _StateSQL, Analysis):
             baseline_year=context.resolve_baseline(state.yearly_totals),
         )
 
-    def batch(self, context: RunContext):
-        return incident_distribution(
-            context.store,
-            baseline_year=context.resolve_baseline(context.store.years()),
-        )
 
-
-class GrowthAnalysis(_StateColumnar, _StateSQL, Analysis):
+class GrowthAnalysis(_DelegatingSQL, Analysis):
     """Figure 8's headline: total SEV growth from the first corpus
     year to the target year."""
 
     name = "growth"
     state_key = "year_type"
-
-    def prepare(self, context: RunContext) -> YearTypeCounts:
-        return YearTypeCounts()
-
-    def fold(self, report, state: YearTypeCounts) -> None:
-        state.fold(report)
+    state_type = YearTypeCounts
 
     def finalize(self, state: YearTypeCounts, context: RunContext):
         totals = state.yearly_totals
@@ -267,39 +204,19 @@ class GrowthAnalysis(_StateColumnar, _StateSQL, Analysis):
             totals, min(totals), context.resolve_year(totals)
         )
 
-    def batch(self, context: RunContext):
-        years = context.store.years()
-        if not years:
-            raise ValueError("the SEV corpus is empty")
-        return incident_growth(
-            context.store, years[0], context.resolve_year(years)
-        )
 
-
-class DesignComparisonAnalysis(_StateColumnar, _StateSQL, Analysis):
+class DesignComparisonAnalysis(_DelegatingSQL, Analysis):
     """Figures 9/10: incidents aggregated by network design."""
 
     name = "design_comparison"
     state_key = "year_type"
-
-    def prepare(self, context: RunContext) -> YearTypeCounts:
-        return YearTypeCounts()
-
-    def fold(self, report, state: YearTypeCounts) -> None:
-        state.fold(report)
+    state_type = YearTypeCounts
 
     def finalize(self, state: YearTypeCounts, context: RunContext):
         return DesignComparison(
             counts=design_counts_from_type_counts(state.counts),
             baseline_year=context.resolve_baseline(state.yearly_totals),
             fleet=context.fleet,
-        )
-
-    def batch(self, context: RunContext):
-        return design_comparison(
-            context.store,
-            context.fleet,
-            baseline_year=context.resolve_baseline(context.store.years()),
         )
 
 
@@ -328,25 +245,21 @@ class _SwitchState:
         return self
 
 
-class SwitchReliabilityAnalysis(_StateColumnar, _StateSQL, Analysis):
+class SwitchReliabilityAnalysis(_DelegatingSQL, Analysis):
     """Figures 12/13: MTBI and p75IRT per year and device type.
 
     Every path answers p75IRT from mergeable quantile sketches: exact
     below the sketch's sample budget, bounded by the bin width (well
-    under the 2% acceptance band) beyond it.  The batch path feeds the
-    same sketches from SQL group-bys (``fold_sql``) rather than taking
-    exact percentiles, so batch == stream == columnar stays bit-exact
-    at every corpus scale, not just while the sketches are exact.
+    under the 2% acceptance band) beyond it.  The SQL fill feeds the
+    same sketches from one duration fetch (``fold_sql``) rather than
+    taking exact percentiles, so SQL, column batches and the per-row
+    fold stay bit-exact at every corpus scale, not just while the
+    sketches are exact.
     """
 
     name = "switch_reliability"
     state_key = "switch"
-
-    def prepare(self, context: RunContext) -> _SwitchState:
-        return _SwitchState()
-
-    def fold(self, report, state: _SwitchState) -> None:
-        state.fold(report)
+    state_type = _SwitchState
 
     def finalize(self, state: _SwitchState, context: RunContext):
         def sketch_p75(year: int, device_type: DeviceType) -> Optional[float]:
@@ -358,11 +271,6 @@ class SwitchReliabilityAnalysis(_StateColumnar, _StateSQL, Analysis):
         return switch_reliability_from_counts(
             state.counts.counts, context.fleet, sketch_p75
         )
-
-    def batch(self, context: RunContext):
-        state = self.prepare(context)
-        state.fold_sql(context.store)
-        return self.finalize(state, context)
 
 
 # -- context-only analyses ---------------------------------------------
@@ -381,24 +289,16 @@ class RemediationTableAnalysis(Analysis):
             )
         return remediation_table(context.engine)
 
-    def batch(self, context: RunContext):
-        return self.finalize(None, context)
-
 
 # -- ticket-domain (section 6) analyses ---------------------------------
 
 
-class _TicketAnalysis(_StateColumnar, Analysis):
+class _TicketAnalysis(_Delegating, Analysis):
     """Shared plumbing of the section 6 corpus analyses."""
 
     domain = "ticket"
     state_key = "ticket_outages"
-
-    def prepare(self, context: RunContext) -> OutageTallies:
-        return OutageTallies()
-
-    def fold(self, ticket, state: OutageTallies) -> None:
-        state.fold(ticket)
+    state_type = OutageTallies
 
     @staticmethod
     def _topology(context: RunContext):
@@ -406,16 +306,6 @@ class _TicketAnalysis(_StateColumnar, Analysis):
         if topology is None:
             topology = getattr(context.monitor, "topology", None)
         return topology
-
-    def can_batch(self, context: RunContext) -> bool:
-        # The monitor-path shortcut needs the monitor itself and an
-        # explicit window (the fold path may infer one, the monitor
-        # math cannot).
-        return (
-            self.has_batch_path()
-            and context.monitor is not None
-            and context.window_h is not None
-        )
 
 
 class BackboneReliabilityAnalysis(_TicketAnalysis):
@@ -438,9 +328,6 @@ class BackboneReliabilityAnalysis(_TicketAnalysis):
             failures, state.sorted_by_vendor(), window
         )
 
-    def batch(self, context: RunContext):
-        return backbone_reliability(context.monitor, context.window_h)
-
 
 class ContinentTableAnalysis(_TicketAnalysis):
     """Table 4: edge distribution and reliability by continent."""
@@ -460,11 +347,6 @@ class ContinentTableAnalysis(_TicketAnalysis):
         )
         return continent_rows_from_failures(failures, topology, window)
 
-    def batch(self, context: RunContext):
-        return continent_table(
-            context.monitor, self._topology(context), context.window_h
-        )
-
 
 class VendorScorecardAnalysis(_TicketAnalysis):
     """Section 6.2's operational consumer: graded vendor scorecards."""
@@ -477,34 +359,17 @@ class VendorScorecardAnalysis(_TicketAnalysis):
         window = context.resolve_window(state.max_end_h)
         return scorecards_from_outages(state.sorted_by_vendor(), window)
 
-    def batch(self, context: RunContext):
-        return vendor_scorecards(context.monitor, context.window_h)
 
-
-class RepairDurationAnalysis(_StateColumnar, Analysis):
+class RepairDurationAnalysis(_Delegating, Analysis):
     """Repair-duration percentiles, overall and by ticket type."""
 
     name = "repair_durations"
     domain = "ticket"
     state_key = "ticket_durations"
-
-    def prepare(self, context: RunContext) -> TicketDurationSketches:
-        return TicketDurationSketches()
-
-    def fold(self, ticket, state: TicketDurationSketches) -> None:
-        state.fold(ticket)
+    state_type = TicketDurationSketches
 
     def finalize(self, state: TicketDurationSketches, context: RunContext):
         return state.summary()
-
-    def batch(self, context: RunContext):
-        # No faster substrate exists for durations; the shortcut is a
-        # plain fold over the ticket database, kept so the batch
-        # backend needs no special case.
-        state = self.prepare(context)
-        for ticket in context.resolve_tickets().completed():
-            self.fold(ticket, state)
-        return self.finalize(state, context)
 
 
 # -- registry ----------------------------------------------------------

@@ -13,13 +13,13 @@ to scan the corpus for it:
 ``finalize(state, context)``
     turn the folded state into the analysis' result dataclass.
 
-The executor (:mod:`repro.runtime.executor`) chooses the execution
-strategy: one fused streaming pass folds every registered analysis
-simultaneously, the sharded backend folds partitions independently and
-merges, and the batch backend may take an analysis' optional
-:meth:`Analysis.batch` shortcut — the original substrate-querying
-implementation in :mod:`repro.core` — which must return exactly what
-fold+finalize would.
+The executor (:mod:`repro.runtime.executor`) plans *how*: an analysis
+with an optional :meth:`Analysis.fold_sql` builds its state from GROUP
+BY queries on each SQLite shard, everything else absorbs whole column
+batches through :meth:`Analysis.fold_batch` (or, without one, the
+per-row ``fold``).  Both must reach exactly the state the per-row
+``fold`` reaches, which :func:`~repro.runtime.executor.reference_fold`
+runs as the oracle.
 
 An analysis declares which record kind it folds with ``domain``
 (``"sev"`` for SEV reports, ``"ticket"`` for backbone repair tickets);
@@ -47,7 +47,7 @@ class RunContext:
 
     ``year`` is the study's target year (the paper's 2017); ``None``
     means "the newest year in the corpus", resolved after folding so
-    streaming backends need no look-ahead.  ``baseline_year`` defaults
+    folds need no look-ahead.  ``baseline_year`` defaults
     to the resolved target year.  ``corpus_seed`` travels with the
     context so the result cache can fingerprint generated corpora —
     of either domain; the fingerprints themselves are domain-tagged,
@@ -191,7 +191,7 @@ class Analysis:
         finalized results to folding ``batch.records`` one by one —
         the per-row :meth:`fold` stays the reference implementation,
         and the executor falls back to it automatically for analyses
-        that don't override this (and for a columnar batch that raises
+        that don't override this (and for a column batch that raises
         mid-fold, via the ``runtime.fold`` fault site).  Analyses
         whose state implements ``fold_batch`` opt in by delegating
         (``state.fold_batch(batch)``).
@@ -209,8 +209,8 @@ class Analysis:
         one hot shard of a partitioned store); the implementation runs
         GROUP BY queries and adds their tallies to the mergeable
         state.  Must be fold-equivalent over the shard's rows.  The
-        batch backend uses this to push every expressible analysis
-        down to SQLite per partition instead of folding rows in
+        executor prefers it on every SQLite shard, so each expressible
+        analysis is pushed down to SQLite instead of folding rows in
         Python.
         """
         raise NotImplementedError
@@ -218,36 +218,6 @@ class Analysis:
     def has_sql_fold(self) -> bool:
         """Whether the analysis can build its state straight from SQL."""
         return type(self).fold_sql is not Analysis.fold_sql
-
-    def batch(self, context: RunContext):
-        """Optional fast path over the corpus' batch substrate.
-
-        For SEV analyses this is the original SQL implementation over
-        ``context.store``; for ticket analyses it queries the monitor.
-        Must be result-equivalent to folding the corpus' records and
-        finalizing.  The default signals "no shortcut" and makes the
-        batch backend fall back to fold+finalize.
-        """
-        raise NotImplementedError
-
-    def has_batch_path(self) -> bool:
-        return type(self).batch is not Analysis.batch
-
-    def can_batch(self, context: RunContext) -> bool:
-        """Whether ``batch`` can run against this context.
-
-        The default requires the context to carry the analysis'
-        domain substrate *and* that substrate to expose a batch
-        handle — a partitioned SEV store has no single SQL connection,
-        so its corpus reports ``batch_handle() is None`` and the batch
-        backend falls back to fold+finalize (result-identical by the
-        merge law).  Analyses whose shortcut needs more (the ticket
-        analyses query the monitor directly) override this.
-        """
-        if not self.has_batch_path():
-            return False
-        corpus = context.corpus_for(self.domain)
-        return corpus is not None and corpus.batch_handle() is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -4,9 +4,10 @@ A full report is ~10 analyses over one corpus; re-running ``report
 full`` or ``verify`` over an *unchanged* corpus should cost zero
 corpus passes.  The cache keys every finalized result by a **corpus
 fingerprint** — store row count, generator seed, and a hash of the
-SQLite schema — plus the analysis name, the execution backend, and the
-context's year/baseline parameters, so any change to the corpus, the
-question, or the execution strategy misses cleanly.
+SQLite schema — plus the analysis name and the context's year/baseline
+parameters, so any change to the corpus or the question misses
+cleanly.  How the executor gathered a result is not part of the key:
+every path answers bit-identically, so one entry serves them all.
 
 The cache is content-addressed, not invalidated: nothing is ever
 evicted by mutation, a changed corpus simply hashes elsewhere.  By
@@ -162,7 +163,6 @@ class ResultCache:
     def key(
         fingerprint: str,
         analysis: str,
-        backend: str,
         year: Optional[int],
         baseline_year: Optional[int],
         window_h: Optional[float] = None,
@@ -174,7 +174,7 @@ class ResultCache:
         ``year``/``baseline_year`` play for the SEV domain.
         """
         payload = (
-            f"{fingerprint}:{analysis}:{backend}:{year}:{baseline_year}"
+            f"{fingerprint}:{analysis}:{year}:{baseline_year}"
             f":{window_h}"
         )
         return hashlib.sha256(payload.encode()).hexdigest()

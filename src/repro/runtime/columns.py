@@ -21,13 +21,13 @@ Three properties make the layout safe and cheap:
   ``device_type`` and ``duration_h`` straight out of SQLite — they
   were computed from the record once at insert — so a columnar scan
   never re-parses a device name and never constructs a report object.
-  Batches built from records (:func:`sev_batches_from_records`)
+  Batches built from records (:func:`batches_from_records`)
   compute the same derived columns through the record properties,
   which is the same math.
 * **Lean transport.**  Pickling a batch ships the column lists only
   (the memoized record list is dropped and rebuilt lazily), so the
-  sharded backend can frame a corpus into chunks and ship workers
-  columns instead of pickled dataclass streams.
+  executor's worker pool receives columns instead of pickled
+  dataclass streams.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ __all__ = [
     "SEVColumnBatch",
     "TicketColumnBatch",
     "TrialColumnBatch",
-    "sev_batches_from_records",
+    "batches_from_records",
     "sev_batches_from_store",
-    "ticket_batches_from_records",
 ]
 
 #: Default rows per column batch.  Large enough that per-batch
@@ -359,18 +358,6 @@ def batches_from_records(
             chunk = []
     if chunk:
         yield batch_cls.from_records(chunk)
-
-
-def sev_batches_from_records(
-    records: Iterable[SEVReport], batch_size: int = COLUMN_BATCH_ROWS
-) -> Iterator[SEVColumnBatch]:
-    return batches_from_records("sev", records, batch_size)  # type: ignore[return-value]
-
-
-def ticket_batches_from_records(
-    records: Iterable[RepairTicket], batch_size: int = COLUMN_BATCH_ROWS
-) -> Iterator[TicketColumnBatch]:
-    return batches_from_records("ticket", records, batch_size)  # type: ignore[return-value]
 
 
 _SEV_SCAN = (

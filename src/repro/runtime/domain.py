@@ -3,25 +3,24 @@
 The paper is two studies over two record kinds — seven years of
 intra data center SEV reports and eighteen months of inter data center
 fiber repair tickets — and the runtime executes both through one
-protocol.  A :class:`Corpus` answers the four questions an execution
-backend asks of a record source:
+protocol.  A :class:`Corpus` answers the questions the executor's
+plan asks of a record source:
 
 ``records()``
-    iterate every record (the stream/fold input);
+    iterate every record (the per-row reference fold's input);
 ``fingerprint()``
     a content hash for the result cache, or ``None`` when the corpus
     cannot be fingerprinted (then nothing is cached);
-``shards(records, jobs)``
-    partition a record iterable into ``jobs`` fold shards — any
-    partitioning is correct under the merge law, so each domain picks
-    the one that balances its workers best;
-``batch_handle()``
-    the substrate an analysis' ``batch`` fast path queries (the SQL
-    store, the ticket database), or ``None``.
+``sql_shards()``
+    the SQLite shards ``fold_sql`` runs on, or ``None``;
+``column_batches(batch_size)``
+    the corpus as :class:`~repro.runtime.columns.ColumnBatch` chunks.
 
-Two concrete domains ship: :class:`SEVCorpus` over
-:class:`~repro.incidents.store.SEVStore` and :class:`TicketCorpus`
-over :class:`~repro.backbone.tickets.TicketDatabase`.  An
+Three concrete domains ship: :class:`SEVCorpus` over
+:class:`~repro.incidents.store.SEVStore` (or its partitioned twin),
+:class:`TicketCorpus` over
+:class:`~repro.backbone.tickets.TicketDatabase`, and
+:class:`TrialCorpus` over generated survivability trials.  An
 :class:`~repro.runtime.analysis.Analysis` names its domain with the
 ``domain`` class attribute and the executor resolves the matching
 corpus from the :class:`~repro.runtime.analysis.RunContext`.
@@ -29,7 +28,7 @@ corpus from the :class:`~repro.runtime.analysis.RunContext`.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from typing import Iterable, Optional
 
 from repro.backbone.tickets import TicketDatabase
 from repro.incidents.store import SEVStore
@@ -67,23 +66,13 @@ class Corpus:
         """Content hash for the result cache; ``None`` = uncacheable."""
         return None
 
-    def shards(self, records: Iterable, jobs: int) -> List[list]:
-        """Partition ``records`` into at most ``jobs`` fold shards."""
-        from repro.stream.sharding import shard_cells
-
-        return shard_cells(list(records), jobs)
-
-    def batch_handle(self) -> Any:
-        """The substrate ``Analysis.batch`` queries, if any."""
-        return None
-
     def column_batches(self, batch_size: Optional[int] = None):
         """The corpus as :class:`~repro.runtime.columns.ColumnBatch`
-        chunks — the columnar backend's scan.
+        chunks — the plan's scan wherever SQL does not answer.
 
-        The default frames :meth:`records` into batches; domains with
-        a columnar substrate (the SEV store's SQL scan) override this
-        to build columns without materializing record objects at all.
+        Frames :meth:`records` into batches.  (A corpus with SQLite
+        shards never needs it: the executor scans each shard's columns
+        straight off SQL.)
         """
         from repro.runtime.columns import (
             COLUMN_BATCH_ROWS,
@@ -94,63 +83,18 @@ class Corpus:
             self.domain, self.records(), batch_size or COLUMN_BATCH_ROWS
         )
 
-    def column_shards(self, jobs: int,
-                      batch_size: Optional[int] = None) -> List[list]:
-        """Column batches packed into at most ``jobs`` worker shards.
-
-        The sharded backend's columnar transport: each shard is a list
-        of batches (chunk-framed, cheap to pickle — columns only, no
-        dataclass streams), packed longest-processing-time-first by
-        row count.  Any partitioning of batches merges to the same
-        states under the merge law, so the batch framing need not
-        match the record sharding.
-        """
-        from repro.stream.sharding import shard_cells
-
-        batches = list(self.column_batches(batch_size))
-        weights = [len(batch) for batch in batches]
-        return shard_cells(batches, jobs, weights=weights)
-
     def sql_shards(self):
-        """Per-shard SQL substrates for query pushdown, or ``None``.
+        """The SQLite shards ``fold_sql`` runs on, or ``None``.
 
-        When the corpus is backed by SQLite shards (the partitioned
-        SEV store), yields ``("store", SEVStore)`` /
-        ``("records", list)`` pairs — see
-        :meth:`~repro.storage.partitioned.PartitionedSEVStore.shard_stores`.
-        ``None`` means no per-shard SQL form exists (monolithic stores
-        answer SQL through :meth:`batch_handle` instead).
+        Yields ``("store", SEVStore)`` per SQLite shard and
+        ``("records", list)`` per shard that has no SQL form; the
+        consumer must not close a yielded store.  ``None`` means the
+        corpus has no SQL substrate at all (fold column batches).
         """
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} domain={self.domain!r}>"
-
-
-def _partition_shards(store, records: Iterable, jobs: int) -> List[list]:
-    """Shard a partitioned corpus on its manifest cells.
-
-    Partition = shard cell: records group on the store's
-    ``(year, region)`` partition key and the cells pack into ``jobs``
-    shards longest-processing-time-first, weighted by row count — the
-    same LPT balancing :mod:`repro.stream.sharding` applies to
-    generation cells.  Any partitioning merges to the same states
-    (the merge law); this one mirrors the physical layout, so a shard
-    never straddles more partition files than it must.
-    """
-    from repro.stream.sharding import shard_cells
-
-    cells: dict = {}
-    for record in records:
-        cells.setdefault(store.partition_key(record), []).append(record)
-    ordered = [cells[key] for key in sorted(cells)]
-    weights = [len(cell) for cell in ordered]
-    cell_shards = shard_cells(ordered, jobs, weights=weights)
-    return [
-        [record for cell in shard for record in cell]
-        for shard in cell_shards
-        if shard
-    ]
 
 
 class SEVCorpus(Corpus):
@@ -170,65 +114,24 @@ class SEVCorpus(Corpus):
         return corpus_fingerprint(self.store, seed=self.seed,
                                   scenario=self.scenario)
 
-    def shards(self, records: Iterable, jobs: int) -> List[list]:
-        """Partition-aware when the store is tiered, else round-robin."""
-        if getattr(self.store, "is_partitioned", False):
-            return _partition_shards(self.store, records, jobs)
-        return super().shards(records, jobs)
-
-    def batch_handle(self) -> Optional[SEVStore]:
-        """The SQL substrate — only the monolithic store has one.
-
-        A partitioned store has no single connection to point SQL at;
-        returning ``None`` makes every batch-capable analysis fall
-        back to per-partition pushdown (:meth:`sql_shards`) or
-        fold+finalize, which the cross-backend anchors prove
-        result-identical.
-        """
-        if getattr(self.store, "is_partitioned", False):
-            return None
-        return self.store
-
-    def column_batches(self, batch_size: Optional[int] = None):
-        """Columnar scan straight off the SQL substrate.
-
-        Monolithic: two queries for the whole corpus
-        (:func:`~repro.runtime.columns.sev_batches_from_store`) — no
-        report objects, no per-row name parsing.  Partitioned: each
-        hot shard *is* a monolithic store and scans the same way; cold
-        partitions frame their record lists.  Batch order follows the
-        layout (global scan order / manifest order) — any framing
-        merges to the same states.
-        """
-        from repro.runtime.columns import (
-            COLUMN_BATCH_ROWS,
-            sev_batches_from_records,
-            sev_batches_from_store,
-        )
-
-        size = batch_size or COLUMN_BATCH_ROWS
-        if not getattr(self.store, "is_partitioned", False):
-            return sev_batches_from_store(self.store, size)
-
-        def scan():
-            for kind, payload in self.store.shard_stores():
-                if kind == "store":
-                    try:
-                        yield from sev_batches_from_store(payload, size)
-                    finally:
-                        payload.close()
-                else:
-                    yield from sev_batches_from_records(payload, size)
-
-        return scan()
-
     def sql_shards(self):
-        """Per-partition SQL substrates when the store is tiered."""
-        if getattr(self.store, "is_partitioned", False):
-            shard_stores = getattr(self.store, "shard_stores", None)
-            if shard_stores is not None:
-                return shard_stores()
-        return None
+        """The monolithic store as one shard, or each tiered partition.
+
+        A hot partition *is* a monolithic-schema SQLite file; it is
+        opened for its turn and closed once the consumer moves on.
+        Cold partitions come as record lists.
+        """
+        if not getattr(self.store, "is_partitioned", False):
+            yield "store", self.store
+            return
+        for kind, payload in self.store.shard_stores():
+            if kind != "store":
+                yield kind, payload
+                continue
+            try:
+                yield kind, payload
+            finally:
+                payload.close()
 
 
 class TicketCorpus(Corpus):
@@ -249,46 +152,14 @@ class TicketCorpus(Corpus):
         return ticket_fingerprint(self.tickets, seed=self.seed,
                                   scenario=self.scenario)
 
-    def shards(self, records: Iterable, jobs: int) -> List[list]:
-        """Cost-weighted shards: one cell per link, LPT-balanced.
-
-        Tickets cluster on links (a flaky link files many), so the
-        shards are built from per-link cells weighted by ticket count
-        and packed longest-processing-time-first — the same balancing
-        :mod:`repro.stream.sharding` applies to SEV generation cells.
-        Any partitioning merges to the same states; this one just
-        keeps the workers busy evenly.  Over a partitioned store the
-        cells are the manifest's (year, location) partitions instead,
-        matching the physical shard layout.
-        """
-        from repro.stream.sharding import shard_cells
-
-        if getattr(self.tickets, "is_partitioned", False):
-            return _partition_shards(self.tickets, records, jobs)
-        cells: dict = {}
-        for ticket in records:
-            cells.setdefault(ticket.link_id, []).append(ticket)
-        ordered = [cells[link] for link in sorted(cells)]
-        weights = [len(cell) for cell in ordered]
-        cell_shards = shard_cells(ordered, jobs, weights=weights)
-        return [
-            [ticket for cell in shard for ticket in cell]
-            for shard in cell_shards
-            if shard
-        ]
-
-    def batch_handle(self) -> TicketDatabase:
-        return self.tickets
-
 
 class TrialCorpus(Corpus):
     """The survivability trial corpus (the section 6.1 workload).
 
     Wraps a :class:`~repro.survivability.trials.TrialSet` (duck-typed:
     anything with ``records()``, ``__len__`` and ``knobs`` serves).
-    Trials are generated, never stored, so there is no batch substrate
-    — every backend folds; the default round-robin sharding balances
-    fine because every record folds at the same cost.
+    Trials are generated, never stored, so there is no SQL substrate:
+    the plan folds them as column batches.
     """
 
     domain = "trial"

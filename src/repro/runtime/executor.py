@@ -1,60 +1,44 @@
-"""Interchangeable execution backends over the analysis protocol.
+"""One planned execution path over the analysis protocol.
 
-One executor, three strategies for answering the same set of
-:class:`~repro.runtime.analysis.Analysis` questions:
+The :class:`Executor` answers a set of
+:class:`~repro.runtime.analysis.Analysis` questions with one plan,
+chosen per analysis from what the corpus offers:
 
-``batch``
-    per-analysis shortcut over the corpus' batch substrate (each
-    analysis' :meth:`~repro.runtime.analysis.Analysis.batch` — the
-    original :mod:`repro.core` implementations: SQL over the
-    :class:`~repro.incidents.store.SEVStore` for the SEV domain, the
-    :class:`~repro.backbone.monitor.BackboneMonitor` queries for the
-    ticket domain); analyses without a usable shortcut share one fold
-    pass.
-``stream``
-    one fused pass over the record stream: every analysis' state is
-    folded record by record, so a full report costs exactly one corpus
-    scan instead of one scan per artifact.
-``sharded``
-    the corpus is partitioned across ``jobs`` shards — each
-    :class:`~repro.runtime.domain.Corpus` picks its own partitioning
-    (round-robin for SEV records, per-link cost-weighted cells for
-    tickets); each shard folds its own states, and the shard states
-    merge — the merge-law execution that :mod:`repro.stream` uses for
-    parallel generation.  With ``use_processes=True`` each shard folds
-    in its own worker process and only the (small) mergeable states
-    travel back; because the merge law is associative and commutative,
-    the parallel result is bit-identical to the serial one.
-``columnar``
-    the corpus is scanned as :class:`~repro.runtime.columns.ColumnBatch`
-    chunks and every opted-in analysis absorbs whole batches with
-    array-at-a-time operations (``Analysis.fold_batch``); analyses
-    that did not opt in — and any batch whose columnar fold raises
-    (the ``runtime.fold`` fault site) — fall back to the per-row
-    reference ``fold`` over the batch's materialized records, so the
-    results are bit-identical by construction.  With
-    ``use_processes=True`` the batches are packed into ``jobs`` worker
-    shards and shipped as chunk-framed columns (no pickled dataclass
-    streams).
+SQL
+    every analysis with a ``fold_sql`` runs its GROUP BY queries on
+    each SQLite shard the corpus has — a monolithic SEV store is one
+    shard, a tiered store's hot partitions are the others — and adds
+    the tallies to its mergeable state.
+column batches
+    everything else — cold partitions, repair tickets, survivability
+    trials, an explicit ``source`` iterable — folds
+    :class:`~repro.runtime.columns.ColumnBatch` chunks array-at-a-time
+    (``Analysis.fold_batch``).  An analysis that did not opt in, and
+    any batch whose columnar fold raises (the ``runtime.fold`` fault
+    site), folds the batch's records through the per-row ``fold``
+    instead, so the states are bit-identical by construction.
 
-Worker processes come from one module-level pool shared across
-executor runs (:func:`shutdown_executor_pool` closes it
-deterministically; it also closes at interpreter exit) — repeat
-reports and ``repro.serve`` jobs pay process spawn cost once, not per
-run.
+With ``jobs > 1`` the column batches pack into at most ``jobs``
+shards that fold in one shared worker-process pool; only the small
+mergeable states travel back, and because the merge law is
+associative and commutative the result is bit-identical to the serial
+fold.  SQL folds always run in the parent.  The pool is module-level
+and reused across runs (:func:`shutdown_executor_pool` closes it; it
+also closes at interpreter exit), and :mod:`repro.stream.sharding`
+generates corpora on the same pool.
+
+The per-row fold survives as :func:`reference_fold`: one record at a
+time through every analysis' ``fold``, no SQL, no batches, no cache.
+It is the oracle that verify, the fault-injection oracle and the
+property tests hold the plan against.
 
 Analyses of different domains can ride in one run: the executor groups
 them by :attr:`~repro.runtime.analysis.Analysis.domain` and resolves
 each group's :class:`~repro.runtime.domain.Corpus` from the context.
-
-All three backends agree exactly on every count-derived artifact; fold
-backends answer percentiles from quantile sketches, exact below the
-sketch budget and bounded by the bin width beyond it.
-
 Give the executor a :class:`~repro.runtime.cache.ResultCache` and
-finalized results are keyed by the corpus fingerprint of the analysis'
-domain: re-running the same questions over an unchanged corpus
-performs no pass at all.
+finalized results are keyed by the corpus fingerprint of the
+analysis' domain: re-running the same questions over an unchanged
+corpus performs no pass at all.
 """
 
 from __future__ import annotations
@@ -74,21 +58,20 @@ from repro.runtime.analyses import (
 from repro.runtime.cache import ResultCache
 
 __all__ = [
-    "BACKENDS",
     "Executor",
+    "reference_fold",
     "run_backbone_report",
     "run_intra_report",
+    "shared_pool",
     "shutdown_executor_pool",
 ]
-
-BACKENDS = ("batch", "stream", "sharded", "columnar")
 
 
 # -- the shared worker pool --------------------------------------------
 #
-# One ProcessPoolExecutor reused across Executor runs: spawning a pool
-# per run costs more than small parallel folds win, so repeat reports
-# (and every repro.serve job) would pay process startup over and over.
+# One ProcessPoolExecutor reused across runs: spawning a pool per run
+# costs more than small parallel folds win, so repeat reports (and
+# every repro.serve job) would pay process startup over and over.
 # The pool grows to the widest request and is torn down only on a
 # broken pool, an explicit shutdown, or interpreter exit.
 
@@ -96,7 +79,7 @@ _POOL = None
 _POOL_WIDTH = 0
 
 
-def _shared_pool(workers: int):
+def shared_pool(workers: int):
     """The process pool, (re)built only when too narrow or closed."""
     global _POOL, _POOL_WIDTH
     if _POOL is not None and _POOL_WIDTH < workers:
@@ -126,34 +109,26 @@ atexit.register(shutdown_executor_pool)
 
 
 class Executor:
-    """Runs a set of analyses over their corpora with one strategy."""
+    """Runs a set of analyses over their corpora with one plan."""
 
     def __init__(
         self,
-        backend: str = "batch",
-        jobs: int = 4,
+        jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        use_processes: bool = False,
         batch_size: Optional[int] = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        self.backend = backend
         self.jobs = jobs
         self.cache = cache
-        self.use_processes = use_processes
-        #: Rows per column batch on the columnar paths (None = the
+        #: Rows per column batch (None = the
         #: :data:`~repro.runtime.columns.COLUMN_BATCH_ROWS` default).
         self.batch_size = batch_size
-        #: How many columnar batch folds fell back to the per-row path
+        #: How many column-batch folds fell back to the per-row path
         #: (a raised ``fold_batch``, e.g. the ``runtime.fold`` fault
-        #: site), cumulative over this executor's serial-path runs.
+        #: site), cumulative over this executor's runs.
         self.columnar_fallbacks = 0
 
     # -- public entry point ------------------------------------------
@@ -168,10 +143,10 @@ class Executor:
 
         ``source`` overrides the record stream (an iterable of the
         analyses' record kind — valid only when every corpus analysis
-        in the run shares one domain); by default fold backends replay
-        the domain corpus resolved from the context.  Results are
-        cached per corpus fingerprint when a cache is configured and
-        the records come from a fingerprintable corpus (an anonymous
+        in the run shares one domain); by default the plan reads the
+        domain corpus resolved from the context.  Results are cached
+        per corpus fingerprint when a cache is configured and the
+        records come from a fingerprintable corpus (an anonymous
         iterator has no fingerprint).
         """
         analyses = list(analyses)
@@ -197,7 +172,10 @@ class Executor:
                 if fingerprint is None:
                     pending.append(analysis)
                     continue
-                key = self._key(fingerprint, analysis, context)
+                key = ResultCache.key(
+                    fingerprint, analysis.name, context.year,
+                    context.baseline_year, context.window_h,
+                )
                 hit, value = self.cache.lookup(key)
                 if hit:
                     results[analysis.name] = value
@@ -217,201 +195,25 @@ class Executor:
                     self.cache.store(key, value)
         return results
 
-    def _key(self, fingerprint: str, analysis: Analysis,
-             context: RunContext) -> str:
-        return ResultCache.key(
-            fingerprint, analysis.name, self.backend,
-            context.year, context.baseline_year, context.window_h,
-        )
-
-    # -- strategies --------------------------------------------------
+    # -- the plan ----------------------------------------------------
 
     def _execute(self, analyses: Sequence[Analysis], context: RunContext,
                  source: Optional[Iterable]) -> Dict[str, Any]:
-        corpus_analyses = [a for a in analyses if a.requires_corpus]
-        contextual = [a for a in analyses if not a.requires_corpus]
-        results = {a.name: a.finalize(None, context) for a in contextual}
-
-        by_domain: Dict[str, List[Analysis]] = {}
-        for analysis in corpus_analyses:
-            by_domain.setdefault(analysis.domain, []).append(analysis)
-        if source is not None and len(by_domain) > 1:
-            raise ValueError(
-                "an explicit source iterable can feed only one domain; "
-                f"this run folds {sorted(by_domain)}"
-            )
-
+        results, by_domain = _split(analyses, context, source)
         for domain, group in by_domain.items():
-            corpus = context.corpus_for(domain)
-            if self.backend == "batch":
-                folded = []
-                for analysis in group:
-                    if analysis.can_batch(context):
-                        results[analysis.name] = analysis.batch(context)
-                    else:
-                        folded.append(analysis)
-                if folded:
-                    states = self._fold_partitions_pushdown(
-                        folded, context, corpus, source
-                    )
-                    if states is None:
-                        states = self._fold_pass(
-                            folded, context,
-                            self._records(domain, corpus, source),
-                        )
-                    results.update(self._finalize(folded, states, context))
-            elif self.backend == "stream":
-                states = self._fold_pass(
-                    group, context, self._records(domain, corpus, source)
-                )
-                results.update(self._finalize(group, states, context))
-            elif self.backend == "columnar":
-                states = self._fold_columnar(group, context, corpus,
-                                             source, domain)
-                results.update(self._finalize(group, states, context))
-            else:  # sharded
-                states = self._fold_sharded(
-                    group, context, corpus,
-                    self._records(domain, corpus, source),
-                )
-                results.update(self._finalize(group, states, context))
+            states = self._fold(group, context, domain, source)
+            results.update(_finalize(group, states, context))
         return results
 
-    @staticmethod
-    def _records(domain: str, corpus, source: Optional[Iterable]) -> Iterable:
-        if source is not None:
-            return source
-        if corpus is None:
-            raise ValueError(
-                f"no record source for domain {domain!r}: provide its "
-                "substrate in the context or an explicit source iterable"
-            )
-        return corpus.records()
+    def _fold(self, analyses: Sequence[Analysis], context: RunContext,
+              domain: str, source: Optional[Iterable]) -> Dict[str, Any]:
+        """Fold one domain group: SQL on SQLite shards, batches elsewhere.
 
-    # -- fold machinery ----------------------------------------------
-
-    @staticmethod
-    def _prepare(analyses: Sequence[Analysis], context: RunContext):
-        """(states, owners): one state per distinct state_key.
-
-        The owner — the first analysis declaring a key — does the
-        folding and merging for every sharer of that key.
+        Analyses with ``fold_sql`` take it on every SQLite shard the
+        corpus has; the others scan those shards as column batches.
+        Shards without SQL (cold partitions, ticket and trial corpora,
+        an explicit source) fold as column batches for every analysis.
         """
-        states: Dict[str, Any] = {}
-        owners: Dict[str, Analysis] = {}
-        for analysis in analyses:
-            key = analysis.state_key or analysis.name
-            if key not in states:
-                states[key] = analysis.prepare(context)
-                owners[key] = analysis
-        return states, owners
-
-    def _fold_pass(self, analyses: Sequence[Analysis], context: RunContext,
-                   records: Iterable) -> Dict[str, Any]:
-        states, owners = self._prepare(analyses, context)
-        folders = list(owners.items())
-        for report in records:
-            for key, owner in folders:
-                owner.fold(report, states[key])
-        return states
-
-    def _fold_columnar(self, analyses: Sequence[Analysis],
-                       context: RunContext, corpus,
-                       source: Optional[Iterable],
-                       domain: str) -> Dict[str, Any]:
-        """The columnar backend: fold whole batches, fall back per row.
-
-        Serial by default; with ``use_processes`` (and every owner
-        opted in) the batches pack into ``jobs`` worker shards and
-        travel as columns.  Either way the states are bit-identical to
-        the per-row stream fold.
-        """
-        states, owners = self._prepare(analyses, context)
-        if source is not None:
-            from repro.runtime.columns import (
-                COLUMN_BATCH_ROWS,
-                batches_from_records,
-            )
-
-            batches: Iterable = batches_from_records(
-                domain, source, self.batch_size or COLUMN_BATCH_ROWS
-            )
-        elif corpus is not None:
-            if (self.use_processes and self.jobs > 1
-                    and all(o.has_fold_batch() for o in owners.values())):
-                shards = corpus.column_shards(self.jobs, self.batch_size)
-                if len(shards) > 1:
-                    return self._fold_columns_parallel(
-                        analyses, context, owners, states, shards
-                    )
-            batches = corpus.column_batches(self.batch_size)
-        else:
-            raise ValueError(
-                f"no record source for domain {domain!r}: provide its "
-                "substrate in the context or an explicit source iterable"
-            )
-        for batch in batches:
-            self.columnar_fallbacks += _fold_batch_into(
-                owners, states, context, batch
-            )
-        return states
-
-    def _fold_columns_parallel(self, analyses: Sequence[Analysis],
-                               context: RunContext,
-                               owners: Dict[str, Analysis],
-                               merged: Dict[str, Any],
-                               shards: List[list]) -> Dict[str, Any]:
-        """Fold column-batch shards in worker processes and merge.
-
-        Workers receive chunk-framed columns (a batch pickles its
-        column lists only — no dataclass streams) and return folded
-        states plus their per-row fallback count.  Crash recovery
-        mirrors the sharded backend: resubmit once, then fold that
-        shard serially in the parent.
-        """
-        analyses = list(analyses)
-        worker_context = self._worker_context(context)
-
-        def serial(index: int) -> tuple:
-            shard_states, _ = self._prepare(analyses, context)
-            fallbacks = 0
-            for batch in shards[index]:
-                fallbacks += _fold_batch_into(
-                    owners, shard_states, context, batch
-                )
-            return shard_states, fallbacks
-
-        outcomes = self._parallel_map(
-            _fold_column_shard_worker,
-            [(analyses, worker_context, shard) for shard in shards],
-            serial,
-        )
-        for shard_states, fallbacks in outcomes:
-            self.columnar_fallbacks += fallbacks
-            for key, owner in owners.items():
-                merged[key] = owner.merge(merged[key], shard_states[key])
-        return merged
-
-    def _fold_partitions_pushdown(
-        self, analyses: Sequence[Analysis], context: RunContext,
-        corpus, source: Optional[Iterable],
-    ) -> Optional[Dict[str, Any]]:
-        """Per-partition SQL pushdown for SQLite-sharded corpora.
-
-        A partitioned SEV store has no single connection for the
-        analyses' ``batch`` shortcuts, but each hot shard *is* a
-        monolithic-schema SQLite file — so every analysis whose state
-        can be built by GROUP BY queries (``fold_sql``) runs them
-        against each shard in turn, the rest fold the shard's columnar
-        scan, and cold partitions fold as column batches.  Returns the
-        folded states, or ``None`` when the corpus has no SQL shards
-        (the caller falls back to a plain fold pass).
-        """
-        if source is not None or corpus is None:
-            return None
-        shards = corpus.sql_shards()
-        if shards is None:
-            return None
         from repro.runtime.columns import (
             COLUMN_BATCH_ROWS,
             batches_from_records,
@@ -419,144 +221,104 @@ class Executor:
         )
 
         size = self.batch_size or COLUMN_BATCH_ROWS
-        states, owners = self._prepare(analyses, context)
-        sql_owners = {k: o for k, o in owners.items() if o.has_sql_fold()}
-        scan_owners = {k: o for k, o in owners.items()
-                       if not o.has_sql_fold()}
+        states, owners = _prepare(analyses, context)
+        if source is not None:
+            self._fold_batches(owners, states, context,
+                               batches_from_records(domain, source, size))
+            return states
+        corpus = _corpus(context, domain)
+        shards = corpus.sql_shards()
+        if shards is None:
+            self._fold_batches(owners, states, context,
+                               corpus.column_batches(self.batch_size))
+            return states
+        sql = {k: o for k, o in owners.items() if o.has_sql_fold()}
+        scan = {k: o for k, o in owners.items() if k not in sql}
+        # Record shards' batches wait for one pooled fold when jobs > 1
+        # and fold as they arrive otherwise, so a serial scan holds one
+        # partition at a time.
+        pending: list = []
         for kind, payload in shards:
             if kind == "store":
-                try:
-                    for key, owner in sql_owners.items():
-                        owner.fold_sql(payload, states[key])
-                    if scan_owners:
-                        for batch in sev_batches_from_store(payload, size):
-                            self.columnar_fallbacks += _fold_batch_into(
-                                scan_owners, states, context, batch
-                            )
-                finally:
-                    payload.close()
+                for key, owner in sql.items():
+                    owner.fold_sql(payload, states[key])
+                if scan:
+                    self._fold_batches(scan, states, context,
+                                       sev_batches_from_store(payload, size))
+            elif self.jobs > 1:
+                pending.extend(batches_from_records(domain, payload, size))
             else:
-                for batch in batches_from_records(
-                    corpus.domain, payload, size
-                ):
-                    self.columnar_fallbacks += _fold_batch_into(
-                        owners, states, context, batch
-                    )
+                self._fold_batches(owners, states, context,
+                                   batches_from_records(domain, payload, size))
+        if pending:
+            self._fold_batches(owners, states, context, pending)
         return states
 
-    def _fold_sharded(self, analyses: Sequence[Analysis],
-                      context: RunContext, corpus,
-                      records: Iterable) -> Dict[str, Any]:
-        if corpus is not None:
-            shards = corpus.shards(records, self.jobs)
-        else:
-            from repro.stream.sharding import shard_cells
+    def _fold_batches(self, owners: Dict[str, Analysis],
+                      states: Dict[str, Any], context: RunContext,
+                      batches: Iterable) -> None:
+        """Fold column batches into the owners' states.
 
-            shards = shard_cells(list(records), self.jobs)
-        merged, owners = self._prepare(analyses, context)
-        if self.use_processes and len(shards) > 1:
-            shard_states_list = self._fold_shards_parallel(
-                analyses, context, shards
+        Serial at ``jobs == 1``; otherwise (two or more batches, every
+        owner opted into ``fold_batch``) the batches pack
+        longest-first by row count into ``jobs`` shards for the
+        shared pool.
+        """
+        if self.jobs > 1 and all(o.has_fold_batch() for o in owners.values()):
+            batches = list(batches)
+            if len(batches) > 1:
+                from repro.stream.sharding import shard_cells
+
+                shards = shard_cells(batches, self.jobs,
+                                     weights=[len(b) for b in batches])
+                self._fold_shards_parallel(owners, states, context, shards)
+                return
+        for batch in batches:
+            self.columnar_fallbacks += _fold_batch_into(
+                owners, states, context, batch
             )
-        else:
-            shard_states_list = (
-                self._fold_shard_resilient(analyses, context, shard)
-                for shard in shards
-            )
-        for shard_states in shard_states_list:
-            for key, owner in owners.items():
-                merged[key] = owner.merge(merged[key], shard_states[key])
-        return merged
 
-    def _fold_shard_resilient(self, analyses: Sequence[Analysis],
-                              context: RunContext,
-                              shard: list) -> Dict[str, Any]:
-        """Fold one shard, surviving a crashed worker.
+    def _fold_shards_parallel(self, owners: Dict[str, Analysis],
+                              merged: Dict[str, Any], context: RunContext,
+                              shards: List[list]) -> None:
+        """Fold column-batch shards in the shared pool and merge.
 
-        The recovery contract of the sharded backend: a crashed shard
-        fold is retried once, and a second crash drops that shard to a
-        plain serial fold with the ``executor.shard`` fault site
-        suppressed.  Because any partitioning merges to the same
-        states and every attempt starts from freshly prepared states,
-        the recovered result is bit-identical to a healthy run.
-        """
-        for _ in range(2):
-            try:
-                if hooks.fire("executor.shard"):
-                    raise ShardWorkerCrash("injected shard-worker crash")
-                return self._fold_pass(analyses, context, shard)
-            except ShardWorkerCrash:
-                continue
-        with hooks.suppressed("executor.shard"):
-            return self._fold_pass(analyses, context, shard)
+        Workers receive chunk-framed columns (a batch pickles its
+        column lists only, no dataclass streams) and return folded
+        states plus their per-row fallback count.
 
-    @staticmethod
-    def _worker_context(context: RunContext) -> RunContext:
-        """A picklable copy of the context for worker processes.
-
-        The live substrates — SQLite store, remediation engine,
-        backbone monitor, ticket database — are stripped; folding only
-        reads records and the fleet.
-        """
-        return replace(
-            context, store=None, engine=None, monitor=None, topology=None,
-            tickets=None, trials=None,
-        )
-
-    def _fold_shards_parallel(self, analyses: Sequence[Analysis],
-                              context: RunContext,
-                              shards: List[list]) -> List[Dict[str, Any]]:
-        """Fold each record shard in its own worker process.
-
-        Workers receive the analyses, a picklable context, and their
-        shard of records; they return the folded states, which are
-        small compared to the records they summarize.
-        """
-        analyses = list(analyses)
-        worker_context = self._worker_context(context)
-
-        def serial(index: int) -> Dict[str, Any]:
-            return self._fold_pass(analyses, context, shards[index])
-
-        return self._parallel_map(
-            _fold_shard_worker,
-            [(analyses, worker_context, shard) for shard in shards],
-            serial,
-        )
-
-    def _parallel_map(self, worker, payloads: List,
-                      serial) -> List[Any]:
-        """Run ``worker`` over ``payloads`` in the shared pool.
-
-        The crash-recovery contract of every parallel fold path: a
-        payload whose worker dies (a real ``BrokenProcessPool``, which
-        also tears the poisoned pool down so the retry gets a fresh
-        one, or an injected ``executor.shard`` fault drawn in the
-        parent so the fault log stays deterministic) is resubmitted
-        once, and a second failure runs ``serial(index)`` in the
-        parent with the fault site suppressed.
+        The crash-recovery contract: a shard whose worker dies (a real
+        ``BrokenProcessPool``, which also tears the poisoned pool down
+        so the retry gets a fresh one, or an injected
+        ``executor.shard`` fault drawn in the parent so the fault log
+        stays deterministic) is resubmitted once, and a second failure
+        folds that shard serially in the parent with the fault site
+        suppressed.  Every attempt starts from freshly prepared
+        states, so the recovered result is bit-identical to a healthy
+        run.
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        results: List[Any] = [None] * len(payloads)
+        worker_context = _worker_context(context)
 
         def submit(index: int):
             if hooks.fire("executor.shard"):
                 raise ShardWorkerCrash("injected shard-worker crash")
-            return _shared_pool(len(payloads)).submit(
-                worker, payloads[index]
+            return shared_pool(len(shards)).submit(
+                _fold_shard_worker, (owners, worker_context, shards[index])
             )
 
+        outcomes: List[Any] = [None] * len(shards)
         crashed: List[int] = []
-        pending = {}
-        for index in range(len(payloads)):
+        futures = {}
+        for index in range(len(shards)):
             try:
-                pending[index] = submit(index)
+                futures[index] = submit(index)
             except Exception:
                 crashed.append(index)
-        for index, future in pending.items():
+        for index, future in futures.items():
             try:
-                results[index] = future.result()
+                outcomes[index] = future.result()
             except BrokenProcessPool:
                 shutdown_executor_pool()
                 crashed.append(index)
@@ -564,30 +326,83 @@ class Executor:
                 crashed.append(index)
         for index in crashed:
             try:
-                results[index] = submit(index).result()
+                outcomes[index] = submit(index).result()
             except Exception:
                 with hooks.suppressed("executor.shard"):
-                    results[index] = serial(index)
-        return results
-
-    @staticmethod
-    def _finalize(analyses: Sequence[Analysis], states: Dict[str, Any],
-                  context: RunContext) -> Dict[str, Any]:
-        return {
-            a.name: a.finalize(states[a.state_key or a.name], context)
-            for a in analyses
-        }
+                    outcomes[index] = _fold_shard_worker(
+                        (owners, context, shards[index])
+                    )
+        for shard_states, fallbacks in outcomes:
+            self.columnar_fallbacks += fallbacks
+            for key, owner in owners.items():
+                merged[key] = owner.merge(merged[key], shard_states[key])
 
 
-def _fold_shard_worker(payload) -> Dict[str, Any]:
-    """Top-level worker body for the parallel sharded backend."""
-    analyses, context, shard = payload
-    states, owners = Executor._prepare(analyses, context)
-    folders = list(owners.items())
-    for report in shard:
-        for key, owner in folders:
-            owner.fold(report, states[key])
-    return states
+# -- fold machinery ----------------------------------------------------
+
+
+def _split(analyses: Sequence[Analysis], context: RunContext,
+           source: Optional[Iterable]):
+    """(context-only results, corpus analyses grouped by domain)."""
+    results = {a.name: a.finalize(None, context)
+               for a in analyses if not a.requires_corpus}
+    by_domain: Dict[str, List[Analysis]] = {}
+    for analysis in analyses:
+        if analysis.requires_corpus:
+            by_domain.setdefault(analysis.domain, []).append(analysis)
+    if source is not None and len(by_domain) > 1:
+        raise ValueError(
+            "an explicit source iterable can feed only one domain; "
+            f"this run folds {sorted(by_domain)}"
+        )
+    return results, by_domain
+
+
+def _corpus(context: RunContext, domain: str):
+    corpus = context.corpus_for(domain)
+    if corpus is None:
+        raise ValueError(
+            f"no record source for domain {domain!r}: provide its "
+            "substrate in the context or an explicit source iterable"
+        )
+    return corpus
+
+
+def _prepare(analyses: Sequence[Analysis], context: RunContext):
+    """(states, owners): one state per distinct state_key.
+
+    The owner — the first analysis declaring a key — does the folding
+    and merging for every sharer of that key.
+    """
+    states: Dict[str, Any] = {}
+    owners: Dict[str, Analysis] = {}
+    for analysis in analyses:
+        key = analysis.state_key or analysis.name
+        if key not in states:
+            states[key] = analysis.prepare(context)
+            owners[key] = analysis
+    return states, owners
+
+
+def _finalize(analyses: Sequence[Analysis], states: Dict[str, Any],
+              context: RunContext) -> Dict[str, Any]:
+    return {
+        a.name: a.finalize(states[a.state_key or a.name], context)
+        for a in analyses
+    }
+
+
+def _worker_context(context: RunContext) -> RunContext:
+    """A picklable copy of the context for worker processes.
+
+    The live substrates — SQLite store, remediation engine, backbone
+    monitor, ticket database — are stripped; folding only reads
+    batches and the fleet.
+    """
+    return replace(
+        context, store=None, engine=None, monitor=None, topology=None,
+        tickets=None, trials=None,
+    )
 
 
 def _fold_batch_into(owners: Dict[str, Analysis], states: Dict[str, Any],
@@ -627,37 +442,47 @@ def _fold_batch_into(owners: Dict[str, Analysis], states: Dict[str, Any],
     return fallbacks
 
 
-def _fold_column_shard_worker(payload) -> tuple:
-    """Top-level worker body for the parallel columnar backend."""
-    analyses, context, batches = payload
-    states, owners = Executor._prepare(analyses, context)
+def _fold_shard_worker(payload) -> tuple:
+    """Fold one shard of column batches; returns (states, fallbacks)."""
+    owners, context, batches = payload
+    states = {key: owner.prepare(context) for key, owner in owners.items()}
     fallbacks = 0
     for batch in batches:
         fallbacks += _fold_batch_into(owners, states, context, batch)
     return states, fallbacks
 
 
+def reference_fold(
+    analyses: Sequence[Analysis],
+    context: RunContext,
+    source: Optional[Iterable] = None,
+) -> Dict[str, Any]:
+    """Answer every analysis with the per-row fold; ``{name: result}``.
+
+    The reference the plan is held against: each record of the
+    domain corpus (or of ``source``) goes through every owner's
+    ``fold`` one at a time — no SQL, no column batches, no pool, no
+    cache.  Slow by design and simple enough to trust.
+    """
+    results, by_domain = _split(analyses, context, source)
+    for domain, group in by_domain.items():
+        records = source if source is not None else (
+            _corpus(context, domain).records()
+        )
+        states, owners = _prepare(group, context)
+        folders = list(owners.items())
+        for record in records:
+            for key, owner in folders:
+                owner.fold(record, states[key])
+        results.update(_finalize(group, states, context))
+    return results
+
+
 # -- report conveniences -----------------------------------------------
 
 
-def run_intra_report(
-    context: RunContext,
-    backend: str = "stream",
-    jobs: int = 4,
-    cache: Optional[ResultCache] = None,
-    source: Optional[Iterable] = None,
-    use_processes: bool = False,
-) -> IntraStudyReport:
-    """Every intra data center artifact from one corpus, one executor run.
-
-    With the default ``stream`` backend the whole report costs exactly
-    one corpus pass; with a cache, an unchanged corpus costs none.
-    ``use_processes=True`` makes the ``sharded`` backend fold its
-    shards in parallel worker processes (bit-identical results).
-    """
-    executor = Executor(backend=backend, jobs=jobs, cache=cache,
-                        use_processes=use_processes)
-    results = executor.run(intra_report_analyses(), context, source=source)
+def intra_report_from(results: Dict[str, Any]) -> IntraStudyReport:
+    """Assemble the intra report from ``intra_report_analyses`` results."""
     severity = results["severity_by_device"]
     return IntraStudyReport(
         root_causes=results["root_causes"],
@@ -672,29 +497,52 @@ def run_intra_report(
     )
 
 
+def backbone_report_from(results: Dict[str, Any],
+                         window_h: Optional[float]) -> BackboneStudyReport:
+    """Assemble the backbone report from ``backbone_report_analyses``
+    results."""
+    return BackboneStudyReport(
+        reliability=results["backbone_reliability"],
+        continents=results["continent_table"],
+        window_h=window_h,
+        vendors=results["vendor_scorecards"],
+        durations=results["repair_durations"],
+    )
+
+
+def run_intra_report(
+    context: RunContext,
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
+    source: Optional[Iterable] = None,
+) -> IntraStudyReport:
+    """Every intra data center artifact from one corpus, one executor run.
+
+    On a SEV store the whole report is SQL; with a cache, an unchanged
+    corpus costs no pass at all.
+    """
+    executor = Executor(jobs=jobs, cache=cache)
+    return intra_report_from(
+        executor.run(intra_report_analyses(), context, source=source)
+    )
+
+
 def run_backbone_report(
     context: RunContext,
     cache: Optional[ResultCache] = None,
-    backend: str = "batch",
-    jobs: int = 4,
+    jobs: int = 1,
     source: Optional[Iterable] = None,
-    use_processes: bool = False,
 ) -> BackboneStudyReport:
     """Every backbone artifact from one ticket corpus, one executor run.
 
     The ticket-domain sibling of :func:`run_intra_report`: the same
-    backends, the same merge law, the same cache.  The context needs a
+    plan, the same merge law, the same cache.  The context needs a
     ticket source (a monitor, a ticket database, or an explicit
     ``source`` iterable of completed tickets) and a topology (its own
     or the monitor's).
     """
-    executor = Executor(backend=backend, jobs=jobs, cache=cache,
-                        use_processes=use_processes)
-    results = executor.run(backbone_report_analyses(), context, source=source)
-    return BackboneStudyReport(
-        reliability=results["backbone_reliability"],
-        continents=results["continent_table"],
-        window_h=context.window_h,
-        vendors=results["vendor_scorecards"],
-        durations=results["repair_durations"],
+    executor = Executor(jobs=jobs, cache=cache)
+    return backbone_report_from(
+        executor.run(backbone_report_analyses(), context, source=source),
+        context.window_h,
     )

@@ -1,6 +1,6 @@
 """Mergeable per-record tally states.
 
-These are the fold/merge primitives every execution backend shares.
+These are the fold/merge primitives every execution path shares.
 Each state knows how to absorb one :class:`~repro.incidents.sev.SEVReport`
 (``fold``) and how to absorb another state of the same kind (``merge``);
 both operations follow the counting rules of the SQL layer
@@ -11,12 +11,13 @@ contributes one attribution per cause (none recorded counts as
 undetermined).
 
 ``merge`` is associative and commutative for every state here, which
-is the law the sharded backend (and :mod:`repro.stream.sharding`)
-relies on: any partitioning of a corpus, folded shard-locally and
-merged in any order, reaches the same state as a single sequential
-pass.  The streaming runtime's :class:`~repro.stream.aggregates.StreamAggregates`
-is a bundle of these states, so batch, streaming, and sharded
-execution all share one implementation of the math.
+is the law the executor's pooled column shards (and
+:mod:`repro.stream.sharding`) rely on: any partitioning of a corpus,
+folded shard-locally and merged in any order, reaches the same state
+as a single sequential pass.  The streaming runtime's
+:class:`~repro.stream.aggregates.StreamAggregates` is a bundle of these
+states, so the executor and the stream engine share one implementation
+of the math.
 
 Each state also speaks two faster dialects of the same math:
 
@@ -29,8 +30,8 @@ Each state also speaks two faster dialects of the same math:
     per-row reference fold;
 ``fold_sql(store)`` (SEV states)
     absorb one monolithic-schema SQLite shard through GROUP BY
-    queries — the per-partition pushdown the batch backend runs over
-    tiered stores.  Counting rules mirror
+    queries — the pushdown the executor runs on every SQLite shard,
+    monolithic store or hot partition.  Counting rules mirror
     :mod:`repro.incidents.query` exactly.
 """
 
@@ -46,6 +47,7 @@ from repro.stats.quantile import QuantileSketch
 from repro.topology.devices import DeviceType
 
 __all__ = [
+    "CauseCounts",
     "CauseTallies",
     "DurationSketches",
     "OutageTallies",
@@ -153,19 +155,23 @@ class SeverityTallies:
             row[device_type] = row.get(device_type, 0) + n
 
     def fold_sql(self, store) -> None:
-        from repro.incidents.query import SEVQuery
-
-        query = SEVQuery(store)
-        for year, per_sev in query.count_by_year_and_severity().items():
-            mine = self.by_year.setdefault(year, {})
-            for severity, n in per_sev.items():
-                mine[severity] = mine.get(severity, 0) + n
-        for (year, severity, device_type), n in (
-            query.count_by_year_severity_and_type().items()
+        """One GROUP BY feeds both tables; untyped rows feed only
+        ``by_year``."""
+        severity_of = {member.value: member for member in Severity}
+        device_of = {member.value: member for member in DeviceType}
+        for year, severity, device_type, n in store.connection.execute(
+            "SELECT opened_year, severity, device_type, COUNT(*) FROM sevs "
+            "GROUP BY opened_year, severity, device_type"
         ):
+            severity = severity_of[severity]
+            per_sev = self.by_year.setdefault(year, {})
+            per_sev[severity] = per_sev.get(severity, 0) + n
+            if device_type is None:
+                continue
             row = self.by_year_type.setdefault(year, {}).setdefault(
                 severity, {}
             )
+            device_type = device_of[device_type]
             row[device_type] = row.get(device_type, 0) + n
 
     def merge(self, other: "SeverityTallies") -> "SeverityTallies":
@@ -183,36 +189,66 @@ class SeverityTallies:
         return self
 
 
-class CauseTallies:
-    """Root-cause attributions, Table 2 counting rules.
+class CauseCounts:
+    """Root-cause attributions over the whole study (Table 2).
 
     One attribution per cause per SEV; a SEV without recorded causes
-    attributes to undetermined.  ``by_type`` restricts to typed
-    reports (the Figure 2 numerators).
+    attributes to undetermined.
     """
 
     def __init__(self) -> None:
         self.counts: Dict[RootCause, int] = {}
-        self.by_type: Dict[RootCause, Dict[DeviceType, int]] = {}
+
+    def _add(self, counts) -> None:
+        for cause, n in counts.items():
+            self.counts[cause] = self.counts.get(cause, 0) + n
 
     def fold(self, report: SEVReport) -> None:
-        causes = report.effective_root_causes()
-        for cause in causes:
+        for cause in report.effective_root_causes():
             self.counts[cause] = self.counts.get(cause, 0) + 1
+
+    def fold_batch(self, batch) -> None:
+        self._add(Counter(
+            cause for causes in batch.effective_causes() for cause in causes
+        ))
+
+    def fold_sql(self, store) -> None:
+        from repro.incidents.query import SEVQuery
+
+        self._add(SEVQuery(store).count_by_root_cause())
+
+    def merge(self, other: "CauseCounts") -> "CauseCounts":
+        self._add(other.counts)
+        return self
+
+
+class CauseTallies(CauseCounts):
+    """Root-cause attributions plus their per-type breakdown.
+
+    ``by_type`` restricts to typed reports (the Figure 2 numerators).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_type: Dict[RootCause, Dict[DeviceType, int]] = {}
+
+    def _add_typed(self, by_type) -> None:
+        for cause, per_type in by_type.items():
+            mine = self.by_type.setdefault(cause, {})
+            for device_type, n in per_type.items():
+                mine[device_type] = mine.get(device_type, 0) + n
+
+    def fold(self, report: SEVReport) -> None:
+        super().fold(report)
         device_type = report.device_type
         if device_type is None:
             return
-        for cause in causes:
+        for cause in report.effective_root_causes():
             per_type = self.by_type.setdefault(cause, {})
             per_type[device_type] = per_type.get(device_type, 0) + 1
 
     def fold_batch(self, batch) -> None:
-        for cause, n in Counter(
-            cause
-            for causes in batch.effective_causes()
-            for cause in causes
-        ).items():
-            self.counts[cause] = self.counts.get(cause, 0) + n
+        super().fold_batch(batch)
         typed = Counter(
             (cause, device_type)
             for causes, device_type in zip(
@@ -228,21 +264,12 @@ class CauseTallies:
     def fold_sql(self, store) -> None:
         from repro.incidents.query import SEVQuery
 
-        query = SEVQuery(store)
-        for cause, n in query.count_by_root_cause().items():
-            self.counts[cause] = self.counts.get(cause, 0) + n
-        for cause, per_type in query.count_by_root_cause_and_type().items():
-            mine = self.by_type.setdefault(cause, {})
-            for device_type, n in per_type.items():
-                mine[device_type] = mine.get(device_type, 0) + n
+        super().fold_sql(store)
+        self._add_typed(SEVQuery(store).count_by_root_cause_and_type())
 
     def merge(self, other: "CauseTallies") -> "CauseTallies":
-        for cause, n in other.counts.items():
-            self.counts[cause] = self.counts.get(cause, 0) + n
-        for cause, per_type in other.by_type.items():
-            mine = self.by_type.setdefault(cause, {})
-            for device_type, n in per_type.items():
-                mine[device_type] = mine.get(device_type, 0) + n
+        super().merge(other)
+        self._add_typed(other.by_type)
         return self
 
 
@@ -349,7 +376,7 @@ class OutageTallies:
     corpus reaches the same multiset of intervals; the finalize views
     (:meth:`merged_by_link`, :meth:`sorted_by_vendor`) sort or merge
     that multiset, which makes every downstream number independent of
-    fold order — the bit-identical cross-backend guarantee.
+    fold order — the bit-identical guarantee of every execution path.
     """
 
     def __init__(self) -> None:

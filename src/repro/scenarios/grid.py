@@ -12,11 +12,11 @@ spec's canonical payload, re-validating through the strict loader — a
 typo'd axis path fails exactly like a typo'd spec file.
 
 :class:`GridRunner` runs each cell through the existing
-:class:`~repro.runtime.executor.Executor` (any backend, sharded and
-columnar included) and keys the :class:`~repro.runtime.ResultCache` on
-the **cell spec digest**, so re-running a sweep is all cache hits and
-overlapping grids share cells.  Per-cell results carry the cell's spec
-digest and its report digest; the grid's ``summary_digest`` hashes the
+:class:`~repro.runtime.executor.Executor` and keys the
+:class:`~repro.runtime.ResultCache` on the **cell spec digest**, so
+re-running a sweep is all cache hits and overlapping grids share
+cells.  Per-cell results carry the cell's spec digest and its report
+digest; the grid's ``summary_digest`` hashes the
 ordered (spec digest, report digest) pairs, so two runs agree on an
 entire sweep with one comparison — including runs that survived a
 crashed cell, which is retried once and then re-run with the
@@ -144,7 +144,7 @@ class GridSpec:
 def _summary_digest(cells: List[Dict[str, Any]]) -> str:
     """Hash the ordered (spec digest, report digest) pairs.
 
-    The grid-level identity: bit-identical cells on any backend — or
+    The grid-level identity: bit-identical cells at any ``jobs`` — or
     a run that recovered from a crashed cell — summarize identically.
     """
     pairs = [[cell["spec_digest"], cell["report_digest"]]
@@ -156,16 +156,14 @@ def _summary_digest(cells: List[Dict[str, Any]]) -> str:
 class GridRunner:
     """Run every cell of a grid through the analysis executor.
 
-    ``backend``/``jobs``/``use_processes`` are honored exactly as the
-    single-report entry points honor them; ``cache`` (optional) keys
+    ``jobs`` is honored exactly as the single-report entry points
+    honor it; ``cache`` (optional) keys
     whole cells on their spec digest — a repeated sweep costs zero
     corpus passes, and the same cache also serves the per-analysis
     entries inside each cell.
     """
 
-    backend: str = "batch"
-    jobs: int = 4
-    use_processes: bool = False
+    jobs: int = 1
     cache: Optional[Any] = None
     #: Counters over this runner's lifetime.
     cell_hits: int = field(default=0, init=False)
@@ -184,8 +182,7 @@ class GridRunner:
         """
         from repro.runtime import ResultCache
 
-        key = ResultCache.key(spec.digest(), "grid.cell", self.backend,
-                              None, None)
+        key = ResultCache.key(spec.digest(), "grid.cell", None, None)
         if self.cache is not None:
             hit, value = self.cache.lookup(key)
             if hit:
@@ -239,8 +236,7 @@ class GridRunner:
             scenario_digest=scenario.spec_digest,
         )
         report = run_intra_report(
-            context, backend=self.backend, jobs=self.jobs,
-            use_processes=self.use_processes, cache=self.cache,
+            context, jobs=self.jobs, cache=self.cache,
         )
         last = report.last_year
         fabric = sum(
@@ -276,7 +272,7 @@ class GridRunner:
 
         A cell with a ``correlated`` block also runs the trial corpus
         (a pure function of the cell's seed and knobs) through the
-        same backend; its digest folds into the cell's report digest,
+        same executor; its digest folds into the cell's report digest,
         so the grid summary digest covers survivability too and the
         correlated knobs are sweepable axes like any other.
         """
@@ -294,8 +290,7 @@ class GridRunner:
             scenario_digest=scenario.spec_digest,
         )
         report = run_survivability_report(
-            context, backend=self.backend, jobs=self.jobs,
-            use_processes=self.use_processes, cache=self.cache,
+            context, jobs=self.jobs, cache=self.cache,
         )
         digest = report_digest(report)
         record["survivability_digest"] = digest
@@ -324,8 +319,7 @@ class GridRunner:
             scenario_digest=scenario.spec_digest,
         )
         report = run_backbone_report(
-            context, backend=self.backend, jobs=self.jobs,
-            use_processes=self.use_processes, cache=self.cache,
+            context, jobs=self.jobs, cache=self.cache,
         )
         return {
             "kind": "backbone",
@@ -359,7 +353,6 @@ class GridRunner:
         return {
             "format": GRID_FORMAT,
             "grid_digest": grid.digest(),
-            "backend": self.backend,
             "axes": {path: list(grid.axes[path])
                      for path in grid.axis_paths},
             "cells": results,

@@ -15,8 +15,8 @@ Endpoints (all JSON):
 ``GET /healthz``      liveness: status, uptime, corpus sizes
 ``GET /stats``        cache hit/miss counters, request counts, job and
                       stream statistics
-``GET /reports/intra``     the intra study (``?backend=`` optional)
-``GET /reports/backbone``  the backbone study (``?backend=`` optional)
+``GET /reports/intra``     the intra study
+``GET /reports/backbone``  the backbone study
 ``GET /reports/survivability``  correlated-failure survivability curves
 ``GET /figures/<id>``      one figure (``fig3`` ... ``fig18``)
 ``GET /tables/<id>``       one table (``table2``, ``table4``)
@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from repro.runtime import BACKENDS, ResultCache
+from repro.runtime import ResultCache
 from repro.serve.jobs import JobQueue
 from repro.serve.payloads import (
     FIGURES,
@@ -84,19 +84,13 @@ class ServeState:
         seed: int = 1,
         scale: float = 1.0,
         backbone_seed: int = 7,
-        backend: str = "stream",
         cache_dir: Optional[PathLike] = None,
         corpus_path: Optional[PathLike] = None,
         store_dir: Optional[PathLike] = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.seed = seed
         self.scale = scale
         self.backbone_seed = backbone_seed
-        self.backend = backend
         self.lock = threading.Lock()
         self.cache = ResultCache(cache_dir)
         self.started_at = time.monotonic()
@@ -164,32 +158,19 @@ class ServeState:
 
     # -- payloads ----------------------------------------------------
 
-    def _check_backend(self, backend: Optional[str]) -> str:
-        if backend is None:
-            return self.backend
-        if backend not in BACKENDS:
-            raise ApiError(
-                400,
-                f"unknown backend {backend!r}; expected one of {BACKENDS}",
-            )
-        return backend
-
-    def report_payload(self, study: str,
-                       backend: Optional[str] = None) -> dict:
-        backend = self._check_backend(backend)
+    def report_payload(self, study: str) -> dict:
         with self.lock:
             if study == "intra":
                 return intra_report_payload(
-                    self.intra_context, backend=backend, cache=self.cache
+                    self.intra_context, cache=self.cache
                 )
             if study == "backbone":
                 return backbone_report_payload(
-                    self.backbone_context, backend=backend, cache=self.cache
+                    self.backbone_context, cache=self.cache
                 )
             if study == "survivability":
                 return survivability_report_payload(
-                    self.survivability_context,
-                    backend=backend, cache=self.cache,
+                    self.survivability_context, cache=self.cache
                 )
         raise ApiError(404, f"unknown study {study!r}; expected "
                             f"'intra', 'backbone', or 'survivability'")
@@ -241,7 +222,6 @@ class ServeApp:
         port: int = 0,
         data_dir: Optional[PathLike] = None,
         job_workers: int = 2,
-        backend: str = "stream",
         prewarm: bool = True,
         corpus_path: Optional[PathLike] = None,
         store_dir: Optional[PathLike] = None,
@@ -256,7 +236,7 @@ class ServeApp:
         self.prewarm = prewarm
         self.state = ServeState(
             seed=seed, scale=scale, backbone_seed=backbone_seed,
-            backend=backend, cache_dir=self.data_dir / "cache",
+            cache_dir=self.data_dir / "cache",
             corpus_path=corpus_path, store_dir=store_dir,
         )
         self.queue = JobQueue(self.data_dir, workers=job_workers)
@@ -334,17 +314,20 @@ class ServeApp:
         query: Optional[Dict[str, List[str]]] = None,
         body: Optional[bytes] = None,
     ) -> Tuple[int, dict]:
-        """Route one request; returns ``(status, JSON payload)``."""
-        query = query or {}
+        """Route one request; returns ``(status, JSON payload)``.
+
+        ``query`` carries the parsed query string; no endpoint reads
+        one, so unknown parameters are ignored.
+        """
         parts = [part for part in path.split("/") if part]
         route = "/" + "/".join(parts[:2])
         self.state.count_request(f"{method} {route or '/'}")
         try:
-            return self._dispatch(method, parts, query, body)
+            return self._dispatch(method, parts, body)
         except ApiError as exc:
             return exc.status, {"error": exc.message}
 
-    def _dispatch(self, method, parts, query, body) -> Tuple[int, dict]:
+    def _dispatch(self, method, parts, body) -> Tuple[int, dict]:
         if method not in ("GET", "POST"):
             raise ApiError(405, f"method {method} not allowed")
         if not parts:
@@ -359,8 +342,7 @@ class ServeApp:
         if head == "stats" and len(parts) == 1:
             return 200, self._stats()
         if head == "reports" and len(parts) == 2:
-            backend = query.get("backend", [None])[0]
-            return 200, self.state.report_payload(parts[1], backend=backend)
+            return 200, self.state.report_payload(parts[1])
         if head in ("figures", "tables") and len(parts) == 2:
             prefix = "fig" if head == "figures" else "table"
             if not parts[1].startswith(prefix):

@@ -116,17 +116,16 @@ def execute_job(kind: str, params: dict) -> str:
     if kind == "report":
         study = params.get("study", "intra")
         seed = int(params.get("seed", 1))
-        backend = params.get("backend", "stream")
         if study == "backbone":
             context = build_backbone_context(seed=seed)
-            payload = backbone_report_payload(context, backend=backend)
+            payload = backbone_report_payload(context)
         elif study == "survivability":
             context = build_survivability_context(seed=seed)
-            payload = survivability_report_payload(context, backend=backend)
+            payload = survivability_report_payload(context)
         elif study == "intra":
             scale = float(params.get("scale", 1.0))
             context = build_intra_context(seed=seed, scale=scale)
-            payload = intra_report_payload(context, backend=backend)
+            payload = intra_report_payload(context)
         else:
             raise ValueError(f"unknown report study {study!r}")
         return canonical_json(payload)
@@ -170,7 +169,7 @@ def execute_job(kind: str, params: dict) -> str:
                 'grid jobs need params.axes: {"knob.path": [values, ...]}'
             )
         grid = GridSpec(base=base, axes=axes)
-        runner = GridRunner(backend=params.get("backend", "stream"))
+        runner = GridRunner()
         return canonical_json(runner.run(grid))
     raise ValueError(f"unknown job kind {kind!r}; expected one of {JOB_KINDS}")
 

@@ -258,11 +258,10 @@ def _digest(report) -> str:
 
 def intra_report_payload(
     context: RunContext,
-    backend: str = "stream",
     cache=None,
 ) -> dict:
     """The intra study as JSON, digest-pinned to the report dataclass."""
-    report = run_intra_report(context, backend=backend, cache=cache)
+    report = run_intra_report(context, cache=cache)
     figures = {
         fig_id: extract(report)
         for fig_id, (study, _, extract) in FIGURES.items()
@@ -270,7 +269,6 @@ def intra_report_payload(
     }
     return {
         "study": "intra",
-        "backend": backend,
         "corpus_seed": context.corpus_seed,
         "last_year": report.last_year,
         "figures": figures,
@@ -294,7 +292,6 @@ def _curves_payload(curves) -> dict:
 
 def survivability_report_payload(
     context: RunContext,
-    backend: str = "stream",
     cache=None,
 ) -> dict:
     """The survivability study as JSON, digest-pinned like the others.
@@ -308,11 +305,10 @@ def survivability_report_payload(
     from repro.core import survivable_capacity
     from repro.survivability import run_survivability_report
 
-    report = run_survivability_report(context, backend=backend, cache=cache)
+    report = run_survivability_report(context, cache=cache)
     capacity_rows = survivable_capacity(report)
     return {
         "study": "survivability",
-        "backend": backend,
         "corpus_seed": context.corpus_seed,
         "designs": [row.design for row in report.summary.designs],
         "connectivity": _curves_payload(report.connectivity),
@@ -344,11 +340,10 @@ def survivability_report_payload(
 
 def backbone_report_payload(
     context: RunContext,
-    backend: str = "stream",
     cache=None,
 ) -> dict:
     """The backbone study as JSON, digest-pinned to the report dataclass."""
-    report = run_backbone_report(context, backend=backend, cache=cache)
+    report = run_backbone_report(context, cache=cache)
     figures = {
         fig_id: extract(report)
         for fig_id, (study, _, extract) in FIGURES.items()
@@ -356,7 +351,6 @@ def backbone_report_payload(
     }
     return {
         "study": "backbone",
-        "backend": backend,
         "corpus_seed": context.corpus_seed,
         "window_h": context.window_h,
         "figures": figures,

@@ -18,7 +18,7 @@ tier — ``promote``/``demote`` verify themselves lossless, and
 
 Reads are planned off the manifest and merged back into the exact
 global order the monolithic store iterates in (``(opened_at_h,
-sev_id)`` for SEVs), so every execution backend over a partitioned
+sev_id)`` for SEVs), so every execution path over a partitioned
 store reproduces the monolithic report digests bit for bit.  The
 ``storage.shard`` fault site simulates losing a shard file mid-read
 (raising :class:`~repro.faultline.plan.PartitionLost`); ``restore``

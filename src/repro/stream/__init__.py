@@ -16,7 +16,7 @@ job:
 * :mod:`~repro.stream.checkpoint` — JSON snapshots and resume;
 * :mod:`~repro.stream.sharding` — parallel corpus generation whose
   N-worker merge is bit-identical to the 1-worker run: cost-weighted
-  LPT sharding, a reused worker pool fed the scenario once per worker,
+  LPT sharding, the runtime's shared worker pool,
   and ``jobs="auto"`` with a serial fallback for small corpora.
 
 Quickstart::
@@ -39,7 +39,6 @@ from repro.stream.sharding import (
     generate_aggregates,
     resolve_jobs,
     shard_cells,
-    shutdown_pool,
 )
 from repro.stream.sources import (
     live_feed,
@@ -67,5 +66,4 @@ __all__ = [
     "resolve_jobs",
     "save_checkpoint",
     "shard_cells",
-    "shutdown_pool",
 ]

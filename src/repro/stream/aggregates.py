@@ -9,8 +9,8 @@ Figure 2) — plus fixed-memory quantile sketches of resolution times
 (Figure 13's p75IRT), all without retaining the corpus.
 
 Since the batch/stream unification, the fold and merge math lives in
-:mod:`repro.runtime.states` — the same mergeable tallies every
-execution backend of :class:`repro.runtime.Executor` folds —  and
+:mod:`repro.runtime.states` — the same mergeable tallies the
+:class:`repro.runtime.Executor` folds —  and
 ``StreamAggregates`` is a bundle of those states behind its historical
 attribute names.  Counting rules therefore mirror the SQL layer
 (:mod:`repro.incidents.query`) exactly: device types come from the
@@ -53,7 +53,7 @@ class StreamAggregates:
 
     A bundle of the runtime's mergeable fold states; the public dict
     attributes below are views into them, so the streaming feed and
-    the :class:`repro.runtime.Executor` backends share one
+    the :class:`repro.runtime.Executor` share one
     implementation of every counting rule.
     """
 

@@ -22,13 +22,12 @@ Three things make the parallel path actually pay for itself:
   populations).  LPT keeps the makespan within ``mean + max_weight``
   of perfect balance, and within 4/3 of optimal whenever no single
   cell dominates.
-* **Ship the scenario once per worker.**  The worker pool is created
-  with an initializer that unpickles the scenario a single time per
-  process; tasks then carry only the (tiny) cell lists instead of
-  re-pickling the scenario per task.  The pool itself is created
-  lazily and reused across calls with the same (scenario, workers)
-  pair, so repeated generation — parameter sweeps, benchmarks,
-  many-seed studies — pays the spawn cost once.
+* **One reused pool.**  Shards run as ``(scenario, cells)`` tasks on
+  the runtime's shared worker pool
+  (:func:`repro.runtime.executor.shared_pool`), the same pool the
+  executor folds column batches on, so repeated generation —
+  parameter sweeps, benchmarks, many-seed studies — pays the spawn
+  cost once.
 * **``jobs="auto"`` with a serial crossover.**  Below
   :data:`AUTO_SERIAL_THRESHOLD` estimated events (or on a single-core
   host) the pool overhead exceeds the parallel win, so ``auto`` falls
@@ -38,12 +37,8 @@ Three things make the parallel path actually pay for itself:
 
 from __future__ import annotations
 
-import atexit
-import hashlib
 import heapq
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.simulation.generator import cell_reports, scenario_cells
@@ -164,58 +159,10 @@ def aggregate_cells(
     return aggregates
 
 
-# -- the reusable worker pool ------------------------------------------
-#
-# One scenario pickle per *worker* (via the pool initializer), not per
-# task; one pool per (scenario, workers) pair, reused across calls.
-
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_KEY: Optional[Tuple[int, str]] = None
-
-#: Per-worker-process scenario, installed by :func:`_init_worker`.
-_WORKER_SCENARIO: Optional[IntraScenario] = None
-
-
-def _init_worker(payload: bytes) -> None:
-    global _WORKER_SCENARIO
-    _WORKER_SCENARIO = pickle.loads(payload)
-
-
-def _worker(cells: List[Cell]) -> dict:
-    return aggregate_cells(_WORKER_SCENARIO, cells).to_state()
-
-
-def _pool_for(scenario: IntraScenario, workers: int) -> ProcessPoolExecutor:
-    """The shared pool, rebuilt only when scenario or width changes."""
-    global _POOL, _POOL_KEY
-    payload = pickle.dumps(scenario, protocol=pickle.HIGHEST_PROTOCOL)
-    key = (workers, hashlib.sha256(payload).hexdigest())
-    if _POOL is not None and _POOL_KEY == key:
-        return _POOL
-    shutdown_pool()
-    _POOL = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(payload,),
-    )
-    _POOL_KEY = key
-    return _POOL
-
-
-def shutdown_pool() -> None:
-    """Tear down the shared worker pool (idempotent).
-
-    Registered atexit; also useful for tests and for releasing the
-    worker processes after a large run.
-    """
-    global _POOL, _POOL_KEY
-    if _POOL is not None:
-        _POOL.shutdown()
-    _POOL = None
-    _POOL_KEY = None
-
-
-atexit.register(shutdown_pool)
+def _aggregate_task(task: Tuple[IntraScenario, List[Cell]]) -> dict:
+    """Pool worker body: one shard's aggregates, as a plain state."""
+    scenario, cells = task
+    return aggregate_cells(scenario, cells).to_state()
 
 
 def generate_aggregates(
@@ -243,8 +190,12 @@ def generate_aggregates(
         for shard in shards:
             merged.merge(aggregate_cells(scenario, shard))
         return merged
-    pool = _pool_for(scenario, len(shards))
-    states = list(pool.map(_worker, shards))
+    from repro.runtime.executor import shared_pool
+
+    pool = shared_pool(len(shards))
+    states = list(pool.map(
+        _aggregate_task, [(scenario, shard) for shard in shards]
+    ))
     for state in states:
         merged.merge(StreamAggregates.from_state(state))
     return merged

@@ -16,8 +16,8 @@ Three layers:
 * :mod:`~repro.survivability.trials` — the generated trial corpus
   (integer survival counts per design x trial x failed-fraction);
 * :mod:`~repro.survivability.analysis` — the analyses over it,
-  declared prepare/fold/merge/finalize so every runtime backend
-  answers them bit-identically.
+  declared prepare/fold/merge/finalize so the runtime's plan and its
+  per-row reference fold answer them bit-identically.
 """
 
 from repro.survivability.analysis import (
@@ -30,6 +30,7 @@ from repro.survivability.analysis import (
     SurvivabilityTallies,
     run_survivability_report,
     survivability_report_analyses,
+    survivability_report_from,
 )
 from repro.survivability.correlated import (
     correlated_failure_order,
@@ -64,4 +65,5 @@ __all__ = [
     "power_domains",
     "run_survivability_report",
     "survivability_report_analyses",
+    "survivability_report_from",
 ]

@@ -3,8 +3,8 @@
 The survivability questions — how much connectivity and capacity a
 design keeps as a growing fraction of its devices fails — are declared
 as :class:`~repro.runtime.analysis.Analysis` subclasses over the
-``"trial"`` corpus domain, so the executor can answer them on any
-backend: batch == stream == sharded(+processes) == columnar
+``"trial"`` corpus domain, so the executor's column-batch folds —
+serial or pooled — and the per-row reference fold answer them
 bit-identically.  The identity holds by construction, not by luck:
 the shared :class:`SurvivabilityTallies` state sums *integer* counts
 per (design, fraction) cell, integer addition is associative and
@@ -34,6 +34,7 @@ __all__ = [
     "DesignSurvivability",
     "run_survivability_report",
     "survivability_report_analyses",
+    "survivability_report_from",
 ]
 
 
@@ -296,31 +297,33 @@ def survivability_report_analyses():
     return [cls() for cls in _ANALYSES]
 
 
-def run_survivability_report(
-    context: RunContext,
-    backend: str = "stream",
-    jobs: int = 4,
-    cache=None,
-    source: Optional[Iterable] = None,
-    use_processes: bool = False,
-) -> SurvivabilityStudyReport:
-    """Every survivability artifact from one trial corpus, one run.
-
-    The trial-domain sibling of
-    :func:`repro.runtime.executor.run_intra_report`: same backends,
-    same merge law, same cache.  The context needs ``trials`` (a
-    :class:`~repro.survivability.trials.TrialSet`) or an explicit
-    ``source`` iterable of :class:`FailureTrial` records.
-    """
-    from repro.runtime.executor import Executor
-
-    executor = Executor(backend=backend, jobs=jobs, cache=cache,
-                        use_processes=use_processes)
-    results = executor.run(
-        survivability_report_analyses(), context, source=source
-    )
+def survivability_report_from(results) -> SurvivabilityStudyReport:
+    """Assemble the study from ``survivability_report_analyses``
+    results."""
     return SurvivabilityStudyReport(
         connectivity=results["survivability_connectivity"],
         capacity=results["survivability_capacity"],
         summary=results["survivability_summary"],
     )
+
+
+def run_survivability_report(
+    context: RunContext,
+    jobs: int = 1,
+    cache=None,
+    source: Optional[Iterable] = None,
+) -> SurvivabilityStudyReport:
+    """Every survivability artifact from one trial corpus, one run.
+
+    The trial-domain sibling of
+    :func:`repro.runtime.executor.run_intra_report`: same plan, same
+    merge law, same cache.  The context needs ``trials`` (a
+    :class:`~repro.survivability.trials.TrialSet`) or an explicit
+    ``source`` iterable of :class:`FailureTrial` records.
+    """
+    from repro.runtime.executor import Executor
+
+    executor = Executor(jobs=jobs, cache=cache)
+    return survivability_report_from(executor.run(
+        survivability_report_analyses(), context, source=source
+    ))

@@ -2,7 +2,7 @@
 
 Runs both pipelines and checks every headline anchor against the
 published value, printing a PASS/FAIL line per artifact.  This is the
-``python -m repro verify`` backend — the quickest way to confirm a
+``python -m repro verify`` implementation — the quickest way to confirm a
 checkout still reproduces the paper.
 """
 
@@ -64,7 +64,6 @@ def run_verification(seed: int = 1, backbone_seed: int = 7) -> List[Check]:
     fleet = scenario.fleet
     report = run_intra_report(
         RunContext(store=store, fleet=fleet, corpus_seed=scenario.seed),
-        backend="batch",
     )
 
     t2 = report.root_causes.distribution()
@@ -156,10 +155,26 @@ def run_verification(seed: int = 1, backbone_seed: int = 7) -> List[Check]:
     checks.extend(faultline_checks(seed=seed))
     checks.extend(serve_checks(seed=seed, backbone_seed=backbone_seed))
     checks.extend(storage_checks(seed=seed, backbone_seed=backbone_seed))
-    checks.extend(columnar_checks(seed=seed))
     checks.extend(scenario_grid_checks(seed=seed))
     checks.extend(survivability_checks(seed=seed))
     return checks
+
+
+def _plan_agrees(analyses, context, assemble, reference,
+                 batch_size: int = 64) -> bool:
+    """Whether the plan at ``jobs`` 1 and 2 reproduces ``reference``.
+
+    ``batch_size``-row column batches make the ``jobs=2`` run really
+    ship shards to the pool wherever the plan folds batches.
+    """
+    from repro.runtime import Executor
+
+    return all(
+        assemble(Executor(jobs=jobs, batch_size=batch_size).run(
+            analyses(), context
+        )) == reference
+        for jobs in (1, 2)
+    )
 
 
 def survivability_checks(seed: int = 1) -> List[Check]:
@@ -170,18 +185,19 @@ def survivability_checks(seed: int = 1) -> List[Check]:
     (over three seeds — the property the whole knob family is anchored
     to); every survivability curve is monotone non-increasing in the
     failed fraction (trials share nested failure prefixes, so more
-    failure can never help); and every runtime backend answers the
-    survivability study with the identical ``report_digest``.
+    failure can never help); and the plan at one and two jobs answers
+    the survivability study exactly as the per-row reference fold.
     """
     import random
 
-    from repro.faultline.oracle import report_digest
-    from repro.runtime import BACKENDS, RunContext
+    from repro.runtime import RunContext, reference_fold
     from repro.simulation.failures import independent_failure_order
     from repro.survivability import (
         correlated_failure_order,
         generate_trials,
         run_survivability_report,
+        survivability_report_analyses,
+        survivability_report_from,
     )
 
     checks: List[Check] = []
@@ -199,7 +215,7 @@ def survivability_checks(seed: int = 1) -> List[Check]:
 
     trials = generate_trials(seed=seed, correlated={"trials": 8})
     context = RunContext(trials=trials, corpus_seed=seed)
-    report = run_survivability_report(context, backend="stream")
+    report = run_survivability_report(context)
     monotone = all(
         all(
             earlier.value >= later.value
@@ -213,16 +229,14 @@ def survivability_checks(seed: int = 1) -> List[Check]:
         float(monotone), 0.0, relative=False,
     ))
 
-    digests = {
-        report_digest(run_survivability_report(
-            context, backend=backend,
-            use_processes=backend == "sharded", jobs=2,
-        ))
-        for backend in BACKENDS
-    }
+    reference = survivability_report_from(
+        reference_fold(survivability_report_analyses(), context)
+    )
+    agree = _plan_agrees(survivability_report_analyses, context,
+                         survivability_report_from, reference)
     checks.append(Check(
-        "Surv", "survivability digest identical on all backends", 1.0,
-        float(len(digests) == 1), 0.0, relative=False,
+        "Surv", "survivability plan at 1/2 jobs equals reference", 1.0,
+        float(agree), 0.0, relative=False,
     ))
     return checks
 
@@ -267,7 +281,7 @@ def scenario_grid_checks(seed: int = 1, scale: float = 0.25) -> List[Check]:
     base = preset("paper").with_updates(seed=seed, scale=scale)
     grid = GridSpec(base=base, axes={"fabric_year": [2015, 2016]})
     cache = ResultCache()
-    runner = GridRunner(backend="stream", cache=cache)
+    runner = GridRunner(cache=cache)
     report = runner.run(grid)
 
     cell_spec = base.with_updates(fabric_year=2016)
@@ -278,7 +292,6 @@ def scenario_grid_checks(seed: int = 1, scale: float = 0.25) -> List[Check]:
             corpus_seed=scenario.seed,
             scenario_digest=scenario.spec_digest,
         ),
-        backend="stream",
     ))
     by_digest = {
         cell["spec_digest"]: cell["report_digest"]
@@ -290,7 +303,7 @@ def scenario_grid_checks(seed: int = 1, scale: float = 0.25) -> List[Check]:
         0.0, relative=False,
     ))
 
-    rerun_runner = GridRunner(backend="stream", cache=cache)
+    rerun_runner = GridRunner(cache=cache)
     rerun = rerun_runner.run(grid)
     checks.append(Check(
         "Grid", "warm grid re-run all cache hits, same digest", 1.0,
@@ -304,134 +317,68 @@ def scenario_grid_checks(seed: int = 1, scale: float = 0.25) -> List[Check]:
     return checks
 
 
-def columnar_checks(seed: int = 1, scale: float = 0.25) -> List[Check]:
-    """Exercise the columnar fast path (:mod:`repro.runtime.columns`).
-
-    Three invariants, all exact: the columnar backend — array-at-a-time
-    folds over :class:`~repro.runtime.ColumnBatch` chunks — reproduces
-    the batch SQL report bit for bit over the monolithic store; it does
-    so again over a tiered partitioned store (hot SQLite shards scanned
-    column-wise, cold gzip partitions rebatched), alongside the batch
-    backend's per-partition SQL pushdown; and process-parallel column
-    shards (chunk-framed batches shipped to the shared worker pool)
-    merge to the identical report.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.runtime import RunContext, run_intra_report
-    from repro.storage import PartitionedSEVStore
-
-    checks: List[Check] = []
-    scenario = paper_scenario(seed=seed, scale=scale)
-    mono = IntraSimulator(scenario).run()
-    context = RunContext(
-        store=mono, fleet=scenario.fleet, corpus_seed=scenario.seed
-    )
-
-    batch = run_intra_report(context, backend="batch")
-    checks.append(Check(
-        "Columnar", "columnar backend equals batch report", 1.0,
-        float(run_intra_report(context, backend="columnar") == batch),
-        0.0, relative=False,
-    ))
-    checks.append(Check(
-        "Columnar", "process-parallel column shards equal batch", 1.0,
-        float(run_intra_report(
-            context, backend="columnar", jobs=2, use_processes=True
-        ) == batch),
-        0.0, relative=False,
-    ))
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = PartitionedSEVStore.init(Path(tmp) / "sev")
-        store.ingest(mono.all_reports())
-        years = store.years()
-        if len(years) > 1:
-            store.compact(keep_hot_years=max(1, len(years) // 2))
-        tiered = RunContext(
-            store=store, fleet=scenario.fleet, corpus_seed=scenario.seed
-        )
-        agree = (
-            run_intra_report(tiered, backend="columnar") == batch
-            and run_intra_report(tiered, backend="batch") == batch
-        )
-    checks.append(Check(
-        "Columnar", "columnar + SQL pushdown over partitions", 1.0,
-        float(agree), 0.0, relative=False,
-    ))
-    return checks
-
-
 def storage_checks(seed: int = 1, backbone_seed: int = 7,
                    scale: float = 0.25) -> List[Check]:
     """Exercise the tiered storage layer (:mod:`repro.storage`).
 
     Three invariants, all exact: a partitioned store holding the same
     rows fingerprints identically to the monolithic store (cache keys
-    survive the layout change); every backend over the partitioned SEV
+    survive the layout change); the plan over the partitioned SEV
     store — with part of its history demoted to the gzip cold tier —
-    reproduces the monolithic batch report bit for bit; and the
-    partitioned ticket store does the same for the backbone report.
+    reproduces the per-row reference report over the monolithic store
+    bit for bit at one and two jobs; and the partitioned ticket store
+    does the same for the backbone report.
     """
     import tempfile
     from pathlib import Path
 
     from repro.runtime import (
-        RunContext, run_backbone_report, run_intra_report,
+        RunContext,
+        backbone_report_analyses,
+        backbone_report_from,
+        intra_report_analyses,
+        intra_report_from,
+        reference_fold,
     )
     from repro.runtime.cache import corpus_fingerprint
     from repro.storage import PartitionedSEVStore, PartitionedTicketStore
 
-    checks: List[Check] = []
-
     scenario = paper_scenario(seed=seed, scale=scale)
     mono = IntraSimulator(scenario).run()
+    reference = intra_report_from(reference_fold(
+        intra_report_analyses(),
+        RunContext(store=mono, fleet=scenario.fleet, corpus_seed=seed),
+    ))
     with tempfile.TemporaryDirectory() as tmp:
         store = PartitionedSEVStore.init(Path(tmp) / "sev")
         store.ingest(mono.all_reports())
         years = store.years()
         if len(years) > 1:
             store.compact(keep_hot_years=max(1, len(years) // 2))
-        checks.append(Check(
-            "Storage", "partitioned fingerprint equals monolithic", 1.0,
-            float(
-                len(store) == len(mono)
-                and corpus_fingerprint(store, seed)
-                == corpus_fingerprint(mono, seed)
-            ),
-            0.0, relative=False,
-        ))
-        batch = run_intra_report(
-            RunContext(store=mono, fleet=scenario.fleet, corpus_seed=seed),
-            backend="batch",
+        same_key = (len(store) == len(mono)
+                    and corpus_fingerprint(store, seed)
+                    == corpus_fingerprint(mono, seed))
+        sev_agree = _plan_agrees(
+            intra_report_analyses,
+            RunContext(store=store, fleet=scenario.fleet, corpus_seed=seed),
+            intra_report_from, reference,
         )
-        agree = all(
-            run_intra_report(
-                RunContext(store=store, fleet=scenario.fleet,
-                           corpus_seed=seed),
-                backend=backend, **kwargs,
-            ) == batch
-            for backend, kwargs in (
-                ("batch", {}), ("stream", {}), ("sharded", {"jobs": 4}),
-            )
-        )
-        checks.append(Check(
-            "Storage", "backends over partitions equal monolithic", 1.0,
-            float(agree), 0.0, relative=False,
-        ))
 
     corpus = BackboneSimulator(
         paper_backbone_scenario(seed=backbone_seed)
     ).run()
-    base = run_backbone_report(
+
+    def assemble(results):
+        return backbone_report_from(results, corpus.window_h)
+
+    base = assemble(reference_fold(
+        backbone_report_analyses(),
         RunContext(
             monitor=BackboneMonitor(corpus.topology, corpus.tickets),
             topology=corpus.topology, window_h=corpus.window_h,
             corpus_seed=backbone_seed,
         ),
-        backend="batch",
-    )
+    ))
     with tempfile.TemporaryDirectory() as tmp:
         tickets = PartitionedTicketStore.init(Path(tmp) / "tickets")
         tickets.ingest(corpus.tickets.completed())
@@ -442,113 +389,152 @@ def storage_checks(seed: int = 1, backbone_seed: int = 7,
             topology=corpus.topology, window_h=corpus.window_h,
             corpus_seed=backbone_seed, tickets=tickets,
         )
-        agree = all(
-            run_backbone_report(context, backend=backend, **kwargs) == base
-            for backend, kwargs in (
-                ("batch", {}), ("stream", {}), ("sharded", {"jobs": 4}),
-            )
-        )
-    checks.append(Check(
-        "Storage", "partitioned tickets equal backbone report", 1.0,
-        float(agree), 0.0, relative=False,
-    ))
-    return checks
+        ticket_agree = _plan_agrees(backbone_report_analyses, context,
+                                    assemble, base, batch_size=256)
+    return [
+        Check("Storage", "partitioned fingerprint equals monolithic", 1.0,
+              float(same_key), 0.0, relative=False),
+        Check("Storage", "plan over partitions equals monolithic", 1.0,
+              float(sev_agree), 0.0, relative=False),
+        Check("Storage", "partitioned tickets equal backbone report", 1.0,
+              float(ticket_agree), 0.0, relative=False),
+    ]
 
 
 def runtime_equivalence_checks(seed: int = 1,
                                scale: float = 0.25) -> List[Check]:
     """Exercise the unified execution layer (:mod:`repro.runtime`).
 
-    Three invariants, all exact at this scale: the streaming backend
-    (one fused fold pass) and the sharded backend (shard-local folds
-    merged) must reproduce the batch SQL report bit for bit, and a
-    cached re-run must return the identical report without touching
-    the corpus.
+    Six invariants, all exact at this scale: the plan (SQL over the
+    monolithic store) reproduces the per-row reference fold bit for
+    bit and agrees with the paper's SQL queries in :mod:`repro.core`;
+    the store's rows framed as column batches reproduce it too, folded
+    serially and as shards on the shared worker pool; a cached re-run
+    returns the identical report without touching the corpus; and the
+    cache a one-job run warmed answers a two-job run entirely, because
+    how a result was gathered is not part of its key.
     """
-    from repro.runtime import ResultCache, RunContext, run_intra_report
+    from repro.core import (
+        incident_rates,
+        root_cause_breakdown,
+        severity_by_device,
+        severity_rates_over_time,
+    )
+    from repro.runtime import (
+        Executor,
+        ResultCache,
+        RunContext,
+        intra_report_analyses,
+        intra_report_from,
+        reference_fold,
+        run_intra_report,
+    )
 
-    checks: List[Check] = []
     scenario = paper_scenario(seed=seed, scale=scale)
     store = IntraSimulator(scenario).run()
     context = RunContext(
         store=store, fleet=scenario.fleet, corpus_seed=scenario.seed
     )
+    planned = run_intra_report(context)
+    reference = intra_report_from(
+        reference_fold(intra_report_analyses(), context)
+    )
+    core_sql = (
+        planned.root_causes == root_cause_breakdown(store)
+        and planned.rates == incident_rates(store, scenario.fleet)
+        and planned.severity
+        == severity_by_device(store, planned.last_year)
+        and planned.severity_over_time
+        == severity_rates_over_time(store, scenario.fleet)
+    )
 
-    batch = run_intra_report(context, backend="batch")
-    checks.append(Check(
-        "Runtime", "stream backend equals batch report", 1.0,
-        float(run_intra_report(context, backend="stream") == batch),
-        0.0, relative=False,
-    ))
-    checks.append(Check(
-        "Runtime", "sharded backend equals batch report", 1.0,
-        float(run_intra_report(context, backend="sharded", jobs=4) == batch),
-        0.0, relative=False,
-    ))
+    def batched(jobs: int):
+        return intra_report_from(Executor(jobs=jobs, batch_size=64).run(
+            intra_report_analyses(), context, source=store.all_reports()
+        ))
 
     cache = ResultCache()
-    first = run_intra_report(context, backend="stream", cache=cache)
-    second = run_intra_report(context, backend="stream", cache=cache)
+    first = run_intra_report(context, cache=cache)
+    second = run_intra_report(context, cache=cache)
     all_hits = cache.hits == cache.misses and cache.hits > 0
-    checks.append(Check(
-        "Runtime", "cached re-run identical, zero recomputation", 1.0,
-        float(first == second == batch and all_hits),
-        0.0, relative=False,
-    ))
-    return checks
+    pooled = run_intra_report(context, cache=cache, jobs=2)
+    shared = cache.hits == 2 * cache.misses
+    return [
+        Check("Runtime", "planned report equals per-row reference", 1.0,
+              float(planned == reference), 0.0, relative=False),
+        Check("Runtime", "planned report equals core SQL queries", 1.0,
+              float(core_sql), 0.0, relative=False),
+        Check("Columnar", "column batches equal reference report", 1.0,
+              float(batched(1) == reference), 0.0, relative=False),
+        Check("Columnar", "pooled column shards equal reference", 1.0,
+              float(batched(2) == reference), 0.0, relative=False),
+        Check("Runtime", "cached re-run identical, zero recomputation",
+              1.0, float(first == second == planned and all_hits),
+              0.0, relative=False),
+        Check("Runtime", "one cache entry serves 1 and 2 jobs", 1.0,
+              float(pooled == planned and shared), 0.0, relative=False),
+    ]
 
 
 def backbone_runtime_checks(backbone_seed: int = 7) -> List[Check]:
-    """Cross-backend equivalence for the ticket-domain analyses.
+    """The plan over the ticket-domain analyses.
 
     The domain-generic runtime must answer the section 6 artifacts
-    identically however it executes: the streaming fold, the sharded
-    merge (serial and process-parallel), and a cached re-run all have
-    to reproduce the batch (monitor-path) backbone report bit for bit.
+    identically however it executes: the serial column-batch plan and
+    its pooled shards both reproduce the per-row reference fold, the
+    monitor's own queries agree with the plan, and a cached re-run
+    returns the identical report bit for bit.
     """
-    from repro.runtime import ResultCache, RunContext, run_backbone_report
+    from repro.backbone.scorecards import vendor_scorecards
+    from repro.core import continent_table
+    from repro.runtime import (
+        Executor,
+        ResultCache,
+        RunContext,
+        backbone_report_analyses,
+        backbone_report_from,
+        reference_fold,
+        run_backbone_report,
+    )
 
-    checks: List[Check] = []
     corpus = BackboneSimulator(
         paper_backbone_scenario(seed=backbone_seed)
     ).run()
-    monitor = BackboneMonitor(corpus.topology, corpus.tickets)
+    monitor, window = (BackboneMonitor(corpus.topology, corpus.tickets),
+                       corpus.window_h)
     context = RunContext(
         monitor=monitor, topology=corpus.topology,
-        window_h=corpus.window_h, corpus_seed=backbone_seed,
+        window_h=window, corpus_seed=backbone_seed,
     )
-
-    batch = run_backbone_report(context, backend="batch")
-    checks.append(Check(
-        "Backbone", "stream backend equals batch report", 1.0,
-        float(run_backbone_report(context, backend="stream") == batch),
-        0.0, relative=False,
-    ))
-    checks.append(Check(
-        "Backbone", "sharded backend equals batch report", 1.0,
-        float(run_backbone_report(
-            context, backend="sharded", jobs=4
-        ) == batch),
-        0.0, relative=False,
-    ))
-    checks.append(Check(
-        "Backbone", "process-parallel shards equal batch report", 1.0,
-        float(run_backbone_report(
-            context, backend="sharded", jobs=2, use_processes=True
-        ) == batch),
-        0.0, relative=False,
-    ))
-
+    analyses = backbone_report_analyses
+    reference = backbone_report_from(
+        reference_fold(analyses(), context), window
+    )
+    planned = run_backbone_report(context)
+    pooled = backbone_report_from(
+        Executor(jobs=2, batch_size=256).run(analyses(), context), window
+    )
+    monitor_queries = (
+        planned.reliability == backbone_reliability(monitor, window)
+        and planned.continents
+        == continent_table(monitor, corpus.topology, window)
+        and planned.vendors == vendor_scorecards(monitor, window)
+    )
     cache = ResultCache()
-    first = run_backbone_report(context, backend="stream", cache=cache)
-    second = run_backbone_report(context, backend="stream", cache=cache)
+    first = run_backbone_report(context, cache=cache)
+    second = run_backbone_report(context, cache=cache)
     all_hits = cache.hits == cache.misses and cache.hits > 0
-    checks.append(Check(
-        "Backbone", "cached re-run identical, zero recomputation", 1.0,
-        float(first == second == batch and all_hits),
-        0.0, relative=False,
-    ))
-    return checks
+    return [
+        Check("Backbone", "planned report equals per-row reference", 1.0,
+              float(planned == reference), 0.0, relative=False),
+        Check("Backbone", "monitor queries equal planned report", 1.0,
+              float(monitor_queries), 0.0, relative=False),
+        Check("Backbone", "pooled column shards equal reference", 1.0,
+              float(pooled == reference), 0.0, relative=False),
+        Check("Backbone", "cached re-run identical, zero recomputation",
+              1.0, float(first == second == reference and all_hits),
+              0.0, relative=False),
+    ]
 
 
 def stream_smoke_checks(seed: int = 1, scale: float = 0.25) -> List[Check]:
@@ -615,7 +601,7 @@ def faultline_checks(seed: int = 1) -> List[Check]:
 
     Three invariants: the chaos drill suite is deterministic in its
     seed (two runs produce byte-identical fault reports — same fault
-    logs, same digests); every backend reproduces the fault-free
+    logs, same digests); the plan reproduces the fault-free reference
     report bit-identically while cache and shard-worker faults fire;
     and a corrupt on-disk cache entry is recovered as a counted miss,
     never an error or a wrong answer.
@@ -649,7 +635,7 @@ def faultline_checks(seed: int = 1) -> List[Check]:
             cache_dir=Path(tmp) / "cache",
         )
     checks.append(Check(
-        "Faultline", "backends identical under injected faults", 1.0,
+        "Faultline", "plan identical to reference under faults", 1.0,
         float(oracle.identical), 0.0, relative=False,
     ))
 
@@ -703,10 +689,10 @@ def serve_checks(seed: int = 1, backbone_seed: int = 7,
         _, intra = app.handle("GET", "/reports/intra")
         _, backbone = app.handle("GET", "/reports/backbone")
     direct_intra = report_digest(run_intra_report(
-        build_intra_context(seed=seed, scale=scale), backend="stream",
+        build_intra_context(seed=seed, scale=scale),
     ))
     direct_backbone = report_digest(run_backbone_report(
-        build_backbone_context(seed=backbone_seed), backend="stream",
+        build_backbone_context(seed=backbone_seed),
     ))
     checks.append(Check(
         "Serve", "intra endpoint digest equals CLI digest", 1.0,

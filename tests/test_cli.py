@@ -29,15 +29,14 @@ class TestReport:
         assert "Growth (Figure 8)" in out
 
     def test_intra_report_backend_flag(self, capsys):
-        assert main(["report", "intra", "--scale", "0.1", "--seed", "4",
-                     "--backend", "sharded"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 2" in out
-        assert "Figure 12" in out
+        # One planned path: the old --backend flag is an error.
+        with pytest.raises(SystemExit):
+            main(["report", "intra", "--scale", "0.1", "--seed", "4",
+                  "--backend", "sharded"])
+        assert "--backend" in capsys.readouterr().err
 
     def test_full_report_cache_reuses_analyses(self, tmp_path, capsys):
         args = ["report", "full", "--scale", "0.2", "--seed", "4",
-                "--backend", "stream",
                 "--cache", str(tmp_path / "cache")]
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -47,15 +46,10 @@ class TestReport:
         assert "[cache] 8 analyses reused, 0 computed" in second
 
     def test_backbone_backends_agree(self, capsys):
-        # The acceptance criterion: every runtime backend prints the
+        # The acceptance criterion: every worker count prints the
         # identical backbone report (jobs="auto" included).
         outputs = set()
-        for extra in (
-            ["--backend", "batch"],
-            ["--backend", "stream"],
-            ["--backend", "sharded", "--jobs", "auto"],
-            ["--backend", "sharded", "--jobs", "3"],
-        ):
+        for extra in ([], ["--jobs", "auto"], ["--jobs", "3"]):
             assert main(["report", "backbone", "--seed", "4"] + extra) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
@@ -68,7 +62,6 @@ class TestReport:
 
     def test_backbone_cache_reuses_analyses(self, tmp_path, capsys):
         args = ["report", "backbone", "--seed", "4",
-                "--backend", "stream",
                 "--cache", str(tmp_path / "cache")]
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -140,17 +133,6 @@ class TestExportAnalyze:
         assert "Table 2" in out
         assert "Figure 4" in out
 
-    def test_analyze_backends_agree(self, tmp_path, capsys):
-        path = str(tmp_path / "sevs.jsonl")
-        assert main(["export", "sevs", path, "--seed", "4",
-                     "--scale", "0.2"]) == 0
-        capsys.readouterr()
-        outputs = set()
-        for backend in ["batch", "stream", "sharded"]:
-            assert main(["analyze", path, "--backend", backend]) == 0
-            outputs.add(capsys.readouterr().out)
-        assert len(outputs) == 1
-
     @pytest.mark.parametrize("suffix", ["csv", "json", "jsonl"])
     def test_analyze_accepts_every_ticket_format(self, tmp_path, capsys,
                                                  suffix):
@@ -162,16 +144,6 @@ class TestExportAnalyze:
         out = capsys.readouterr().out
         assert "Vendor scorecards" in out
         assert "Repair durations" in out
-
-    def test_ticket_analyze_backends_agree(self, tmp_path, capsys):
-        path = str(tmp_path / "tickets.jsonl")
-        assert main(["export", "tickets", path, "--seed", "4"]) == 0
-        capsys.readouterr()
-        outputs = set()
-        for backend in ["batch", "stream", "sharded"]:
-            assert main(["analyze", path, "--backend", backend]) == 0
-            outputs.add(capsys.readouterr().out)
-        assert len(outputs) == 1
 
 
 class TestStream:

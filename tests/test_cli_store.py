@@ -66,11 +66,7 @@ class TestReportOverStore:
         assert main(["report", "intra", "--seed", "4", "--scale", "0.05",
                      "--digest"]) == 0
         expected = _digest(capsys.readouterr().out)
-        for extra in (
-            ["--backend", "batch"],
-            ["--backend", "stream"],
-            ["--backend", "sharded", "--jobs", "auto"],
-        ):
+        for extra in ([], ["--jobs", "2"], ["--jobs", "auto"]):
             assert main(["report", "intra", "--store-dir", sev_store_dir,
                          "--digest"] + extra) == 0
             assert _digest(capsys.readouterr().out) == expected
@@ -92,8 +88,7 @@ class TestReportOverStore:
                      "--digest"]) == 0
         expected = _digest(capsys.readouterr().out)
         assert main(["report", "backbone", "--store-dir",
-                     ticket_store_dir, "--backend", "stream",
-                     "--digest"]) == 0
+                     ticket_store_dir, "--digest"]) == 0
         assert _digest(capsys.readouterr().out) == expected
 
     def test_full_refuses_store_dir(self, sev_store_dir):

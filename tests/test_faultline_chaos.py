@@ -27,6 +27,14 @@ class TestChaosSuite:
         second = chaos_suite(seed=seed, quick=True)
         assert report_json(first) == report_json(second)
         assert first["report_digest"] == second["report_digest"]
+        # A drill that selects a site must exercise it: every
+        # selected site fired at least once at this seed.
+        for drill in first["drills"]:
+            fired = drill["detail"]["fired_per_site"]
+            assert sorted(fired) == sorted(drill["detail"]["sites"])
+            assert all(n >= 1 for n in fired.values()), (
+                drill["name"], fired
+            )
 
     def test_all_drills_pass(self):
         report = chaos_suite(seed=7, quick=True)

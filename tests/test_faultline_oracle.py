@@ -1,9 +1,9 @@
-"""The differential oracle and the sharded backend's crash recovery.
+"""The differential oracle and the pooled shards' crash recovery.
 
-The acceptance property: under an active fault plan, every backend
-either reproduces the fault-free report bit-identically or dies with a
-typed :class:`FaultToleranceError` — never a silently different
-answer.
+The acceptance property: under an active fault plan, the plan at every
+``jobs`` either reproduces the fault-free reference report
+bit-identically or dies with a typed :class:`FaultToleranceError` —
+never a silently different answer.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ import pytest
 from repro.faultline import FaultPlan, FaultSpec, hooks
 from repro.faultline.oracle import report_digest, run_differential
 from repro.faultline.plan import FaultToleranceError
-from repro.runtime import RunContext, run_intra_report
+from repro.runtime import (
+    Executor,
+    RunContext,
+    intra_report_analyses,
+    intra_report_from,
+    run_intra_report,
+)
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_scenario
 
@@ -33,13 +39,23 @@ def context():
 
 @pytest.fixture(scope="module")
 def batch_report(context):
-    return run_intra_report(context, backend="batch")
+    return run_intra_report(context)
+
+
+def sharded_report(context, jobs):
+    """The store's rows as 32-row column batches in ``jobs`` pool
+    shards — the path the ``executor.shard`` site guards."""
+    return intra_report_from(Executor(jobs=jobs, batch_size=32).run(
+        intra_report_analyses(), context,
+        source=context.store.all_reports(),
+    ))
 
 
 class TestReportDigest:
     def test_equal_reports_digest_equally_across_dict_order(self):
         """Dataclass == ignores dict insertion order; the digest must
-        too (batch builds counts in SQL order, folds in record order)."""
+        too (SQL fills build counts in SQL order, folds in record
+        order)."""
 
         @dataclass
         class Counts:
@@ -70,7 +86,7 @@ class TestReportDigest:
         )
 
     def test_real_reports_digest_stably(self, context, batch_report):
-        again = run_intra_report(context, backend="batch")
+        again = run_intra_report(context)
         assert report_digest(batch_report) == report_digest(again)
 
 
@@ -92,9 +108,7 @@ class TestAcceptanceProperty:
         except FaultToleranceError:
             return  # typed, attributable — never silent divergence
         assert report.identical
-        assert {r.backend for r in report.runs} == {
-            "batch", "stream", "sharded",
-        }
+        assert [r.jobs for r in report.runs] == [2, 1]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fault_log_replayable_from_seed(self, seed, tmp_path):
@@ -121,52 +135,48 @@ class TestAcceptanceProperty:
 
 class TestShardCrashRecovery:
     def test_serial_retry_once(self, context, batch_report):
-        """One crash: the shard fold is retried and the report is
-        bit-identical to batch."""
+        """One crash among three shards: that shard is resubmitted
+        and the report is bit-identical to the plan's."""
         plan = FaultPlan(1, [
             FaultSpec("executor.shard", probability=1.0, max_fires=1)
         ])
         with hooks.injected(plan):
-            report = run_intra_report(context, backend="sharded", jobs=4)
+            report = sharded_report(context, 3)
         assert plan.fired("executor.shard") == 1
         assert report_digest(report) == report_digest(batch_report)
 
     def test_serial_fallback_after_repeated_crashes(self, context,
                                                     batch_report):
-        """Unbounded crashes: every shard falls back to a suppressed
-        serial fold; the answer is still bit-identical."""
+        """Unbounded crashes: every one of three shards falls back to
+        a suppressed serial fold; the answer is still bit-identical."""
         plan = FaultPlan(1, [
             FaultSpec("executor.shard", probability=1.0)
         ])
         with hooks.injected(plan):
-            report = run_intra_report(context, backend="sharded", jobs=4)
+            report = sharded_report(context, 3)
         # Two draws per shard (crash, crashed retry), then the
         # suppressed fallback folds without drawing.
-        assert plan.draws("executor.shard") == 8
+        assert plan.draws("executor.shard") == 6
         assert report_digest(report) == report_digest(batch_report)
 
     def test_process_pool_resubmit(self, context, batch_report):
-        """Parallel path: a crashed submission is resubmitted to the
-        pool; the fault is drawn in the parent so the log is exact."""
+        """A crashed submission is resubmitted to the pool; the fault
+        is drawn in the parent so the log is exact."""
         plan = FaultPlan(1, [
             FaultSpec("executor.shard", probability=1.0, max_fires=1)
         ])
         with hooks.injected(plan):
-            report = run_intra_report(
-                context, backend="sharded", jobs=2, use_processes=True,
-            )
+            report = sharded_report(context, 2)
         assert plan.fired("executor.shard") == 1
         assert report_digest(report) == report_digest(batch_report)
 
     def test_process_pool_falls_back_serial(self, context, batch_report):
-        """Parallel path, unbounded crashes: every shard drops to the
-        parent's suppressed serial fold."""
+        """Unbounded crashes: both shards drop to the parent's
+        suppressed serial fold."""
         plan = FaultPlan(1, [
             FaultSpec("executor.shard", probability=1.0)
         ])
         with hooks.injected(plan):
-            report = run_intra_report(
-                context, backend="sharded", jobs=2, use_processes=True,
-            )
+            report = sharded_report(context, 2)
         assert plan.draws("executor.shard") == 4
         assert report_digest(report) == report_digest(batch_report)

@@ -105,20 +105,42 @@ class TestBenchSuite:
         # comfortably on durable storage.
         assert record.metrics["bulk_speedup_vs_rowwise"] > 1.0
 
-    def test_backbone_record_covers_every_backend(self):
+    def test_backbone_record_covers_every_strategy(self):
         record = bench_backbone(seed=4, rounds=1)
         assert record.name == "backbone_report"
-        backends = [e["backend"] for e in record.metrics["per_backend"]]
-        assert backends == [
-            "batch", "stream", "sharded", "sharded_processes", "cached",
+        strategies = [e["strategy"] for e in record.metrics["per_strategy"]]
+        assert strategies == [
+            "reference", "planned", "planned_jobs2", "cached",
         ]
-        assert record.metrics["backends_identical"] is True
+        assert record.metrics["digests_identical"] is True
         assert record.metrics["tickets"] > 0
         assert all(
             e["tickets"] == record.metrics["tickets"]
-            for e in record.metrics["per_backend"]
+            for e in record.metrics["per_strategy"]
         )
-        assert record.metrics["cache_speedup_vs_stream"] > 0.0
+        assert record.metrics["fastest_serial"] in ("reference", "planned")
+        assert record.metrics["cache_speedup_vs_fastest_serial"] > 0.0
+
+    def test_fold_matrix_quotes_honest_speedups(self):
+        from repro.perf.bench import bench_fold_matrix
+
+        record = bench_fold_matrix(seed=4, scale=0.1, jobs=2, rounds=1)
+        metrics = record.metrics
+        assert metrics["digests_identical"] is True
+        assert [e["strategy"] for e in metrics["per_variant"]] == [
+            "reference", "planned", "planned_jobs2",
+        ] * 2
+        for layout in ("monolithic", "partitioned"):
+            quoted = metrics["layouts"][layout]
+            fastest = [e for e in metrics["per_variant"]
+                       if e["layout"] == layout
+                       and e["strategy"] == quoted["fastest_serial"]]
+            assert fastest[0]["speedup_vs_fastest_serial"] == 1.0
+            if metrics["cores"] < 2:
+                assert quoted["parallel_speedup_vs_serial"] is None
+                assert quoted["parallel_reason"]
+            else:
+                assert quoted["parallel_speedup_vs_serial"] > 0.0
 
 
     def test_serve_record_measures_concurrent_load(self):
@@ -147,7 +169,7 @@ class TestBenchCLI:
         printed = capsys.readouterr().out
         assert "Streaming generation throughput" in printed
         assert "SEV store ingest" in printed
-        assert "Backbone report across runtime backends" in printed
+        assert "Backbone report, reference vs planned" in printed
         assert "Serve latency" in printed
         stream = load_record(out / "stream_throughput.json")
         ingest = load_record(out / "ingest_bulk_load.json")
@@ -155,5 +177,5 @@ class TestBenchCLI:
         serve = load_record(out / "serve_latency.json")
         assert stream.metrics["digests_identical"] is True
         assert ingest.metrics["bulk_speedup_vs_rowwise"] > 0.0
-        assert backbone.metrics["backends_identical"] is True
+        assert backbone.metrics["digests_identical"] is True
         assert serve.metrics["errors"] == 0

@@ -1,19 +1,30 @@
-"""Cross-backend equivalence for the ticket domain.
+"""Plan-vs-reference equivalence for the ticket domain.
 
 The domain-generic counterpart of ``test_runtime_equivalence``: for
-any backbone corpus, the batch (monitor path), streaming (one fused
-fold pass), and sharded (fold-then-merge, serial or process-parallel)
-backends must produce the same
-:class:`~repro.core.reports.BackboneStudyReport` — identical outage
-intervals, MTBF/MTTR percentiles, scorecards, and repair-duration
-summaries, bit for bit.  Cache hits must return the stored result
-unchanged, and ticket fingerprints must never collide with SEV ones.
+any backbone corpus, the executor's plan (column batches — "batch"),
+the per-row reference fold ("stream"), and the monitor's own queries,
+and column batches sharded over the worker pool ("sharded") must
+produce the same :class:`~repro.core.reports.BackboneStudyReport` —
+identical outage intervals, MTBF/MTTR percentiles, scorecards, and
+repair-duration summaries, bit for bit.  Cache hits must return the
+stored result unchanged, and ticket fingerprints must never collide
+with SEV ones.
 """
 
 import pytest
 
 from repro.backbone.monitor import BackboneMonitor
-from repro.runtime import ResultCache, RunContext, run_backbone_report
+from repro.backbone.scorecards import vendor_scorecards
+from repro.core import backbone_reliability, continent_table
+from repro.runtime import (
+    Executor,
+    ResultCache,
+    RunContext,
+    backbone_report_analyses,
+    backbone_report_from,
+    reference_fold,
+    run_backbone_report,
+)
 from repro.simulation.backbone_sim import BackboneSimulator
 from repro.simulation.scenarios import paper_backbone_scenario
 
@@ -36,35 +47,55 @@ def context(request):
 
 @pytest.fixture(scope="module")
 def batch_report(context):
-    return run_backbone_report(context, backend="batch")
+    return run_backbone_report(context)
+
+
+def reference_report(context):
+    return backbone_report_from(
+        reference_fold(backbone_report_analyses(), context),
+        context.window_h,
+    )
+
+
+def sharded_report(context, jobs):
+    """256-ticket column batches packed into ``jobs`` pool shards."""
+    return backbone_report_from(
+        Executor(jobs=jobs, batch_size=256).run(
+            backbone_report_analyses(), context
+        ),
+        context.window_h,
+    )
 
 
 class TestBackendsAgree:
     def test_stream_equals_batch(self, context, batch_report):
-        streamed = run_backbone_report(context, backend="stream")
-        assert streamed == batch_report
+        assert reference_report(context) == batch_report
+
+    def test_monitor_queries_equal_plan(self, context, batch_report):
+        monitor, window = context.monitor, context.window_h
+        assert batch_report.reliability == backbone_reliability(
+            monitor, window
+        )
+        assert batch_report.continents == continent_table(
+            monitor, context.topology, window
+        )
+        assert batch_report.vendors == vendor_scorecards(monitor, window)
 
     @pytest.mark.parametrize("jobs", [1, 3, 7])
     def test_sharded_equals_batch_for_any_worker_count(
         self, context, batch_report, jobs
     ):
-        sharded = run_backbone_report(
-            context, backend="sharded", jobs=jobs
-        )
-        assert sharded == batch_report
+        assert sharded_report(context, jobs) == batch_report
 
     def test_parallel_sharded_equals_batch(self, context, batch_report):
-        # Process-parallel shard folds must be indistinguishable from
-        # the in-process sharded path (and therefore from batch).
-        parallel = run_backbone_report(
-            context, backend="sharded", jobs=2, use_processes=True
-        )
-        assert parallel == batch_report
+        # Pooled column shards must be indistinguishable from the
+        # serial column fold.
+        assert sharded_report(context, 2) == batch_report
 
     def test_artifacts_fieldwise(self, context, batch_report):
         # Field-level spellings of the acceptance criteria: every
-        # section 6 artifact agrees exactly across backends.
-        streamed = run_backbone_report(context, backend="stream")
+        # section 6 artifact agrees exactly on every path.
+        streamed = reference_report(context)
         rel, batch_rel = streamed.reliability, batch_report.reliability
         assert rel.edge_mtbf.values == batch_rel.edge_mtbf.values
         assert rel.edge_mttr.values == batch_rel.edge_mttr.values
@@ -77,9 +108,9 @@ class TestBackendsAgree:
 class TestCacheTransparency:
     def test_cache_hit_is_bit_identical(self, context, batch_report):
         cache = ResultCache()
-        first = run_backbone_report(context, backend="stream", cache=cache)
+        first = run_backbone_report(context, cache=cache)
         assert cache.misses > 0 and cache.hits == 0
-        cached = run_backbone_report(context, backend="stream", cache=cache)
+        cached = run_backbone_report(context, cache=cache)
         assert cache.hits == cache.misses
         assert cached == first == batch_report
 
@@ -87,15 +118,12 @@ class TestCacheTransparency:
         # A shared disk cache keyed by fingerprint must keep corpora
         # with different seeds apart even when sizes are close.
         cache = ResultCache(tmp_path / "shared")
-        mine = run_backbone_report(context, backend="stream", cache=cache)
+        mine = run_backbone_report(context, cache=cache)
         other = run_backbone_report(
-            make_context(context.corpus_seed + 1),
-            backend="stream", cache=cache,
+            make_context(context.corpus_seed + 1), cache=cache,
         )
         assert other != mine
-        assert run_backbone_report(
-            context, backend="stream", cache=cache
-        ) == mine
+        assert run_backbone_report(context, cache=cache) == mine
 
 
 class TestDomainFingerprints:

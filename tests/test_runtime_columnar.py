@@ -1,12 +1,13 @@
-"""The columnar fast path: three-dialect equivalence, fallback, pool reuse.
+"""The column-batch half of the plan: three-dialect equivalence,
+fallback, pool reuse.
 
 Every mergeable state speaks three dialects of the same math — the
 per-row reference ``fold``, the array-at-a-time ``fold_batch``, and
 (for the SEV states) the ``fold_sql`` GROUP BY pushdown — and the
-columnar engine's contract is that the dialect can never change a
-finalized result: not across batch framings, not across storage
-layouts, not across process boundaries, and not when a batch fold
-crashes mid-flight and replays through the per-row fallback.
+executor's contract is that the dialect can never change a finalized
+result: not across batch framings, not across storage layouts, not
+across process boundaries, and not when a batch fold crashes
+mid-flight and replays through the per-row fallback.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.faultline import FaultPlan, FaultSpec, hooks
 from repro.faultline.oracle import report_digest
-from repro.runtime import RunContext, run_intra_report
+from repro.runtime import RunContext, intra_report_from, run_intra_report
 from repro.runtime import executor as executor_module
 from repro.runtime.analyses import intra_report_analyses
 from repro.runtime.columns import sev_batches_from_store
@@ -61,7 +62,15 @@ def tiered_context(corpus):
 
 @pytest.fixture(scope="module")
 def batch_report(context):
-    return run_intra_report(context, backend="batch")
+    return run_intra_report(context)
+
+
+def batched(context, source, jobs=1, batch_size=64, executor=None):
+    """The intra report folded from ``source`` as column batches."""
+    executor = executor or Executor(jobs=jobs, batch_size=batch_size)
+    return intra_report_from(
+        executor.run(intra_report_analyses(), context, source=source)
+    )
 
 
 class TestThreeDialectEquivalence:
@@ -104,71 +113,61 @@ class TestThreeDialectEquivalence:
     ):
         # The merge law in action: any chunking of the corpus into
         # column batches folds to the identical report.
-        executor = Executor(backend="columnar", batch_size=batch_size)
-        results = executor.run(intra_report_analyses(), context)
-        reference = Executor(backend="batch").run(
-            intra_report_analyses(), context
-        )
-        assert results == reference
+        assert batched(
+            context, context.store.all_reports(), batch_size=batch_size
+        ) == batch_report
 
     def test_columnar_equals_batch_over_partitions(
-        self, tiered_context, batch_report
+        self, corpus, tiered_context, batch_report
     ):
-        assert run_intra_report(
-            tiered_context, backend="columnar"
+        # The tiered layout's record scan, framed into column batches.
+        assert batched(
+            tiered_context, corpus["tiered"].all_reports()
         ) == batch_report
 
     def test_sql_pushdown_equals_batch_over_partitions(
         self, tiered_context, batch_report
     ):
-        # The batch backend over a tiered store runs per-partition
-        # GROUP BYs on hot shards and columnar folds on cold ones.
-        assert run_intra_report(
-            tiered_context, backend="batch"
-        ) == batch_report
+        # The plan over a tiered store runs per-partition GROUP BYs
+        # on hot shards and column-batch folds on cold ones.
+        assert run_intra_report(tiered_context) == batch_report
 
-    def test_parallel_columnar_equals_batch(self, context, batch_report):
-        assert run_intra_report(
-            context, backend="columnar", jobs=2, use_processes=True
-        ) == batch_report
+    def test_parallel_columnar_equals_batch(
+        self, tiered_context, batch_report
+    ):
+        # The cold partitions' batches ship to the pool; SQL stays.
+        assert run_intra_report(tiered_context, jobs=2) == batch_report
 
 
 class TestColumnFoldFallback:
-    def test_injected_fold_crash_falls_back_row_wise(self, context):
-        baseline = run_intra_report(context, backend="columnar")
+    def test_injected_fold_crash_falls_back_row_wise(
+        self, context, batch_report
+    ):
         plan = FaultPlan(context.corpus_seed, [
             FaultSpec("runtime.fold", probability=1.0, max_fires=3),
         ])
-        executor = Executor(backend="columnar")
+        executor = Executor(batch_size=64)
         with hooks.injected(plan):
-            results = executor.run(intra_report_analyses(), context)
-        faulted = Executor(backend="batch").run(
-            intra_report_analyses(), context
-        )
-        assert results == faulted
+            faulted = batched(context, context.store.all_reports(),
+                              executor=executor)
         assert plan.fired("runtime.fold") == 3
         assert executor.columnar_fallbacks == 3
-        assert report_digest(baseline) == report_digest(
-            run_intra_report(context, backend="columnar")
-        )
+        assert report_digest(faulted) == report_digest(batch_report)
 
     def test_fault_free_run_counts_no_fallbacks(self, context):
-        executor = Executor(backend="columnar")
-        executor.run(intra_report_analyses(), context)
+        executor = Executor(batch_size=64)
+        batched(context, context.store.all_reports(), executor=executor)
         assert executor.columnar_fallbacks == 0
 
 
 class TestSharedProcessPool:
     def test_pool_survives_across_runs(self, context, batch_report):
         shutdown_executor_pool()
-        first = run_intra_report(
-            context, backend="sharded", jobs=2, use_processes=True
-        )
+        first = batched(context, context.store.all_reports(), jobs=2)
         pool = executor_module._POOL
         assert pool is not None
-        second = run_intra_report(
-            context, backend="columnar", jobs=2, use_processes=True
-        )
+        second = batched(context, context.store.all_reports(), jobs=2,
+                         batch_size=32)
         assert executor_module._POOL is pool
         assert first == second == batch_report
         shutdown_executor_pool()
@@ -177,8 +176,8 @@ class TestSharedProcessPool:
         shutdown_executor_pool()
         shutdown_executor_pool()
         assert executor_module._POOL is None
-        assert run_intra_report(
-            context, backend="sharded", jobs=2, use_processes=True
+        assert batched(
+            context, context.store.all_reports(), jobs=2
         ) == batch_report
         assert executor_module._POOL is not None
         shutdown_executor_pool()

@@ -12,6 +12,7 @@ from repro.runtime import (
     RunContext,
     corpus_fingerprint,
     intra_report_analyses,
+    reference_fold,
     registry,
     run_intra_report,
 )
@@ -44,8 +45,9 @@ def context(scenario, store):
 
 class TestExecutorConstruction:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            Executor(backend="mapreduce")
+        # One planned path: there is no backend to choose.
+        with pytest.raises(TypeError, match="backend"):
+            Executor(backend="batch")
 
     def test_rejects_zero_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -57,30 +59,42 @@ class TestExecutorConstruction:
                            context)
 
 
+#: Every path the runtime can answer Table 2 by: the plan's SQL fill
+#: ("batch"), the per-row reference fold ("stream"), and the store's
+#: rows as 64-row column batches sharded over the pool ("sharded").
+PATHS = {
+    "batch": lambda analyses, context: Executor().run(analyses, context),
+    "stream": reference_fold,
+    "sharded": lambda analyses, context: Executor(
+        jobs=2, batch_size=64
+    ).run(analyses, context, source=context.store.all_reports()),
+}
+
+
 class TestBackends:
     @pytest.mark.parametrize("backend", ["batch", "stream", "sharded"])
     def test_root_causes_match_sql(self, backend, context, store):
         from repro.core import root_cause_breakdown
 
-        result = Executor(backend=backend).run(
+        result = PATHS[backend](
             [RootCausesAnalysis()], context
         )["root_causes"]
         assert result.counts == root_cause_breakdown(store).counts
 
     def test_explicit_source_overrides_store(self, scenario, context):
         # Feeding the records directly must match reading the store.
-        result = Executor(backend="stream").run(
+        result = Executor().run(
             [RootCausesAnalysis()], context,
             source=iter_scenario_reports(scenario),
         )["root_causes"]
-        baseline = Executor(backend="stream").run(
+        baseline = Executor().run(
             [RootCausesAnalysis()], context
         )["root_causes"]
         assert result == baseline
 
     def test_fold_without_any_source_is_an_error(self):
         with pytest.raises(ValueError, match="no record source"):
-            Executor(backend="stream").run(
+            Executor().run(
                 [RootCausesAnalysis()],
                 RunContext(fleet=paper_fleet()),
             )
@@ -88,11 +102,11 @@ class TestBackends:
     def test_empty_corpus_raises(self):
         context = RunContext(store=SEVStore(), fleet=paper_fleet())
         with pytest.raises(ValueError, match="empty"):
-            Executor(backend="stream").run([GrowthAnalysis()], context)
+            Executor().run([GrowthAnalysis()], context)
 
     def test_explicit_year_is_honored(self, context, store):
         pinned = RunContext(store=store, fleet=context.fleet, year=2014)
-        result = Executor(backend="stream").run(
+        result = Executor().run(
             [SeverityByDeviceAnalysis()], pinned
         )["severity_by_device"]
         assert result.year == 2014
@@ -108,15 +122,13 @@ class TestStateSharing:
                 super().fold(report, state)
 
         # rates and growth share state_key="year_type": one fold each.
-        results = Executor(backend="stream").run(
-            [Counting(), GrowthAnalysis()], context
-        )
+        results = reference_fold([Counting(), GrowthAnalysis()], context)
         assert folds["n"] == len(context.store)
         assert results["growth"] > 0
 
     def test_private_states_fold_independently(self, context):
         # Different state_keys: each owner folds every record.
-        results = Executor(backend="stream").run(
+        results = reference_fold(
             [RootCausesAnalysis(), GrowthAnalysis()], context
         )
         total = sum(results["root_causes"].counts.values())
@@ -136,7 +148,7 @@ class TestContextOnlyAnalyses:
 class TestCache:
     def test_second_run_hits_for_every_analysis(self, context):
         cache = ResultCache()
-        executor = Executor(backend="stream", cache=cache)
+        executor = Executor(cache=cache)
         analyses = intra_report_analyses()
         first = executor.run(analyses, context)
         assert cache.misses == len(analyses) and cache.hits == 0
@@ -144,22 +156,23 @@ class TestCache:
         assert cache.hits == len(analyses)
         assert first == second
 
-    def test_backends_do_not_share_entries(self, context):
+    def test_jobs_share_entries(self, context):
+        # How a result was gathered is not part of its key: a pooled
+        # run reads what a serial run stored.
         cache = ResultCache()
-        Executor(backend="batch", cache=cache).run(
+        first = Executor(cache=cache).run([RootCausesAnalysis()], context)
+        second = Executor(jobs=2, cache=cache).run(
             [RootCausesAnalysis()], context
         )
-        Executor(backend="stream", cache=cache).run(
-            [RootCausesAnalysis()], context
-        )
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.hits == 1 and cache.misses == 1
+        assert first == second
 
     def test_disk_cache_survives_processes(self, context, tmp_path):
-        first = Executor(
-            backend="stream", cache=ResultCache(tmp_path)
-        ).run([RootCausesAnalysis()], context)
+        first = Executor(cache=ResultCache(tmp_path)).run(
+            [RootCausesAnalysis()], context
+        )
         fresh = ResultCache(tmp_path)
-        second = Executor(backend="stream", cache=fresh).run(
+        second = Executor(cache=fresh).run(
             [RootCausesAnalysis()], context
         )
         assert fresh.hits == 1 and fresh.misses == 0
@@ -167,7 +180,7 @@ class TestCache:
 
     def test_explicit_source_bypasses_cache(self, scenario, context):
         cache = ResultCache()
-        Executor(backend="stream", cache=cache).run(
+        Executor(cache=cache).run(
             [RootCausesAnalysis()], context,
             source=iter_scenario_reports(scenario),
         )
@@ -175,7 +188,7 @@ class TestCache:
 
     def test_clear(self, context, tmp_path):
         cache = ResultCache(tmp_path)
-        Executor(backend="stream", cache=cache).run(
+        Executor(cache=cache).run(
             [RootCausesAnalysis()], context
         )
         assert len(cache) == 1 and list(tmp_path.glob("*.pkl"))
@@ -207,19 +220,23 @@ class TestRegistry:
         assert all(isinstance(a, Analysis) for a in registry().values())
 
     def test_corpus_analyses_have_batch_paths(self):
+        # Every corpus analysis folds column batches; every SEV one
+        # also fills from SQL, so a SEV store is answered by SQL alone.
         for analysis in registry().values():
             if analysis.requires_corpus:
-                assert analysis.has_batch_path(), analysis.name
+                assert analysis.has_fold_batch(), analysis.name
+                if analysis.domain == "sev":
+                    assert analysis.has_sql_fold(), analysis.name
 
 
 class TestRunIntraReport:
     def test_matches_core_entry_point(self, context, store):
         from repro.core import intra_study_report
 
-        via_runtime = run_intra_report(context, backend="batch")
+        via_runtime = run_intra_report(context)
         via_core = intra_study_report(store, context.fleet)
         assert via_runtime == via_core
 
     def test_render_smoke(self, context):
-        text = run_intra_report(context, backend="stream").render()
+        text = run_intra_report(context).render()
         assert "Table 2" in text and "Growth (Figure 8)" in text

@@ -1,7 +1,7 @@
 """Tests for the what-if grid runner (:mod:`repro.scenarios.grid`).
 
 The acceptance contract: a grid cell's report digest is bit-identical
-to running the same spec standalone on every backend; a warm re-run
+to running the same spec standalone on every execution path; a warm re-run
 is pure cell-cache hits with an unchanged summary digest; a crashed
 cell retries once and converges; and the CLI / serve surfaces expose
 the same expansion.
@@ -14,7 +14,15 @@ import pytest
 from repro.cli import main
 from repro.faultline import FaultPlan, FaultSpec, GridCellCrash, hooks
 from repro.faultline.oracle import report_digest
-from repro.runtime import ResultCache, RunContext, run_intra_report
+from repro.runtime import (
+    Executor,
+    ResultCache,
+    RunContext,
+    intra_report_analyses,
+    intra_report_from,
+    reference_fold,
+    run_intra_report,
+)
 from repro.scenarios import (
     GridRunner,
     GridSpec,
@@ -66,46 +74,67 @@ class TestExpansion:
             GridSpec(base=BASE, axes={"scale": [-1.0]})
 
 
+def _column_batches(context):
+    return intra_report_from(Executor(batch_size=64).run(
+        intra_report_analyses(), context,
+        source=context.store.all_reports(),
+    ))
+
+
+#: Standalone runs a grid cell must reproduce: the plan's SQL
+#: ("batch"), the per-row reference fold ("stream"), the plan at two
+#: jobs ("sharded"), and the store's rows as column batches
+#: ("columnar").
+STANDALONE = {
+    "batch": run_intra_report,
+    "stream": lambda context: intra_report_from(
+        reference_fold(intra_report_analyses(), context)
+    ),
+    "sharded": lambda context: run_intra_report(context, jobs=2),
+    "columnar": _column_batches,
+}
+
+
 class TestRunner:
     @pytest.mark.parametrize(
         "backend,kwargs",
         [
             ("batch", {}),
             ("stream", {}),
-            ("sharded", {"jobs": 2, "use_processes": True}),
+            ("sharded", {"jobs": 2}),
             ("columnar", {}),
         ],
     )
     def test_cell_equals_standalone(self, backend, kwargs):
         grid = GridSpec(base=BASE, axes={"fabric_year": [2015, 2016]})
-        report = GridRunner(backend=backend, **kwargs).run(grid)
+        report = GridRunner(**kwargs).run(grid)
         for cell in grid.cells():
             scenario = cell.spec.materialize()
-            standalone = report_digest(run_intra_report(
+            standalone = report_digest(STANDALONE[backend](
                 RunContext(
                     store=IntraSimulator(scenario).run(),
                     fleet=scenario.fleet,
                     corpus_seed=scenario.seed,
                     scenario_digest=scenario.spec_digest,
                 ),
-                backend=backend, **kwargs,
             ))
             assert (report["cells"][cell.index]["report_digest"]
                     == standalone)
 
     def test_summary_digest_identical_across_backends(self):
+        # Across worker counts: the plan at one and two jobs.
         grid = small_grid()
         digests = {
-            GridRunner(backend=backend).run(grid)["summary_digest"]
-            for backend in ("batch", "stream", "columnar")
+            GridRunner(jobs=jobs).run(grid)["summary_digest"]
+            for jobs in (1, 2)
         }
         assert len(digests) == 1
 
     def test_warm_rerun_is_all_cache_hits(self):
         grid = small_grid()
         cache = ResultCache()
-        first = GridRunner(backend="stream", cache=cache).run(grid)
-        runner = GridRunner(backend="stream", cache=cache)
+        first = GridRunner(cache=cache).run(grid)
+        runner = GridRunner(cache=cache)
         second = runner.run(grid)
         assert runner.cell_hits == grid.cell_count()
         assert runner.cell_misses == 0
@@ -113,10 +142,10 @@ class TestRunner:
 
     def test_overlapping_grids_share_cells(self):
         cache = ResultCache()
-        GridRunner(backend="stream", cache=cache).run(
+        GridRunner(cache=cache).run(
             GridSpec(base=BASE, axes={"fabric_year": [2015, 2016]})
         )
-        runner = GridRunner(backend="stream", cache=cache)
+        runner = GridRunner(cache=cache)
         runner.run(
             GridSpec(base=BASE, axes={"fabric_year": [2016, 2017]})
         )
@@ -125,11 +154,11 @@ class TestRunner:
 
     def test_crashed_cell_retries_and_converges(self):
         grid = GridSpec(base=BASE, axes={"fabric_year": [2015, 2016]})
-        baseline = GridRunner(backend="stream").run(grid)
+        baseline = GridRunner().run(grid)
         plan = FaultPlan(11, [
             FaultSpec("grid.cell", probability=1.0, max_fires=2),
         ])
-        runner = GridRunner(backend="stream")
+        runner = GridRunner()
         with hooks.injected(plan):
             faulted = runner.run(grid)
         assert plan.fired() == 2
@@ -144,7 +173,7 @@ class TestRunner:
     def test_backbone_grid(self):
         base = preset("paper_backbone").with_updates(seed=9)
         grid = GridSpec(base=base, axes={"links_per_edge": [3, 4]})
-        report = GridRunner(backend="stream").run(grid)
+        report = GridRunner().run(grid)
         assert len(report["cells"]) == 2
         links = [c["metrics"]["links"] for c in report["cells"]]
         assert links[0] < links[1]
@@ -153,17 +182,17 @@ class TestRunner:
 class TestDiff:
     def test_identical(self):
         grid = small_grid()
-        left = GridRunner(backend="stream").run(grid)
-        right = GridRunner(backend="batch").run(grid)
+        left = GridRunner().run(grid)
+        right = GridRunner(jobs=2).run(grid)
         diff = grid_diff(left, right)
         assert diff["identical"]
         assert not diff["changed"]
 
     def test_changed_and_disjoint_cells(self):
-        left = GridRunner(backend="stream").run(
+        left = GridRunner().run(
             GridSpec(base=BASE, axes={"fabric_year": [2015, 2016]})
         )
-        right = GridRunner(backend="stream").run(
+        right = GridRunner().run(
             GridSpec(
                 base=BASE.with_updates(growth=1.2),
                 axes={"fabric_year": [2015, 2017]},
@@ -178,7 +207,7 @@ class TestVizTables:
     def test_grid_table_lists_every_cell(self):
         from repro.viz import grid_table
 
-        report = GridRunner(backend="stream").run(small_grid())
+        report = GridRunner().run(small_grid())
         text = grid_table(report)
         assert "fabric_year" in text
         assert text.count("\n") >= 4 + 2
@@ -186,7 +215,7 @@ class TestVizTables:
     def test_axis_table_pivots(self):
         from repro.viz import axis_table
 
-        report = GridRunner(backend="stream").run(small_grid())
+        report = GridRunner().run(small_grid())
         text = axis_table(report, "fabric_year", "fabric_incidents")
         assert "2015" in text and "2016" in text
         assert "hazard.CORE=1.0" in text
@@ -194,7 +223,7 @@ class TestVizTables:
     def test_axis_table_unknown_axis(self):
         from repro.viz import axis_table
 
-        report = GridRunner(backend="stream").run(small_grid())
+        report = GridRunner().run(small_grid())
         with pytest.raises(ValueError):
             axis_table(report, "nope", "rows")
 

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.simulation.generator import scenario_cells
 from repro.simulation.scenarios import paper_scenario
-from repro.stream import generate_aggregates, shutdown_pool
+from repro.runtime import shutdown_executor_pool
+from repro.stream import generate_aggregates
 from repro.stream.sharding import (
     AUTO_MAX_JOBS,
     AUTO_SERIAL_THRESHOLD,
@@ -181,19 +182,22 @@ class TestCrossJobsDeterminism:
                 scenario, jobs=1
             ).digest()
         finally:
-            shutdown_pool()
+            shutdown_executor_pool()
 
     def test_pool_is_reused_across_calls(self):
-        from repro.stream import sharding
+        # Generation runs on the runtime's one shared pool: repeated
+        # calls — and the executor's pooled folds — reuse it.
+        from repro.runtime import executor
 
         scenario = paper_scenario(seed=SEEDS[1], scale=0.25)
         try:
             first = generate_aggregates(scenario, jobs=2)
-            pool = sharding._POOL
+            pool = executor._POOL
             assert pool is not None
             second = generate_aggregates(scenario, jobs=2)
-            assert sharding._POOL is pool
+            assert executor._POOL is pool
+            assert executor.shared_pool(2) is pool
             assert first.digest() == second.digest()
         finally:
-            shutdown_pool()
-            assert sharding._POOL is None
+            shutdown_executor_pool()
+            assert executor._POOL is None

@@ -1,7 +1,8 @@
-"""Backend-equivalence and grid-integration tests for survivability.
+"""Path-equivalence and grid-integration tests for survivability.
 
-Property (c): every runtime backend — batch, stream, sharded (with
-processes), columnar — answers every survivability analysis with a
+Property (c): every execution path — the per-row reference fold, the
+plan's serial column batches, and the plan's column shards on the
+worker pool — answers every survivability analysis with a
 bit-identical digest, over multiple seeds.  Plus the sweep contract:
 correlated knobs are grid axes like any other, with whole-cell cache
 hits on a warm re-run.
@@ -10,14 +11,24 @@ hits on a warm re-run.
 import pytest
 
 from repro.faultline.oracle import report_digest
-from repro.runtime import BACKENDS, Executor, ResultCache, RunContext
+from repro.runtime import Executor, ResultCache, RunContext, reference_fold
 from repro.survivability import (
     generate_trials,
     run_survivability_report,
     survivability_report_analyses,
+    survivability_report_from,
 )
 
 SEEDS = (1, 7, 13)
+
+#: Every path the runtime answers a trial corpus by.
+PATHS = {
+    "reference": reference_fold,
+    "planned": lambda analyses, context: Executor().run(analyses, context),
+    "planned_jobs2": lambda analyses, context: Executor(
+        jobs=2, batch_size=32
+    ).run(analyses, context),
+}
 
 
 def _context(seed, correlated=None):
@@ -30,46 +41,43 @@ class TestBackendEquivalence:
     def test_report_digest_identical_on_all_backends(self, seed):
         context = _context(seed, correlated={"trials": 6})
         digests = {
-            backend: report_digest(run_survivability_report(
-                context, backend=backend, jobs=2,
-                use_processes=backend == "sharded",
+            path: report_digest(survivability_report_from(
+                run(survivability_report_analyses(), context)
             ))
-            for backend in BACKENDS
+            for path, run in PATHS.items()
         }
         assert len(set(digests.values())) == 1, digests
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_analysis_identical_per_backend(self, seed):
         # Finer-grained than the report digest: each of the three
-        # analyses must agree individually across backends.
+        # analyses must agree individually across paths.
         context = _context(seed, correlated={
             "trials": 4, "power_domain_size": 3, "storm_bias": 1.5,
             "maintenance_clustering": 0.25,
         })
-        per_backend = {}
-        for backend in BACKENDS:
-            results = Executor(backend=backend, jobs=2).run(
-                survivability_report_analyses(), context
-            )
-            per_backend[backend] = {
+        per_path = {}
+        for path, run in PATHS.items():
+            results = run(survivability_report_analyses(), context)
+            per_path[path] = {
                 name: report_digest(result)
                 for name, result in results.items()
             }
-        names = {frozenset(d) for d in per_backend.values()}
+        names = {frozenset(d) for d in per_path.values()}
         assert len(names) == 1
         for name in next(iter(names)):
-            digests = {d[name] for d in per_backend.values()}
-            assert len(digests) == 1, (name, per_backend)
+            digests = {d[name] for d in per_path.values()}
+            assert len(digests) == 1, (name, per_path)
 
     def test_cache_round_trip_is_digest_stable(self):
         cache = ResultCache()
         context = _context(1, correlated={"trials": 4})
         cold = report_digest(run_survivability_report(
-            context, backend="stream", cache=cache
+            context, cache=cache
         ))
         hits_before = cache.hits
         warm = report_digest(run_survivability_report(
-            context, backend="stream", cache=cache
+            context, cache=cache
         ))
         assert warm == cold
         assert cache.hits > hits_before
@@ -82,9 +90,9 @@ class TestBackendEquivalence:
         assert plain.corpus_for("trial").fingerprint() != \
             stormy.corpus_for("trial").fingerprint()
         assert report_digest(
-            run_survivability_report(plain, backend="stream")
+            run_survivability_report(plain)
         ) != report_digest(
-            run_survivability_report(stormy, backend="stream")
+            run_survivability_report(stormy)
         )
 
 
@@ -104,7 +112,7 @@ class TestGridSweep:
         from repro.scenarios import GridRunner
 
         grid = self._grid()
-        report = GridRunner(backend="stream").run(grid)
+        report = GridRunner().run(grid)
         cells = report["cells"]
         assert len(cells) == 2
         by_size = {
@@ -127,8 +135,8 @@ class TestGridSweep:
 
         grid = self._grid()
         cache = ResultCache()
-        cold = GridRunner(backend="stream", cache=cache).run(grid)
-        warm_runner = GridRunner(backend="stream", cache=cache)
+        cold = GridRunner(cache=cache).run(grid)
+        warm_runner = GridRunner(cache=cache)
         warm = warm_runner.run(grid)
         assert warm_runner.cell_hits == grid.cell_count()
         assert warm_runner.cell_misses == 0
@@ -141,7 +149,7 @@ class TestGridSweep:
 
         base = preset("paper").with_updates(seed=3, scale=0.05)
         grid = GridSpec(base=base, axes={"fabric_year": [2015]})
-        report = GridRunner(backend="stream").run(grid)
+        report = GridRunner().run(grid)
         (cell,) = report["cells"]
         assert "survivability_digest" not in cell
         assert "fabric_advantage" not in cell["metrics"]

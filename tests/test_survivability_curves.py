@@ -22,7 +22,7 @@ from repro.survivability import (
 def _report(seed=1, correlated=None):
     trials = generate_trials(seed=seed, correlated=correlated)
     context = RunContext(trials=trials, corpus_seed=seed)
-    return trials, run_survivability_report(context, backend="stream")
+    return trials, run_survivability_report(context)
 
 
 class TestMonotonicity:
