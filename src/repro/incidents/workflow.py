@@ -16,9 +16,8 @@ enforced here:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.incidents.sev import RootCause, Severity, SEVReport
 from repro.incidents.store import SEVStore
@@ -67,7 +66,9 @@ class SEVAuthoringWorkflow:
     def __init__(self, store: SEVStore, id_prefix: str = "sev") -> None:
         self._store = store
         self._prefix = id_prefix
-        self._counter = itertools.count(len(store))
+        # The number of the next SEV id; it only advances once a
+        # report is written, so a failed publish leaves no gap.
+        self._next_id = len(store)
 
     def validate(self, draft: SEVDraft) -> List[str]:
         """Run the review checklist; returns problems (empty = passes)."""
@@ -105,8 +106,52 @@ class SEVAuthoringWorkflow:
         if self.validate(draft):
             draft.state = ReviewState.REJECTED
             return None
-        report = SEVReport(
-            sev_id=f"{self._prefix}-{next(self._counter):06d}",
+        report = self._report(draft, self._next_id)
+        self._store.insert(report)
+        self._next_id += 1
+        draft.state = ReviewState.PUBLISHED
+        return report
+
+    def publish_many(self, drafts: Iterable[SEVDraft]) -> List[SEVReport]:
+        """Submit, review and publish a batch of drafts in one transaction.
+
+        The same ids and rows as :meth:`author_and_publish` on each
+        draft in turn, but all or nothing: every draft is checked
+        first, and if any is not a fresh draft or fails the review
+        checklist, :class:`ValidationError` names it by position and
+        nothing is written, no id is consumed and no draft changes
+        state.  Otherwise the reports go to the store through one
+        :meth:`SEVStore.insert_many` call (one commit for the batch)
+        and every draft ends ``PUBLISHED``.
+        """
+        drafts = list(drafts)
+        problems = []
+        for position, draft in enumerate(drafts):
+            if draft.state is not ReviewState.DRAFT:
+                problems.append(
+                    f"draft {position}: cannot submit a draft in {draft.state}"
+                )
+                continue
+            problems.extend(
+                f"draft {position}: {problem}"
+                for problem in self.validate(draft)
+            )
+        if problems:
+            raise ValidationError(f"batch rejected: {'; '.join(problems)}")
+        reports = [
+            self._report(draft, self._next_id + offset)
+            for offset, draft in enumerate(drafts)
+        ]
+        self._store.insert_many(reports)
+        self._next_id += len(reports)
+        for draft in drafts:
+            draft.state = ReviewState.PUBLISHED
+        return reports
+
+    def _report(self, draft: SEVDraft, number: int) -> SEVReport:
+        """The published report of a reviewed draft."""
+        return SEVReport(
+            sev_id=f"{self._prefix}-{number:06d}",
             severity=draft.severity,
             device_name=draft.device_name,
             opened_at_h=draft.opened_at_h,
@@ -116,9 +161,6 @@ class SEVAuthoringWorkflow:
             service_impact=draft.service_impact,
             reviewed=True,
         )
-        self._store.insert(report)
-        draft.state = ReviewState.PUBLISHED
-        return report
 
     def author_and_publish(self, draft: SEVDraft) -> SEVReport:
         """Submit and review in one step; raises on rejection."""

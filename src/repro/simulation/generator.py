@@ -280,6 +280,7 @@ class IntraSimulator:
             self._rng,
         )
         mu = self._scenario.irt_mu(year)
+        drafts = []
         for t, severity, cause in zip(times, severities, causes):
             duration = math.exp(
                 self._rng.gauss(mu, self._scenario.irt_sigma)
@@ -287,7 +288,7 @@ class IntraSimulator:
             # Cap pathological tail draws at a year: the paper notes
             # occasional months-long recoveries, not multi-year ones.
             duration = min(duration, HOURS_PER_YEAR)
-            draft = SEVDraft(
+            drafts.append(SEVDraft(
                 severity=severity,
                 device_name=self._device_name(device_type, year),
                 opened_at_h=t,
@@ -295,8 +296,9 @@ class IntraSimulator:
                 root_causes=[cause],
                 description=self._rng.choice(_DESCRIPTIONS[cause]),
                 service_impact=_IMPACTS[severity],
-            )
-            workflow.author_and_publish(draft)
+            ))
+        # One commit per (year, device type) cell.
+        workflow.publish_many(drafts)
 
     def _device_name(self, device_type: DeviceType, year: int) -> str:
         return _random_device_name(

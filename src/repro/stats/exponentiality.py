@@ -5,6 +5,10 @@
 exponential functions."  This module tests that claim on the raw
 event data: Kolmogorov-Smirnov against a rate-matched exponential, and
 the coefficient-of-variation diagnostic (an exponential has CV = 1).
+
+``scipy.stats`` is imported inside :func:`test_exponentiality`, its
+only user: loading it costs over a second, and no CLI command or
+served request runs the test.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ def test_exponentiality(samples: Sequence[float]) -> ExponentialityResult:
     optimistic (the Lilliefors effect), which is acceptable here: the
     paper's claim is "closely follow", not a sharp hypothesis test.
     """
+    from scipy import stats as sps
+
     arr = np.asarray(list(samples), dtype=float)
     if arr.size < 8:
         raise ValueError("exponentiality testing needs >= 8 samples")

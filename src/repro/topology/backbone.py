@@ -77,10 +77,26 @@ class FiberLink:
 
 @dataclass
 class BackboneTopology:
-    """Edge nodes joined by fiber links."""
+    """Edge nodes joined by fiber links.
+
+    Add links through :meth:`add_link` (or pass them to the
+    constructor): it keeps the per-edge link index that
+    :meth:`links_of_edge` answers from.
+    """
 
     edges: Dict[str, EdgeNode] = field(default_factory=dict)
     links: Dict[str, FiberLink] = field(default_factory=dict)
+    _links_by_edge: Dict[str, List[FiberLink]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for link in self.links.values():
+            self._index(link)
+
+    def _index(self, link: FiberLink) -> None:
+        for end in link.endpoints:
+            self._links_by_edge.setdefault(end, []).append(link)
 
     def add_edge_node(self, node: EdgeNode) -> None:
         if node.name in self.edges:
@@ -94,11 +110,13 @@ class BackboneTopology:
             if end not in self.edges:
                 raise KeyError(f"link endpoint {end!r} is not a known edge")
         self.links[link.link_id] = link
+        self._index(link)
 
     def links_of_edge(self, edge: str) -> List[FiberLink]:
+        """The edge's links in link order, as a fresh list."""
         if edge not in self.edges:
             raise KeyError(f"unknown edge {edge!r}")
-        return [l for l in self.links.values() if l.touches(edge)]
+        return list(self._links_by_edge.get(edge, ()))
 
     def vendors(self) -> Set[str]:
         return {l.vendor for l in self.links.values()}

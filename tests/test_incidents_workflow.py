@@ -123,3 +123,73 @@ class TestLifecycle:
                 for _ in range(10)
             }
             assert len(ids) == 10
+
+
+def batch():
+    """Five valid drafts over three device types and two causes."""
+    return [
+        draft(device_name=f"{kind}.{i:03d}.pod1.dc1.ra",
+              opened_at_h=10.0 * i, resolved_at_h=10.0 * i + 3.5,
+              root_causes=[RootCause.BUG if i % 2 else RootCause.HARDWARE],
+              severity=Severity.SEV2 if i == 3 else Severity.SEV3)
+        for i, kind in enumerate(["rsw", "fsw", "rsw", "csa", "fsw"])
+    ]
+
+
+class TestPublishMany:
+    def test_same_ids_and_rows_as_one_at_a_time(self):
+        with SEVStore() as one_by_one, SEVStore() as batched:
+            single = SEVAuthoringWorkflow(one_by_one)
+            expected = [single.author_and_publish(d) for d in batch()]
+            drafts = batch()
+            published = SEVAuthoringWorkflow(batched).publish_many(drafts)
+            assert [r.sev_id for r in published] == [
+                r.sev_id for r in expected
+            ]
+            assert list(batched.all_reports()) == list(
+                one_by_one.all_reports()
+            )
+            assert all(d.state is ReviewState.PUBLISHED for d in drafts)
+
+    def test_ids_continue_across_calls_and_paths(self):
+        with SEVStore() as store:
+            workflow = SEVAuthoringWorkflow(store)
+            first = workflow.publish_many(batch()[:2])
+            middle = workflow.author_and_publish(draft())
+            last = workflow.publish_many(batch()[2:])
+            ids = [r.sev_id for r in first + [middle] + last]
+            assert ids == [f"sev-{n:06d}" for n in range(6)]
+            assert SEVAuthoringWorkflow(store).publish_many(
+                [draft()]
+            )[0].sev_id == "sev-000006"
+
+    def test_empty_batch_writes_nothing(self):
+        with SEVStore() as store:
+            workflow = SEVAuthoringWorkflow(store)
+            assert workflow.publish_many([]) == []
+            assert len(store) == 0
+            assert workflow.author_and_publish(draft()).sev_id == "sev-000000"
+
+    def test_one_invalid_draft_rejects_the_whole_batch(self):
+        with SEVStore() as store:
+            workflow = SEVAuthoringWorkflow(store)
+            workflow.author_and_publish(draft())
+            drafts = batch()
+            drafts[3].description = ""
+            with pytest.raises(ValidationError, match="draft 3: .*describe"):
+                workflow.publish_many(drafts)
+            assert len(store) == 1
+            assert all(d.state is ReviewState.DRAFT for d in drafts)
+            # No id was consumed: the next publish gets the id the
+            # failed batch would have used first.
+            assert workflow.author_and_publish(draft()).sev_id == "sev-000001"
+
+    def test_a_submitted_draft_rejects_the_batch(self):
+        with SEVStore() as store:
+            workflow = SEVAuthoringWorkflow(store)
+            drafts = batch()
+            workflow.submit(drafts[1])
+            with pytest.raises(ValidationError, match="draft 1: cannot submit"):
+                workflow.publish_many(drafts)
+            assert len(store) == 0
+            assert workflow.publish_many(batch())[0].sev_id == "sev-000000"

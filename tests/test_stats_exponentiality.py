@@ -1,10 +1,15 @@
 """Tests for exponentiality testing (section 6's headline claim)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.stats.exponentiality import (
     interarrival_times,
     test_exponentiality as check_exponentiality,
@@ -84,3 +89,24 @@ class TestPaperClaim:
         # the vast majority repair within a few multiples of the mean.
         assert result.cv > 0.8
         assert np.percentile(durations, 90) < 6 * result.mean
+
+
+class TestImportCost:
+    def test_importing_the_cli_loads_no_scipy(self):
+        """scipy.stats is loaded only when the KS test runs.
+
+        A fresh interpreter, so modules this suite has already imported
+        cannot hide an eager import.
+        """
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout.strip() == "[]"
