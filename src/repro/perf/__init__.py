@@ -1,31 +1,29 @@
 """Performance measurement toolkit.
 
-Phase timers and events/s counters (:mod:`repro.perf.timers`), JSON
-benchmark records with environment capture
-(:mod:`repro.perf.record`), and the built-in benchmark suite behind
-``python -m repro bench`` (:mod:`repro.perf.bench`).  Records land in
-``benchmarks/out/*.json`` so every PR can report a comparable
-performance trajectory alongside the paper artifacts.
+JSON benchmark records with environment capture
+(:mod:`repro.perf.record`) and the built-in benchmark suite behind
+``python -m repro bench`` (:mod:`repro.perf.bench`): four in-process
+comparisons of strategies that do the same work.  The end-to-end
+workloads are timed in fresh processes by the repository benchmark,
+``perfbench/``.  Records land in ``benchmarks/out/*.json`` so every PR
+can report a comparable performance trajectory alongside the paper
+artifacts.
 
 Quickstart::
 
-    from repro.perf import PhaseTimer
+    from repro.perf import bench_fold_matrix
 
-    timer = PhaseTimer()
-    with timer.phase("ingest") as p:
-        p.events = store.bulk_load(reports)
-    print(f"{timer['ingest'].events_per_s:,.0f} rows/s")
+    record = bench_fold_matrix(scale=0.25, rounds=1)
+    print(f"partitioned overhead "
+          f"{record.metrics['partitioned_overhead']:.2f}x")
 """
 
 from repro.perf.bench import (
     bench_backbone,
     bench_fold_matrix,
-    bench_grid,
     bench_ingest,
-    bench_partitioned_scan,
-    bench_serve,
     bench_stream_throughput,
-    bench_survivability,
+    events_per_second,
     run_bench_suite,
 )
 from repro.perf.record import (
@@ -34,20 +32,13 @@ from repro.perf.record import (
     load_record,
     write_record,
 )
-from repro.perf.timers import Phase, PhaseTimer, events_per_second
 
 __all__ = [
     "BenchRecord",
-    "Phase",
-    "PhaseTimer",
     "bench_backbone",
     "bench_fold_matrix",
-    "bench_grid",
     "bench_ingest",
-    "bench_partitioned_scan",
-    "bench_serve",
     "bench_stream_throughput",
-    "bench_survivability",
     "environment",
     "events_per_second",
     "load_record",

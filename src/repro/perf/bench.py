@@ -1,7 +1,11 @@
 """The built-in benchmark suite (``python -m repro bench``).
 
-Eight hot paths, each measured with :mod:`repro.perf` primitives and
-recorded as a JSON :class:`~repro.perf.record.BenchRecord`:
+Four in-process comparisons of strategies that do the same work, each
+recorded as a JSON :class:`~repro.perf.record.BenchRecord`.  The
+end-to-end workloads (``report full``, ``grid run``, served requests)
+are timed in fresh processes by the repository benchmark,
+``perfbench/``; these benches time what it cannot see, the strategies
+side by side inside one interpreter:
 
 ``stream_throughput``
     sharded parallel corpus generation (cells -> aggregates -> merge)
@@ -15,38 +19,18 @@ recorded as a JSON :class:`~repro.perf.record.BenchRecord`:
     batches); plus the tiered store's ``ingest`` routing the same rows
     to per-(year, region) SQLite shards at multi-shard scale.  Reports
     rows/s per method and the bulk speedup.
-``partitioned_scan``
-    the full intra report over a monolithic store vs a tiered
-    partitioned store (half its history demoted to the gzip cold
-    tier), by the per-row reference fold and by the plan; asserts
-    every variant's ``report_digest`` is bit-identical and reports
-    the partitioned-scan overhead.
 ``fold_matrix``
     the fold engine's three strategies — the per-row reference fold,
     the plan, and the plan at ``jobs`` on the shared process pool —
-    × both storage layouts; asserts all six digests are bit-identical
-    and quotes every speedup against the fastest serial strategy
-    (parallel metrics only where ``cpu_count`` covers ``jobs``).
+    × both storage layouts; asserts all six digests are bit-identical,
+    quotes every speedup against the fastest serial strategy
+    (parallel metrics only where ``cpu_count`` covers ``jobs``), and
+    reports the plan's partitioned-over-monolithic overhead.
 ``backbone_report``
     the section 6 ticket-domain report by the same three strategies
     plus a content-addressed cached re-run; reports tickets/s per
     strategy and the cache speedup, and asserts all agree bit for
     bit.
-``serve_latency``
-    a live :mod:`repro.serve` server under concurrent readers plus one
-    job-submitting writer; reports requests/s and p50/p99 latency per
-    endpoint with zero tolerated errors.
-``grid_sweep``
-    a small what-if lattice expanded by :class:`~repro.scenarios.GridSpec`
-    and run cold through :class:`~repro.scenarios.GridRunner` at one
-    and two jobs (fresh :class:`~repro.runtime.ResultCache` each),
-    then warm; reports cells/s per run, the warm re-run's cache-hit
-    ratio, and asserts the grid's ``summary_digest`` never moves.
-``survivability``
-    the correlated-failure survivability study over one generated
-    trial corpus by the three fold strategies plus a warm cached
-    re-run; asserts every ``report_digest`` is bit-identical and
-    reports rows/s per strategy and the cache-hit ratio.
 
 The suite prints rendered tables and writes one record per benchmark
 to the output directory, so successive PRs accumulate a comparable
@@ -61,7 +45,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.perf.record import BenchRecord, write_record
-from repro.perf.timers import events_per_second
 
 #: Default corpus scale for the full suite (the scale the throughput
 #: acceptance numbers are quoted at) and for ``--quick``.
@@ -74,6 +57,13 @@ _JOBS_QUICK: Tuple = (1, 2, "auto")
 #: Pool width of the ``planned_jobs*`` strategies: the recording
 #: host's core count, so the parallel rows are measurable there.
 POOLED_JOBS = 2
+
+
+def events_per_second(events: int, seconds: float) -> float:
+    """Throughput, zero when no time was observed (never divides by 0)."""
+    if seconds <= 0.0:
+        return 0.0
+    return events / seconds
 
 
 def _best_of(rounds: int, run) -> Tuple[float, object]:
@@ -150,73 +140,69 @@ def bench_stream_throughput(
 def bench_ingest(
     seed: int = 2,
     scale: float = FULL_SCALE,
-    directory: Optional[Path] = None,
 ) -> BenchRecord:
     """Measure SEV store ingestion: row-wise vs batched vs bulk.
 
     Every variant loads the identical report list into a fresh
-    *on-disk* database (durability costs are the point), and the
-    loaded stores are checked for identical row counts.
+    *on-disk* database (durability costs are the point).  Each variant
+    is timed once, since a second load into the same store would
+    double its rows, and the loaded stores must hold identical
+    content.
     """
+    from repro.faultline.oracle import report_digest
     from repro.incidents.store import SEVStore
     from repro.simulation.generator import iter_scenario_reports
     from repro.simulation.scenarios import paper_scenario
+    from repro.storage import PartitionedSEVStore
 
     scenario = paper_scenario(seed=seed, scale=scale)
     reports = list(iter_scenario_reports(scenario))
 
-    def timed_load(name: str, load) -> dict:
-        with tempfile.TemporaryDirectory() as tmp:
-            with SEVStore(str(Path(tmp) / f"{name}.db")) as store:
-                start = time.perf_counter()
-                load(store)
-                seconds = time.perf_counter() - start
-                rows = len(store)
+    def measure(method: str, store, load) -> dict:
+        seconds, _ = _best_of(1, lambda: load(store))
+        rows = len(store)
         assert rows == len(reports)
         return {
-            "method": name,
+            "method": method,
             "seconds": seconds,
             "rows": rows,
             "rows_per_s": events_per_second(rows, seconds),
+            "content_digest": report_digest(
+                sorted(store.all_reports(), key=lambda r: r.sev_id)
+            ),
         }
 
     def rowwise(store):
         for report in reports:
             store.insert(report)
 
-    variants = [
-        timed_load("insert_rowwise", rowwise),
-        timed_load("insert_many", lambda s: s.insert_many(reports)),
-        timed_load("bulk_load", lambda s: s.bulk_load(reports)),
-    ]
-
-    # The tiered store routes the same rows to per-(year, region)
-    # SQLite shards — the multi-shard ingest path of repro.storage.
-    from repro.storage import PartitionedSEVStore
-
+    variants = []
     with tempfile.TemporaryDirectory() as tmp:
-        store = PartitionedSEVStore.init(
+        for method, load in (
+            ("insert_rowwise", rowwise),
+            ("insert_many", lambda s: s.insert_many(reports)),
+            ("bulk_load", lambda s: s.bulk_load(reports)),
+        ):
+            with SEVStore(str(Path(tmp) / f"{method}.db")) as store:
+                variants.append(measure(method, store, load))
+        # The tiered store routes the same rows to per-(year, region)
+        # SQLite shards — the multi-shard ingest path of repro.storage.
+        tiered = PartitionedSEVStore.init(
             Path(tmp) / "tiered", meta={"seed": seed, "scale": scale}
         )
-        start = time.perf_counter()
-        store.ingest(reports)
-        seconds = time.perf_counter() - start
-        rows = len(store)
-        partitions = len(store.partition_keys())
-    assert rows == len(reports)
-    variants.append({
-        "method": "partitioned_ingest",
-        "seconds": seconds,
-        "rows": rows,
-        "rows_per_s": events_per_second(rows, seconds),
-        "partitions": partitions,
-    })
+        variants.append(measure("partitioned_ingest", tiered,
+                                lambda s: s.ingest(reports)))
+        partitions = len(tiered.partition_keys())
+        variants[-1]["partitions"] = partitions
 
     by_method = {entry["method"]: entry for entry in variants}
     bulk = by_method["bulk_load"]["seconds"]
     metrics = {
         "rows": len(reports),
         "partitions": partitions,
+        "digests_identical": len(
+            {entry["content_digest"] for entry in variants}
+        ) == 1,
         "variants": variants,
         "bulk_speedup_vs_rowwise": (
             by_method["insert_rowwise"]["seconds"] / bulk
@@ -378,98 +364,6 @@ def bench_backbone(
     )
 
 
-def _layout_strategies(seed: int, scale: float, rounds: int, jobs: int,
-                       strategies: int) -> Tuple[int, dict, List[dict]]:
-    """Time the intra report's fold strategies over both storage layouts.
-
-    One corpus, stored twice — the monolithic SQLite file and a tiered
-    partitioned store with roughly half its history demoted to the
-    gzip cold tier — and the first ``strategies`` entries of
-    :func:`_fold_strategies` run over each.  Returns ``(rows, tiers,
-    entries)``, one entry per (layout, strategy).
-    """
-    from repro.faultline.oracle import report_digest
-    from repro.runtime import (
-        RunContext,
-        intra_report_analyses,
-        intra_report_from,
-        shutdown_executor_pool,
-    )
-    from repro.simulation.generator import IntraSimulator
-    from repro.simulation.scenarios import paper_scenario
-    from repro.storage import PartitionedSEVStore
-
-    scenario = paper_scenario(seed=seed, scale=scale)
-    mono = IntraSimulator(scenario).run()
-    rows = len(mono)
-    entries = []
-    with tempfile.TemporaryDirectory() as tmp:
-        store = PartitionedSEVStore.init(
-            Path(tmp) / "tiered", meta={"seed": seed, "scale": scale}
-        )
-        store.ingest(mono.all_reports())
-        years = store.years()
-        if len(years) > 1:
-            store.compact(keep_hot_years=max(1, len(years) // 2))
-        tiers = store.status()["tiers"]
-        for layout, target in (("monolithic", mono), ("partitioned", store)):
-            context = RunContext(
-                store=target, fleet=scenario.fleet, corpus_seed=seed
-            )
-            for label, run in _fold_strategies(
-                intra_report_analyses, context, intra_report_from, jobs
-            )[:strategies]:
-                seconds, report = _best_of(rounds, run)
-                entries.append({
-                    "layout": layout,
-                    "strategy": label,
-                    "seconds": seconds,
-                    "rows": rows,
-                    "rows_per_s": events_per_second(rows, seconds),
-                    "report_digest": report_digest(report),
-                })
-    shutdown_executor_pool()
-    return rows, tiers, entries
-
-
-def bench_partitioned_scan(
-    seed: int = 2,
-    scale: float = FULL_SCALE,
-    rounds: int = 3,
-) -> BenchRecord:
-    """Measure the intra report over monolithic vs partitioned storage.
-
-    The per-row reference fold and the plan run over each layout;
-    every variant must produce the same ``report_digest`` bit for bit
-    — the storage layer's core acceptance criterion, measured rather
-    than assumed.  ``partitioned_overhead`` compares the plan across
-    the two layouts.
-    """
-    rows, tiers, variants = _layout_strategies(seed, scale, rounds, 1, 2)
-    for layout in ("monolithic", "partitioned"):
-        _quote_speedups([e for e in variants if e["layout"] == layout])
-    planned = {e["layout"]: e["seconds"] for e in variants
-               if e["strategy"] == "planned"}
-    metrics = {
-        "rows": rows,
-        "partitions": tiers["hot"] + tiers["cold"],
-        "tiers": tiers,
-        "digests_identical": len(
-            {entry["report_digest"] for entry in variants}
-        ) == 1,
-        "per_variant": variants,
-        "partitioned_overhead": (
-            planned["partitioned"] / planned["monolithic"]
-            if planned["monolithic"] > 0 else 0.0
-        ),
-    }
-    return BenchRecord(
-        name="partitioned_scan",
-        params={"seed": seed, "scale": scale, "rounds": rounds},
-        metrics=metrics,
-    )
-
-
 def bench_fold_matrix(
     seed: int = 2,
     scale: float = FULL_SCALE,
@@ -478,7 +372,9 @@ def bench_fold_matrix(
 ) -> BenchRecord:
     """Measure the fold engine across strategies and storage layouts.
 
-    Both layouts are answered three ways:
+    One corpus, stored twice — the monolithic SQLite file and a tiered
+    partitioned store with roughly half its history demoted to the
+    gzip cold tier — and each layout answered three ways:
 
     ``reference``
         the per-row reference fold
@@ -494,11 +390,54 @@ def bench_fold_matrix(
     Speedups are quoted against the fastest serial strategy of the
     same layout; the parallel metrics are ``None``, with a reason,
     when the recorded ``cpu_count`` is below ``jobs``.
+    ``partitioned_overhead`` is the plan's seconds on the partitioned
+    layout over its seconds on the monolithic one.
     """
     import os
 
+    from repro.faultline.oracle import report_digest
+    from repro.runtime import (
+        RunContext,
+        intra_report_analyses,
+        intra_report_from,
+        shutdown_executor_pool,
+    )
+    from repro.simulation.generator import IntraSimulator
+    from repro.simulation.scenarios import paper_scenario
+    from repro.storage import PartitionedSEVStore
+
     cores = os.cpu_count() or 1
-    rows, tiers, variants = _layout_strategies(seed, scale, rounds, jobs, 3)
+    scenario = paper_scenario(seed=seed, scale=scale)
+    mono = IntraSimulator(scenario).run()
+    rows = len(mono)
+    variants = []
+    with tempfile.TemporaryDirectory() as tmp:
+        store = PartitionedSEVStore.init(
+            Path(tmp) / "tiered", meta={"seed": seed, "scale": scale}
+        )
+        store.ingest(mono.all_reports())
+        years = store.years()
+        if len(years) > 1:
+            store.compact(keep_hot_years=max(1, len(years) // 2))
+        tiers = store.status()["tiers"]
+        for layout, target in (("monolithic", mono), ("partitioned", store)):
+            context = RunContext(
+                store=target, fleet=scenario.fleet, corpus_seed=seed
+            )
+            for label, run in _fold_strategies(
+                intra_report_analyses, context, intra_report_from, jobs
+            ):
+                seconds, report = _best_of(rounds, run)
+                variants.append({
+                    "layout": layout,
+                    "strategy": label,
+                    "seconds": seconds,
+                    "rows": rows,
+                    "rows_per_s": events_per_second(rows, seconds),
+                    "report_digest": report_digest(report),
+                })
+    shutdown_executor_pool()
+
     layouts = {}
     for layout in ("monolithic", "partitioned"):
         entries = [e for e in variants if e["layout"] == layout]
@@ -506,6 +445,8 @@ def bench_fold_matrix(
             "fastest_serial": _quote_speedups(entries),
             **_parallel_metrics(entries, jobs, cores),
         }
+    planned = {e["layout"]: e["seconds"] for e in variants
+               if e["strategy"] == "planned"}
     metrics = {
         "rows": rows,
         "jobs": jobs,
@@ -517,302 +458,15 @@ def bench_fold_matrix(
         ) == 1,
         "per_variant": variants,
         "layouts": layouts,
+        "partitioned_overhead": (
+            planned["partitioned"] / planned["monolithic"]
+            if planned["monolithic"] > 0 else 0.0
+        ),
     }
     return BenchRecord(
         name="fold_matrix",
         params={
             "seed": seed, "scale": scale, "jobs": jobs, "rounds": rounds,
-        },
-        metrics=metrics,
-    )
-
-
-def bench_grid(
-    seed: int = 2,
-    scale: float = 0.1,
-    rounds: int = 1,
-) -> BenchRecord:
-    """Measure the what-if grid runner: cold at 1 and 2 jobs, then warm.
-
-    One six-cell lattice (three fabric-rollout years × two CORE hazard
-    multipliers) expanded once and run through a fresh
-    :class:`~repro.runtime.ResultCache` with the plan at one job and
-    at :data:`POOLED_JOBS`, then re-run warm over the one-job cache.  Reports
-    cells/s per run and the warm re-run's cache-hit ratio, and asserts
-    every run's ``summary_digest`` is bit-identical — the grid
-    runner's core acceptance criterion, measured rather than assumed.
-    """
-    from repro.runtime import ResultCache, shutdown_executor_pool
-    from repro.scenarios import GridRunner, GridSpec, preset
-
-    base = preset("paper").with_updates(seed=seed, scale=scale)
-    grid = GridSpec(
-        base=base,
-        axes={
-            "fabric_year": [2015, 2016, 2017],
-            "hazard.CORE": [1.0, 1.5],
-        },
-    )
-    cells = grid.cell_count()
-
-    caches = {}
-
-    def cold(n: int):
-        def run():
-            caches[n] = ResultCache()
-            return GridRunner(jobs=n, cache=caches[n]).run(grid)
-        return run
-
-    per_strategy = []
-    for label, run in (("planned", cold(1)),
-                       (f"planned_jobs{POOLED_JOBS}", cold(POOLED_JOBS))):
-        seconds, report = _best_of(rounds, run)
-        per_strategy.append({
-            "strategy": label,
-            "seconds": seconds,
-            "cells": cells,
-            "cells_per_s": events_per_second(cells, seconds),
-            "summary_digest": report["summary_digest"],
-        })
-    shutdown_executor_pool()
-
-    warm_s, warm = _best_of(
-        1, lambda: GridRunner(cache=caches[1]).run(grid)
-    )
-    hits = warm["cache"]["cell_hits"]
-    misses = warm["cache"]["cell_misses"]
-    per_strategy.append({
-        "strategy": "cached",
-        "seconds": warm_s,
-        "cells": cells,
-        "cells_per_s": events_per_second(cells, warm_s),
-        "summary_digest": warm["summary_digest"],
-    })
-    cold_s = per_strategy[0]["seconds"]
-    metrics = {
-        "cells": cells,
-        "axes": grid.axis_paths,
-        "digests_identical": len(
-            {e["summary_digest"] for e in per_strategy}
-        ) == 1,
-        "per_strategy": per_strategy,
-        "cache_hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
-        "cache_speedup_vs_cold": cold_s / warm_s if warm_s > 0 else 0.0,
-    }
-    return BenchRecord(
-        name="grid_sweep",
-        params={"seed": seed, "scale": scale, "rounds": rounds,
-                "jobs": POOLED_JOBS},
-        metrics=metrics,
-    )
-
-
-def bench_survivability(
-    seed: int = 2,
-    trials: int = 24,
-    rounds: int = 1,
-) -> BenchRecord:
-    """Measure the survivability study: reference fold vs the plan.
-
-    One correlated-failure trial corpus (generated once, timed
-    separately) answered by the per-row reference fold, the plan, and
-    the plan at :data:`POOLED_JOBS` (256-row batches shipped to the
-    pool), then
-    re-run warm through a :class:`~repro.runtime.ResultCache`.
-    Reports rows/s per strategy and the warm re-run's cache-hit
-    ratio, and asserts every ``report_digest`` is bit-identical — the
-    survivability family's core acceptance criterion, measured rather
-    than assumed.
-    """
-    from repro.faultline.oracle import report_digest
-    from repro.runtime import ResultCache, RunContext, shutdown_executor_pool
-    from repro.survivability import (
-        generate_trials,
-        run_survivability_report,
-        survivability_report_analyses,
-        survivability_report_from,
-    )
-
-    generate_s, corpus = _best_of(
-        1, lambda: generate_trials(seed=seed, correlated={"trials": trials})
-    )
-    rows = len(corpus)
-    context = RunContext(trials=corpus, corpus_seed=seed)
-
-    cache = ResultCache()
-    run_survivability_report(context, cache=cache)
-    hits_before, misses_before = cache.hits, cache.misses
-    strategies = _fold_strategies(survivability_report_analyses, context,
-                                  survivability_report_from, POOLED_JOBS,
-                                  batch_size=256)
-    strategies.append(
-        ("cached", lambda: run_survivability_report(context, cache=cache))
-    )
-    per_strategy = []
-    for label, run in strategies:
-        seconds, report = _best_of(rounds, run)
-        per_strategy.append({
-            "strategy": label,
-            "seconds": seconds,
-            "rows": rows,
-            "rows_per_s": events_per_second(rows, seconds),
-            "report_digest": report_digest(report),
-        })
-    shutdown_executor_pool()
-    hits = cache.hits - hits_before
-    misses = cache.misses - misses_before
-    fastest = _quote_speedups(per_strategy[:-1])
-    by_strategy = {e["strategy"]: e for e in per_strategy}
-    warm_s = by_strategy["cached"]["seconds"]
-    metrics = {
-        "rows": rows,
-        "generate_seconds": generate_s,
-        "digests_identical": len(
-            {e["report_digest"] for e in per_strategy}
-        ) == 1,
-        "per_strategy": per_strategy,
-        "fastest_serial": fastest,
-        "cache_hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
-        "cache_speedup_vs_fastest_serial": (
-            by_strategy[fastest]["seconds"] / warm_s if warm_s > 0 else 0.0
-        ),
-    }
-    return BenchRecord(
-        name="survivability",
-        params={"seed": seed, "trials": trials, "rounds": rounds,
-                "jobs": POOLED_JOBS},
-        metrics=metrics,
-    )
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile over an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
-
-
-def bench_serve(
-    seed: int = 1,
-    scale: float = 0.25,
-    readers: int = 8,
-    requests_per_reader: int = 25,
-    writer_jobs: int = 3,
-) -> BenchRecord:
-    """Measure the serving layer under concurrent readers + a live writer.
-
-    Starts a real :class:`~repro.serve.ServeApp` (pre-warmed cache) on
-    an ephemeral port, then drives it with ``readers`` threads issuing
-    HTTP GETs round-robin across the report, figure, table, and stats
-    endpoints while one writer thread POSTs ``writer_jobs`` report
-    jobs — the worst realistic mix: every read should be a cache hit
-    even while the job workers grind.  Reports requests/s and p50/p99
-    latency overall and per endpoint; any non-200 response counts as
-    an error (and the suite treats errors as a failed run).
-    """
-    import json as json_mod
-    import threading
-    import urllib.request
-
-    from repro.serve import ServeApp
-
-    endpoints = [
-        "/reports/intra",
-        "/reports/backbone",
-        "/figures/fig3",
-        "/figures/fig15",
-        "/tables/table2",
-        "/stats",
-        "/healthz",
-    ]
-    samples: List[Tuple[str, float]] = []
-    errors: List[str] = []
-    record_lock = threading.Lock()
-
-    with ServeApp(seed=seed, scale=scale, prewarm=True) as app:
-        base = app.url
-
-        def read_worker(worker: int) -> None:
-            for i in range(requests_per_reader):
-                endpoint = endpoints[(worker + i) % len(endpoints)]
-                start = time.perf_counter()
-                try:
-                    with urllib.request.urlopen(base + endpoint) as resp:
-                        resp.read()
-                        ok = resp.status == 200
-                        problem = f"{endpoint}: HTTP {resp.status}"
-                except Exception as exc:  # noqa: BLE001 - recorded below
-                    ok = False
-                    problem = f"{endpoint}: {exc}"
-                ms = (time.perf_counter() - start) * 1e3
-                with record_lock:
-                    if ok:
-                        samples.append((endpoint, ms))
-                    else:
-                        errors.append(problem)
-
-        def write_worker() -> None:
-            payload = json_mod.dumps({
-                "kind": "report",
-                "params": {"study": "intra", "seed": seed, "scale": 0.1},
-            }).encode()
-            for _ in range(writer_jobs):
-                request = urllib.request.Request(
-                    base + "/jobs", data=payload,
-                    headers={"Content-Type": "application/json"},
-                )
-                try:
-                    with urllib.request.urlopen(request) as resp:
-                        resp.read()
-                except Exception as exc:  # noqa: BLE001 - recorded below
-                    with record_lock:
-                        errors.append(f"POST /jobs: {exc}")
-
-        threads = [
-            threading.Thread(target=read_worker, args=(worker,))
-            for worker in range(readers)
-        ]
-        writer = threading.Thread(target=write_worker)
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        writer.start()
-        for thread in threads:
-            thread.join()
-        writer.join()
-        seconds = time.perf_counter() - start
-        app.queue.join(timeout=300)
-        cache_stats = app.state.cache.stats()
-        job_stats = app.queue.stats()
-
-    latencies = sorted(ms for _, ms in samples)
-    per_endpoint = {}
-    for endpoint in endpoints:
-        subset = sorted(ms for e, ms in samples if e == endpoint)
-        per_endpoint[endpoint] = {
-            "requests": len(subset),
-            "p50_ms": _percentile(subset, 0.50),
-            "p99_ms": _percentile(subset, 0.99),
-        }
-    metrics = {
-        "requests": len(samples),
-        "errors": len(errors),
-        "error_samples": errors[:5],
-        "seconds": seconds,
-        "requests_per_s": events_per_second(len(samples), seconds),
-        "p50_ms": _percentile(latencies, 0.50),
-        "p99_ms": _percentile(latencies, 0.99),
-        "per_endpoint": per_endpoint,
-        "cache": cache_stats,
-        "jobs": job_stats,
-    }
-    return BenchRecord(
-        name="serve_latency",
-        params={
-            "seed": seed, "scale": scale, "readers": readers,
-            "requests_per_reader": requests_per_reader,
-            "writer_jobs": writer_jobs,
         },
         metrics=metrics,
     )
@@ -863,10 +517,15 @@ def render_ingest_record(record: BenchRecord) -> str:
     )
 
 
-def _render_layouts(record: BenchRecord, title: str) -> str:
-    """The shared table of the per-(layout, strategy) records."""
+def _speedup(entry: dict) -> str:
+    speedup = entry.get("speedup_vs_fastest_serial")
+    return "-" if speedup is None else f"{speedup:.2f}x"
+
+
+def render_fold_matrix_record(record: BenchRecord) -> str:
     from repro.viz.tables import format_table
 
+    metrics = record.metrics
     rows = [
         [
             entry["layout"],
@@ -876,119 +535,40 @@ def _render_layouts(record: BenchRecord, title: str) -> str:
             f"{entry['rows_per_s']:,.0f}",
             _speedup(entry),
         ]
-        for entry in record.metrics["per_variant"]
+        for entry in metrics["per_variant"]
     ]
     return format_table(
         ["Layout", "Strategy", "Rows", "Seconds", "Rows/sec",
          "vs fastest serial"],
-        rows, title=title,
+        rows,
+        title=(f"Fold matrix (scale={record.params['scale']}, "
+               f"jobs={metrics['jobs']} on {metrics['cores']} cores, "
+               f"partitioned overhead "
+               f"{metrics['partitioned_overhead']:.2f}x, "
+               f"identical={metrics['digests_identical']})"),
     )
-
-
-def render_partitioned_record(record: BenchRecord) -> str:
-    tiers = record.metrics["tiers"]
-    return _render_layouts(
-        record,
-        f"Partitioned vs monolithic scan "
-        f"({tiers['hot']} hot + {tiers['cold']} cold partitions, "
-        f"identical={record.metrics['digests_identical']})",
-    )
-
-
-def _speedup(entry: dict) -> str:
-    speedup = entry.get("speedup_vs_fastest_serial")
-    return "-" if speedup is None else f"{speedup:.2f}x"
-
-
-def render_fold_matrix_record(record: BenchRecord) -> str:
-    metrics = record.metrics
-    return _render_layouts(
-        record,
-        f"Fold matrix (scale={record.params['scale']}, "
-        f"jobs={metrics['jobs']} on {metrics['cores']} cores, "
-        f"identical={metrics['digests_identical']})",
-    )
-
-
-def _render_strategies(record: BenchRecord, unit: str, title: str) -> str:
-    """The shared table of the per-strategy records."""
-    from repro.viz.tables import format_table
-
-    digest_key = next(
-        (k for k in ("summary_digest", "report_digest")
-         if k in record.metrics["per_strategy"][0]), None,
-    )
-    rows = [
-        [
-            entry["strategy"],
-            entry[unit],
-            f"{entry['seconds']:.3f}",
-            f"{entry[f'{unit}_per_s']:,.1f}",
-            _speedup(entry),
-        ] + ([entry[digest_key][:12]] if digest_key else [])
-        for entry in record.metrics["per_strategy"]
-    ]
-    headers = ["Strategy", unit.capitalize(), "Seconds",
-               f"{unit.capitalize()}/sec", "vs fastest serial"]
-    if digest_key:
-        headers.append("Digest")
-    return format_table(headers, rows, title=title)
 
 
 def render_backbone_record(record: BenchRecord) -> str:
-    return _render_strategies(
-        record, "tickets",
-        f"Backbone report, reference vs planned "
-        f"(seed={record.params['seed']}, "
-        f"identical={record.metrics['digests_identical']})",
-    )
-
-
-def render_grid_record(record: BenchRecord) -> str:
-    metrics = record.metrics
-    return _render_strategies(
-        record, "cells",
-        f"What-if grid sweep (scale={record.params['scale']}, "
-        f"cache hits {metrics['cache_hit_ratio']:.0%}, "
-        f"identical={metrics['digests_identical']})",
-    )
-
-
-def render_survivability_record(record: BenchRecord) -> str:
-    metrics = record.metrics
-    return _render_strategies(
-        record, "rows",
-        f"Survivability study (trials={record.params['trials']}, "
-        f"gen {metrics['generate_seconds']:.3f}s, "
-        f"cache hits {metrics['cache_hit_ratio']:.0%}, "
-        f"identical={metrics['digests_identical']})",
-    )
-
-
-def render_serve_record(record: BenchRecord) -> str:
     from repro.viz.tables import format_table
 
     rows = [
         [
-            endpoint,
-            entry["requests"],
-            f"{entry['p50_ms']:.1f}",
-            f"{entry['p99_ms']:.1f}",
+            entry["strategy"],
+            entry["tickets"],
+            f"{entry['seconds']:.3f}",
+            f"{entry['tickets_per_s']:,.1f}",
+            _speedup(entry),
         ]
-        for endpoint, entry in record.metrics["per_endpoint"].items()
+        for entry in record.metrics["per_strategy"]
     ]
-    rows.append([
-        "(all)",
-        record.metrics["requests"],
-        f"{record.metrics['p50_ms']:.1f}",
-        f"{record.metrics['p99_ms']:.1f}",
-    ])
     return format_table(
-        ["Endpoint", "Requests", "p50 ms", "p99 ms"],
+        ["Strategy", "Tickets", "Seconds", "Tickets/sec",
+         "vs fastest serial"],
         rows,
-        title=(f"Serve latency ({record.params['readers']} readers + "
-               f"1 writer, {record.metrics['requests_per_s']:,.0f} req/s, "
-               f"errors={record.metrics['errors']})"),
+        title=(f"Backbone report, reference vs planned "
+               f"(seed={record.params['seed']}, "
+               f"identical={record.metrics['digests_identical']})"),
     )
 
 
@@ -1011,42 +591,17 @@ def run_bench_suite(
         seed=seed, scale=scale, jobs_list=jobs_list, rounds=rounds
     )
     ingest = bench_ingest(seed=seed, scale=scale)
-    scan = bench_partitioned_scan(
-        seed=seed, scale=QUICK_SCALE if quick else scale, rounds=rounds
-    )
-    fold = bench_fold_matrix(
-        seed=seed, scale=QUICK_SCALE if quick else scale, rounds=rounds,
-    )
+    fold = bench_fold_matrix(seed=seed, scale=scale, rounds=rounds)
     backbone = bench_backbone(rounds=rounds)
-    grid = bench_grid(
-        seed=seed, scale=0.05 if quick else 0.1, rounds=rounds
-    )
-    survivability = bench_survivability(
-        seed=seed, trials=8 if quick else 24, rounds=rounds
-    )
-    serve = (
-        bench_serve(scale=0.1, readers=4, requests_per_reader=10,
-                    writer_jobs=1)
-        if quick else bench_serve()
-    )
-    records = [stream, ingest, scan, fold, backbone, grid,
-               survivability, serve]
 
     print(render_stream_record(stream))
     print()
     print(render_ingest_record(ingest))
     print()
-    print(render_partitioned_record(scan))
-    print()
     print(render_fold_matrix_record(fold))
     print()
     print(render_backbone_record(backbone))
-    print()
-    print(render_grid_record(grid))
-    print()
-    print(render_survivability_record(survivability))
-    print()
-    print(render_serve_record(serve))
+    records = [stream, ingest, fold, backbone]
     if out_dir is not None:
         for record in records:
             path = write_record(record, out_dir)

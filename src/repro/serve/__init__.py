@@ -11,9 +11,9 @@ package keeps the answers resident.  Stdlib only
     cache hits; plus ``/healthz``, ``/stats``, and the job endpoints.
 :mod:`~repro.serve.jobs`
     a checkpointed job queue — ``POST /jobs`` accepts report builds,
-    benchmark runs, and chaos drills; worker threads execute them and
-    publish artifacts; job state is JSON-checkpointed so a killed
-    server resumes its queue on restart.
+    chaos drills, and what-if grid sweeps (``JOB_KINDS``); worker
+    threads execute them and publish artifacts; job state is
+    JSON-checkpointed so a killed server resumes its queue on restart.
 :mod:`~repro.serve.warm`
     a cache pre-warmer — folds both studies at startup and tails the
     :mod:`repro.stream` engine, re-folding dirty analyses so the

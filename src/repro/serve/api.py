@@ -20,7 +20,8 @@ Endpoints (all JSON):
 ``GET /reports/survivability``  correlated-failure survivability curves
 ``GET /figures/<id>``      one figure (``fig3`` ... ``fig18``)
 ``GET /tables/<id>``       one table (``table2``, ``table4``)
-``POST /jobs``        submit ``{"kind": report|bench|chaos|grid, "params": {}}``
+``POST /jobs``        submit ``{"kind": K, "params": {}}``, ``K`` one of
+                      :data:`~repro.serve.jobs.JOB_KINDS`
 ``GET /jobs``         list jobs; ``GET /jobs/<id>`` one job
 ``GET /artifacts/<id>``    a finished job's artifact document
 ====================  =================================================
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.runtime import ResultCache
-from repro.serve.jobs import JobQueue
+from repro.serve.jobs import JOB_KINDS, JobQueue
 from repro.serve.payloads import (
     FIGURES,
     backbone_report_payload,
@@ -418,10 +419,9 @@ class ServeApp:
         except json.JSONDecodeError as exc:
             raise ApiError(400, f"request body is not JSON: {exc}")
         if not isinstance(payload, dict) or "kind" not in payload:
-            raise ApiError(
-                400,
-                'expected {"kind": "report|bench|chaos|grid", "params": {}}'
-            )
+            raise ApiError(400, "expected " + json.dumps(
+                {"kind": "|".join(JOB_KINDS), "params": {}}
+            ))
         params = payload.get("params", {})
         if not isinstance(params, dict):
             raise ApiError(400, "params must be an object")

@@ -1,16 +1,17 @@
 """A checkpointed job queue for expensive serving work.
 
-``POST /jobs`` lands here: report builds, benchmark runs, chaos
-drills, and what-if grid sweeps are queued as :class:`Job` records,
+``POST /jobs`` lands here: report builds, chaos drills, and what-if
+grid sweeps (:data:`JOB_KINDS`) are queued as :class:`Job` records,
 executed by worker threads, and their outputs published to an artifact
 registry under the serve data directory (a grid job additionally
-publishes one artifact per lattice cell).  The queue checkpoints its full state to ``jobs.json``
-on every transition (atomic tmp-write + rename), so a killed server
-picks its queue back up on restart: jobs that were ``queued`` or
-``running`` when the process died are re-enqueued and produce
-artifacts bit-identical to an uninterrupted run — every job kind is
-deterministic in its parameters (benchmark timings excepted; their
-*shape* is deterministic, the measured seconds are not).
+publishes one artifact per lattice cell).  The queue checkpoints its
+full state to ``jobs.json`` on every transition (atomic tmp-write +
+rename), so a killed server picks its queue back up on restart: jobs
+that were ``queued`` or ``running`` when the process died are
+re-enqueued and produce artifacts bit-identical to an uninterrupted
+run — every job kind is deterministic in its parameters.  A resumed
+job whose kind this version no longer runs ends ``failed`` with
+``unknown job kind`` and the queue moves on.
 
 Fault sites (:mod:`repro.faultline`):
 
@@ -48,7 +49,7 @@ __all__ = ["JOB_KINDS", "Job", "JobQueue"]
 
 PathLike = Union[str, Path]
 
-JOB_KINDS = ("report", "bench", "chaos", "grid")
+JOB_KINDS = ("report", "chaos", "grid")
 
 CHECKPOINT_FORMAT = "repro.serve-jobs/1"
 
@@ -99,9 +100,8 @@ def execute_job(kind: str, params: dict) -> str:
     """Run one job body; returns the artifact text (canonical JSON).
 
     Pure in its inputs: a (kind, params) pair always produces the
-    same artifact bytes (modulo measured seconds for ``bench``), which
-    is what makes kill/resume safe and per-seed artifact digests a
-    verify anchor.
+    same artifact bytes, which is what makes kill/resume safe and
+    per-seed artifact digests a verify anchor.
     """
     from repro.serve.payloads import (
         backbone_report_payload,
@@ -129,16 +129,6 @@ def execute_job(kind: str, params: dict) -> str:
         else:
             raise ValueError(f"unknown report study {study!r}")
         return canonical_json(payload)
-    if kind == "bench":
-        from repro.perf.bench import bench_stream_throughput
-
-        record = bench_stream_throughput(
-            seed=int(params.get("seed", 2)),
-            scale=float(params.get("scale", 0.25)),
-            jobs_list=tuple(params.get("jobs_list", (1, 2))),
-            rounds=int(params.get("rounds", 1)),
-        )
-        return record.to_json()
     if kind == "chaos":
         from repro.faultline.drills import chaos_suite, report_json
 

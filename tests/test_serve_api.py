@@ -9,11 +9,13 @@ the hit counter moves, the miss counter does not.
 from __future__ import annotations
 
 import json
+import re
+import threading
 import urllib.request
 
 import pytest
 
-from repro.serve import ServeApp, figure_ids
+from repro.serve import JOB_KINDS, ServeApp, figure_ids
 
 SEED, SCALE, BACKBONE_SEED = 1, 0.25, 7
 
@@ -193,3 +195,69 @@ class TestHTTPTransport:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+        # A JSON body without a kind: the message lists every kind
+        # the queue accepts, and nothing else.
+        request = urllib.request.Request(
+            app.url + "/jobs", data=b"{}",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        message = json.loads(excinfo.value.read())["error"]
+        kinds = re.search(r'"kind": "([^"]*)"', message).group(1)
+        assert tuple(kinds.split("|")) == JOB_KINDS
+
+
+class TestConcurrentLoad:
+    """Cached reads over HTTP stay correct while a report job runs."""
+
+    ENDPOINTS = ("/reports/intra", "/reports/backbone", "/figures/fig3",
+                 "/tables/table2", "/stats", "/healthz")
+    READERS, READS_EACH = 4, 6
+
+    def test_readers_alongside_a_report_job(self):
+        statuses = []
+        record = threading.Lock()
+        with ServeApp(seed=SEED, scale=0.1, prewarm=True) as served:
+            hits_before = served.state.cache.stats()["hits"]
+
+            def read(worker):
+                for i in range(self.READS_EACH):
+                    path = self.ENDPOINTS[(worker + i) % len(self.ENDPOINTS)]
+                    try:
+                        with urllib.request.urlopen(served.url + path,
+                                                    timeout=60) as resp:
+                            resp.read()
+                            status = resp.status
+                    except urllib.error.HTTPError as exc:
+                        status = exc.code
+                    with record:
+                        statuses.append(status)
+
+            readers = [threading.Thread(target=read, args=(worker,))
+                       for worker in range(self.READERS)]
+            for thread in readers:
+                thread.start()
+            request = urllib.request.Request(
+                served.url + "/jobs",
+                data=json.dumps({
+                    "kind": "report",
+                    "params": {"study": "intra", "seed": SEED, "scale": 0.1},
+                }).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=60) as resp:
+                assert resp.status == 202
+                job_id = json.loads(resp.read())["id"]
+            for thread in readers:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in readers)
+            assert served.queue.join(timeout=300)
+            hits_after = served.state.cache.stats()["hits"]
+            job = served.queue.get(job_id)
+
+        assert statuses == [200] * (self.READERS * self.READS_EACH)
+        assert hits_after > hits_before
+        assert job.status == "done"

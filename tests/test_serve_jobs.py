@@ -13,7 +13,8 @@ import json
 import pytest
 
 from repro.faultline import FaultPlan, FaultSpec, injected
-from repro.serve import JobQueue
+from repro.serve import Job, JobQueue
+from repro.serve.jobs import CHECKPOINT_FORMAT
 
 REPORT_PARAMS = {"study": "intra", "seed": 1, "scale": 0.1}
 
@@ -137,6 +138,36 @@ class TestKillResume:
         restarted = JobQueue(tmp_path, workers=1)
         b = restarted.submit("report", REPORT_PARAMS)
         assert a.id != b.id
+
+    def test_resumed_job_of_a_retired_kind_cannot_wedge_the_queue(
+            self, tmp_path):
+        # A checkpoint written by a server that still ran "bench" jobs:
+        # one is queued ahead of a report job when the server upgrades.
+        upgraded = tmp_path / "upgraded"
+        upgraded.mkdir()
+        (upgraded / "jobs.json").write_text(json.dumps({
+            "format": CHECKPOINT_FORMAT,
+            "next_id": 3,
+            "jobs": [
+                Job(id="job-000001", kind="bench",
+                    params={"scale": 0.25}).to_dict(),
+                Job(id="job-000002", kind="report",
+                    params=REPORT_PARAMS).to_dict(),
+            ],
+        }))
+        restarted = JobQueue(upgraded, workers=1)
+        run_to_completion(restarted)
+        retired = restarted.get("job-000001")
+        assert retired.status == "failed"
+        assert "unknown job kind 'bench'" in retired.error
+        resumed = restarted.get("job-000002")
+        assert resumed.status == "done"
+
+        control = JobQueue(tmp_path / "control", workers=1)
+        control_job = control.submit("report", REPORT_PARAMS)
+        run_to_completion(control)
+        assert (control.get(control_job.id).artifact_digest
+                == resumed.artifact_digest)
 
 
 class TestFaultline:
