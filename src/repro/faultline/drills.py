@@ -187,7 +187,6 @@ def _jsonl_drill(seed: int, quick: bool,
     from repro.simulation.scenarios import paper_scenario
 
     scenario = paper_scenario(seed=seed, scale=0.05)
-    store = IntraSimulator(scenario).run()
     active = _selected(sites, "io.jsonl.line")
 
     def line_plan() -> FaultPlan:
@@ -197,7 +196,8 @@ def _jsonl_drill(seed: int, quick: bool,
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chaos.jsonl"
-        total = export_sevs_jsonl(store, path)
+        with IntraSimulator(scenario).run() as store:
+            total = export_sevs_jsonl(store, path)
 
         tolerant_plan = line_plan()
         errors = ReadErrors()
@@ -374,8 +374,8 @@ def _storage_drill(seed: int, quick: bool,
     from repro.faultline.oracle import report_digest
 
     scenario = paper_scenario(seed=seed, scale=0.05)
-    mono = IntraSimulator(scenario).run()
-    reports = list(mono.all_reports())
+    with IntraSimulator(scenario).run() as mono:
+        reports = list(mono.all_reports())
     active = _selected(sites, "storage.shard", "storage.manifest")
 
     def digest_of(store) -> str:
@@ -488,29 +488,29 @@ def _columnar_drill(seed: int, quick: bool,
     from repro.simulation.scenarios import paper_scenario
 
     scenario = paper_scenario(seed=seed, scale=0.05)
-    store = IntraSimulator(scenario).run()
-    context = RunContext(store=store, fleet=scenario.fleet,
-                         corpus_seed=seed)
     active = _selected(sites, "runtime.fold")
-
-    baseline = report_digest(intra_report_from(
-        reference_fold(intra_report_analyses(), context)
-    ))
-
     plan = FaultPlan(seed, [
         FaultSpec(site, probability=1.0, max_fires=2) for site in active
     ])
     executor = Executor(batch_size=32)
-    with hooks.injected(plan):
-        faulted = report_digest(intra_report_from(executor.run(
-            intra_report_analyses(), context, source=store.all_reports()
-        )))
+    with IntraSimulator(scenario).run() as store:
+        context = RunContext(store=store, fleet=scenario.fleet,
+                             corpus_seed=seed)
+        baseline = report_digest(intra_report_from(
+            reference_fold(intra_report_analyses(), context)
+        ))
+        with hooks.injected(plan):
+            faulted = report_digest(intra_report_from(executor.run(
+                intra_report_analyses(), context,
+                source=store.all_reports(),
+            )))
+        rows = len(store)
 
     converged = faulted == baseline
     accounted = executor.columnar_fallbacks == plan.fired()
     detail = {
         "sites": active,
-        "rows": len(store),
+        "rows": rows,
         "faults_fired": plan.fired(),
         "fired_per_site": _fired_per_site([plan], active),
         "fallbacks": executor.columnar_fallbacks,

@@ -156,17 +156,18 @@ def run_differential(
     from repro.storage import PartitionedSEVStore
 
     scenario = paper_scenario(seed=seed, scale=scale)
-    store = IntraSimulator(scenario).run()
-    baseline_digest = report_digest(intra_report_from(reference_fold(
-        intra_report_analyses(),
-        RunContext(store=store, fleet=scenario.fleet,
-                   corpus_seed=scenario.seed),
-    )))
-
     runs: List[PlanRun] = []
     with tempfile.TemporaryDirectory() as tmp:
-        tiered = PartitionedSEVStore.init(Path(tmp) / "sev")
-        tiered.ingest(store.all_reports())
+        with IntraSimulator(scenario).run() as store:
+            baseline_digest = report_digest(intra_report_from(
+                reference_fold(
+                    intra_report_analyses(),
+                    RunContext(store=store, fleet=scenario.fleet,
+                               corpus_seed=scenario.seed),
+                )
+            ))
+            tiered = PartitionedSEVStore.init(Path(tmp) / "sev")
+            tiered.ingest(store.all_reports())
         years = tiered.years()
         tiered.compact(keep_hot_years=max(1, len(years) // 2))
         context = RunContext(store=tiered, fleet=scenario.fleet,

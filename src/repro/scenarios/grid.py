@@ -230,14 +230,15 @@ class GridRunner:
         from repro.topology.devices import DeviceType, NetworkDesign
 
         scenario = spec.materialize()
-        store = IntraSimulator(scenario).run()
-        context = RunContext(
-            store=store, fleet=scenario.fleet, corpus_seed=scenario.seed,
-            scenario_digest=scenario.spec_digest,
-        )
-        report = run_intra_report(
-            context, jobs=self.jobs, cache=self.cache,
-        )
+        with IntraSimulator(scenario).run() as store:
+            context = RunContext(
+                store=store, fleet=scenario.fleet, corpus_seed=scenario.seed,
+                scenario_digest=scenario.spec_digest,
+            )
+            report = run_intra_report(
+                context, jobs=self.jobs, cache=self.cache,
+            )
+            rows = len(store)
         last = report.last_year
         fabric = sum(
             report.designs.count(year, NetworkDesign.FABRIC)
@@ -253,7 +254,7 @@ class GridRunner:
             "spec_digest": spec.digest(),
             "report_digest": report_digest(report),
             "metrics": {
-                "rows": len(store),
+                "rows": rows,
                 "growth": report.growth,
                 "last_year": last,
                 "csa_rate_last": report.rates.rate(last, DeviceType.CSA),

@@ -6,17 +6,18 @@ package keeps the answers resident.  Stdlib only
 
 :mod:`~repro.serve.api`
     the HTTP API — every CLI report (intra, backbone, per-figure,
-    per-table) as JSON through a shared
-    :class:`~repro.runtime.cache.ResultCache`, so repeat queries are
-    cache hits; plus ``/healthz``, ``/stats``, and the job endpoints.
+    per-table) as JSON, each study's payload built once per corpus
+    generation (through a shared
+    :class:`~repro.runtime.cache.ResultCache`) so a repeat query is one
+    dict lookup; plus ``/healthz``, ``/stats``, and the job endpoints.
 :mod:`~repro.serve.jobs`
     a checkpointed job queue — ``POST /jobs`` accepts report builds,
     chaos drills, and what-if grid sweeps (``JOB_KINDS``); worker
     threads execute them and publish artifacts; job state is
     JSON-checkpointed so a killed server resumes its queue on restart.
 :mod:`~repro.serve.warm`
-    a cache pre-warmer — folds both studies at startup and tails the
-    :mod:`repro.stream` engine, re-folding dirty analyses so the
+    a pre-warmer — builds every study's payload at startup and tails
+    the :mod:`repro.stream` engine, rebuilding the intra payload so the
     request path is never O(corpus).
 :mod:`~repro.serve.payloads`
     the JSON the service speaks — payload builders shared with the

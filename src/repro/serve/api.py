@@ -1,20 +1,23 @@
 """The HTTP API: reliability reports as a long-lived service.
 
 Stdlib only (:class:`http.server.ThreadingHTTPServer`) — no new
-runtime dependencies.  The server holds both seeded corpora in memory
-behind one shared :class:`~repro.runtime.Executor` path and a shared
-:class:`~repro.runtime.cache.ResultCache`, so the first request for a
-report folds the corpus once and every repeat request is a cache
-lookup: the request path is never O(corpus) after warm-up (the
-:mod:`repro.serve.warm` pre-warmer makes even the first request hot).
+runtime dependencies.  The server holds the seeded corpora in memory
+and keeps each study's finished report payload for as long as its
+corpus is unchanged: the first request for a report folds the corpus
+once (through one shared :class:`~repro.runtime.Executor` path and
+:class:`~repro.runtime.cache.ResultCache`) and builds the payload, and
+every repeat request is one dict lookup, answered in one socket write.
+The :mod:`repro.serve.warm` pre-warmer builds every payload at start-up,
+so even the first request is hot; an ingest drops the intra payload,
+and the next read or refold rebuilds it.
 
 Endpoints (all JSON):
 
 ====================  =================================================
 ``GET /``             endpoint index
 ``GET /healthz``      liveness: status, uptime, corpus sizes
-``GET /stats``        cache hit/miss counters, request counts, job and
-                      stream statistics
+``GET /stats``        payload builds and hits, cache hit/miss counters,
+                      request counts, job and stream statistics
 ``GET /reports/intra``     the intra study
 ``GET /reports/backbone``  the backbone study
 ``GET /reports/survivability``  correlated-failure survivability curves
@@ -72,11 +75,12 @@ class ApiError(Exception):
 
 
 class ServeState:
-    """The corpora, executor path, and counters behind the endpoints.
+    """The corpora, payload memo, and counters behind the endpoints.
 
-    One lock serializes every analysis run (the SQLite store is a
-    single shared connection); with the cache warm the critical
-    section is a fingerprint + cache lookup, so readers contend for
+    One lock serializes every analysis run and every write (the SQLite
+    store is a single shared connection).  Each study's report payload
+    is built once per corpus generation and kept; a read of a built
+    payload is a dict lookup under the lock, so readers contend for
     microseconds, not corpus passes.
     """
 
@@ -94,6 +98,10 @@ class ServeState:
         self.backbone_seed = backbone_seed
         self.lock = threading.Lock()
         self.cache = ResultCache(cache_dir)
+        # study -> finished report payload, for the corpus as it is now.
+        self._payloads: Dict[str, dict] = {}
+        self._payload_builds = 0
+        self._payload_hits = 0
         self.started_at = time.monotonic()
         self._requests: Dict[str, int] = {}
         self._request_lock = threading.Lock()
@@ -160,21 +168,39 @@ class ServeState:
     # -- payloads ----------------------------------------------------
 
     def report_payload(self, study: str) -> dict:
+        """The study's report payload, built once per corpus generation.
+
+        The first call folds the corpus through the shared cache and
+        keeps the finished dict; every later call returns that same
+        dict until :meth:`ingest` drops it.  Payloads are shared and
+        read-only, as :class:`~repro.runtime.cache.ResultCache` values
+        are: callers slice them and must not mutate them.
+        """
+        if study == "intra":
+            build, context = intra_report_payload, self.intra_context
+        elif study == "backbone":
+            build, context = backbone_report_payload, self.backbone_context
+        elif study == "survivability":
+            build = survivability_report_payload
+            context = self.survivability_context
+        else:
+            raise ApiError(404, f"unknown study {study!r}; expected "
+                                f"'intra', 'backbone', or 'survivability'")
         with self.lock:
-            if study == "intra":
-                return intra_report_payload(
-                    self.intra_context, cache=self.cache
-                )
-            if study == "backbone":
-                return backbone_report_payload(
-                    self.backbone_context, cache=self.cache
-                )
-            if study == "survivability":
-                return survivability_report_payload(
-                    self.survivability_context, cache=self.cache
-                )
-        raise ApiError(404, f"unknown study {study!r}; expected "
-                            f"'intra', 'backbone', or 'survivability'")
+            payload = self._payloads.get(study)
+            if payload is None:
+                payload = build(context, cache=self.cache)
+                self._payloads[study] = payload
+                self._payload_builds += 1
+            else:
+                self._payload_hits += 1
+            return payload
+
+    def payload_stats(self) -> Dict[str, int]:
+        """How many reads built a report payload and how many reused one."""
+        with self.lock:
+            return {"builds": self._payload_builds,
+                    "hits": self._payload_hits}
 
     def figure_payload(self, fig_id: str) -> dict:
         entry = FIGURES.get(fig_id)
@@ -199,13 +225,14 @@ class ServeState:
     def ingest(self, reports) -> int:
         """Fold new SEV events into the served corpus.
 
-        Changes the corpus fingerprint (row count moves), so every
-        cached report key rotates; the warmer re-folds the dirty
-        analyses off the request path.
+        Drops the intra payload and changes the corpus fingerprint (row
+        count moves), so every cached intra report key rotates; the
+        warmer re-folds the dirty analyses off the request path.
         """
         reports = list(reports)
         with self.lock:
             self.intra_context.store.insert_many(reports)
+            self._payloads.pop("intra", None)
             for report in reports:
                 self.engine.ingest(report)
         return len(reports)
@@ -406,6 +433,7 @@ class ServeApp:
         state = self.state
         return {
             "uptime_s": round(time.monotonic() - state.started_at, 3),
+            "payloads": state.payload_stats(),
             "cache": state.cache.stats(),
             "requests": state.request_counts(),
             "jobs": self.queue.stats(),
@@ -448,8 +476,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no headers: a bare body
+            self.wfile.write(body)
+            return
+        # The blank line and the body join the buffered headers, so the
+        # whole response goes out in one write.  Written on its own, a
+        # small body waits in Nagle's algorithm for the client's delayed
+        # ACK: about 40 ms on a keep-alive connection.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _handle(self, method: str) -> None:
         parsed = urlsplit(self.path)

@@ -125,7 +125,8 @@ def execute_job(kind: str, params: dict) -> str:
         elif study == "intra":
             scale = float(params.get("scale", 1.0))
             context = build_intra_context(seed=seed, scale=scale)
-            payload = intra_report_payload(context)
+            with context.store:
+                payload = intra_report_payload(context)
         else:
             raise ValueError(f"unknown report study {study!r}")
         return canonical_json(payload)

@@ -1,19 +1,20 @@
-"""Cache pre-warming: hot reports before the first request.
+"""Pre-warming: hot reports before the first request.
 
 The serving contract is that the request path is never O(corpus): a
-report request is a corpus fingerprint plus a cache lookup.  That
-only holds if someone else already paid for the fold.  This module is
-that someone:
+report request reads the study's finished payload, which
+:class:`~repro.serve.api.ServeState` builds once per corpus
+generation.  That only holds if someone else already paid for the
+build.  This module is that someone:
 
-* :meth:`CacheWarmer.prewarm` folds every study through the shared
-  :class:`~repro.runtime.cache.ResultCache` at startup, so even the
-  *first* HTTP request is a cache hit.
+* :meth:`CacheWarmer.prewarm` builds every study's payload at startup,
+  folding through the shared :class:`~repro.runtime.cache.ResultCache`,
+  so even the *first* HTTP request reuses a built payload.
 * :meth:`CacheWarmer.tail` consumes a live SEV source through the
-  server's :mod:`repro.stream` engine.  Every ingested event rotates
-  the corpus fingerprint (all cached report keys go stale), so the
-  warmer counts dirty events and re-folds at a cadence — new data
-  becomes visible in served reports without any request ever paying
-  the fold.
+  server's :mod:`repro.stream` engine.  Every ingest drops the intra
+  payload and rotates the corpus fingerprint (all cached intra report
+  keys go stale), so the warmer counts dirty events and rebuilds at a
+  cadence — new data becomes visible in served reports without any
+  request ever paying the fold.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ STUDIES = ("intra", "backbone", "survivability")
 
 
 class CacheWarmer:
-    """Keeps the serve cache hot across startup and live ingest."""
+    """Keeps the served payloads hot across startup and live ingest."""
 
     def __init__(self, state, refold_every: int = 64) -> None:
         if refold_every < 1:
@@ -46,12 +47,13 @@ class CacheWarmer:
     # -- warming -----------------------------------------------------
 
     def prewarm(self, studies: Sequence[str] = STUDIES) -> dict:
-        """Fold ``studies`` through the shared cache; returns digests.
+        """Build the payloads of ``studies``; returns their digests.
 
-        Idempotent: a second call on an unchanged corpus is all cache
-        hits.  After live ingest it re-folds exactly the analyses whose
-        corpus moved (the backbone corpus is static, so its entries
-        stay warm for free).
+        Idempotent: a second call on an unchanged corpus reuses every
+        built payload and folds nothing.  After live ingest it rebuilds
+        the intra payload, re-folding exactly the analyses whose corpus
+        moved (the backbone and survivability corpora are static, so
+        their payloads stay warm for free).
         """
         digests = {}
         for study in studies:

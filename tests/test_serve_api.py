@@ -2,14 +2,18 @@
 
 The acceptance contract: every report endpoint's JSON carries a
 ``report_digest`` bit-identical to what the CLI computes for the same
-corpus+seed, and a warmed repeat request is answered from the cache —
-the hit counter moves, the miss counter does not.
+corpus+seed, a warmed repeat request reuses the study's built payload
+without reaching the result cache, and every response leaves the
+server in one socket write.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import socket
+import socketserver
 import threading
 import urllib.request
 
@@ -89,13 +93,15 @@ class TestReports:
         ))
         assert payload["report_digest"] == direct
 
-    def test_warmed_repeat_request_is_a_cache_hit(self, app):
+    def test_warmed_repeat_request_reuses_the_payload(self, app):
         app.handle("GET", "/reports/intra")
+        memo_before = app.state.payload_stats()
         before = app.state.cache.stats()
         status, payload = app.handle("GET", "/reports/intra")
         after = app.state.cache.stats()
         assert status == 200
-        assert after["hits"] > before["hits"]
+        assert app.state.payload_stats()["hits"] > memo_before["hits"]
+        assert after["hits"] == before["hits"]
         assert after["misses"] == before["misses"]
 
     def test_explicit_backend_same_digest(self, app):
@@ -131,6 +137,9 @@ class TestStats:
         app.handle("GET", "/reports/intra")
         status, payload = app.handle("GET", "/stats")
         assert status == 200
+        # Prewarm built each study's payload once; reads reuse them.
+        assert payload["payloads"]["builds"] == 3
+        assert payload["payloads"]["hits"] >= 1
         assert payload["cache"]["hits"] >= 0
         assert payload["cache"]["hit_rate"] <= 1.0
         assert payload["requests"]["GET /reports/intra"] >= 1
@@ -209,6 +218,55 @@ class TestHTTPTransport:
         kinds = re.search(r'"kind": "([^"]*)"', message).group(1)
         assert tuple(kinds.split("|")) == JOB_KINDS
 
+    def test_each_response_is_one_socket_write(self, app, monkeypatch):
+        # A body written after its headers waits in Nagle's algorithm
+        # for the client's delayed ACK, about 40 ms on a keep-alive
+        # connection.
+        writes = []
+        real_write = socketserver._SocketWriter.write
+
+        def counted(writer, data):
+            writes.append(len(data))
+            return real_write(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counted)
+        conn = http.client.HTTPConnection(app.host, app.port, timeout=60)
+
+        def exchange(method, path, body=None):
+            writes.clear()
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            return response.status, len(writes), payload
+
+        job = json.dumps({
+            "kind": "report",
+            "params": {"study": "intra", "seed": SEED, "scale": 0.1},
+        })
+        try:
+            seen = [exchange("GET", "/reports/intra")]
+            sock = conn.sock
+            seen += [exchange("GET", "/figures/fig3"),
+                     exchange("GET", "/tables/table4"),
+                     exchange("GET", "/nope"),
+                     exchange("POST", "/jobs", job)]
+            seen.append(exchange("GET", f"/jobs/{seen[-1][2]['id']}"))
+            assert conn.sock is sock  # one keep-alive connection
+        finally:
+            conn.close()
+        assert app.queue.join(timeout=300)
+        assert [(status, count) for status, count, _ in seen] == [
+            (200, 1), (200, 1), (200, 1), (404, 1), (202, 1), (200, 1),
+        ]
+
+    def test_http09_request_gets_the_bare_body(self, app):
+        # An HTTP/0.9 response has no status line and no headers.
+        with socket.create_connection((app.host, app.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            data = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert json.loads(data)["status"] == "ok"
+
 
 class TestConcurrentLoad:
     """Cached reads over HTTP stay correct while a report job runs."""
@@ -221,7 +279,8 @@ class TestConcurrentLoad:
         statuses = []
         record = threading.Lock()
         with ServeApp(seed=SEED, scale=0.1, prewarm=True) as served:
-            hits_before = served.state.cache.stats()["hits"]
+            memo_before = served.state.payload_stats()
+            cache_before = served.state.cache.stats()
 
             def read(worker):
                 for i in range(self.READS_EACH):
@@ -255,9 +314,15 @@ class TestConcurrentLoad:
                 thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in readers)
             assert served.queue.join(timeout=300)
-            hits_after = served.state.cache.stats()["hits"]
+            memo_after = served.state.payload_stats()
+            cache_after = served.state.cache.stats()
             job = served.queue.get(job_id)
 
         assert statuses == [200] * (self.READERS * self.READS_EACH)
-        assert hits_after > hits_before
+        # Every report read reused a built payload: none reached the
+        # cache, and the job ran on its own corpus.
+        assert memo_after["hits"] > memo_before["hits"]
+        assert memo_after["builds"] == memo_before["builds"]
+        assert cache_after["hits"] == cache_before["hits"]
+        assert cache_after["misses"] == cache_before["misses"]
         assert job.status == "done"

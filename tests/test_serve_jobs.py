@@ -8,12 +8,14 @@ to an uninterrupted run — including under a faultline plan firing the
 
 from __future__ import annotations
 
+import gc
 import json
+import sqlite3
 
 import pytest
 
 from repro.faultline import FaultPlan, FaultSpec, injected
-from repro.serve import Job, JobQueue
+from repro.serve import Job, JobQueue, execute_job
 from repro.serve.jobs import CHECKPOINT_FORMAT
 
 REPORT_PARAMS = {"study": "intra", "seed": 1, "scale": 0.1}
@@ -76,6 +78,36 @@ class TestLifecycle:
         assert stats["done"] == 1
         assert stats["failed"] == 1
         assert stats["total"] == 2
+
+
+class TestStoresClosed:
+    """A job closes every SQLite store it builds.
+
+    An unclosed ``sqlite3.Connection`` sits in a reference cycle with
+    its statement cache, so its database stays allocated until the
+    next full collection: in a long-lived server, jobs would grow the
+    heap.  Under ``DEBUG_SAVEALL`` the collector keeps what it would
+    have freed, so the connections a job left behind can be counted.
+    """
+
+    @pytest.mark.parametrize("kind, params", [
+        ("report", REPORT_PARAMS),
+        ("grid", {"seed": 1, "scale": 0.05,
+                  "axes": {"fabric_year": [2015, 2016]}}),
+        ("chaos", {"seed": 7, "quick": True}),
+    ], ids=["report", "grid", "chaos"])
+    def test_job_leaves_no_connection_to_the_collector(self, kind, params):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            execute_job(kind, params)
+            gc.collect()
+            leaked = sum(isinstance(obj, sqlite3.Connection)
+                         for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == 0
 
 
 class TestKillResume:
