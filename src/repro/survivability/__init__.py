@@ -44,6 +44,7 @@ from repro.survivability.trials import (
     default_correlated_knobs,
     design_networks,
     generate_trials,
+    reference_trials,
 )
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "design_networks",
     "generate_trials",
     "power_domains",
+    "reference_trials",
     "run_survivability_report",
     "survivability_report_analyses",
     "survivability_report_from",

@@ -1,13 +1,23 @@
 """Survivability trials: the corpus the survivability analyses fold.
 
 One :class:`FailureTrial` record is one (design, trial, fraction)
-observation: draw a correlated failure order over a design's topology
-graph (:mod:`repro.survivability.correlated`), fail the order's prefix
-at the fraction, and count what survives — RSWs still reaching a live
-Core, and links with both endpoints alive.  The counts are *integers*:
-the analyses sum them across any shard/batch partition and divide once
-at finalize, which is why batch == stream == sharded(+processes) ==
+observation: draw a correlated failure order over a design's devices
+(:mod:`repro.survivability.correlated`), fail the order's prefix at the
+fraction, and count what survives — RSWs still reaching a live Core,
+and links with both endpoints alive.  The counts are *integers*: the
+analyses sum them across any shard/batch partition and divide once at
+finalize, which is why batch == stream == sharded(+processes) ==
 columnar holds bit-identically for every survivability artifact.
+
+The fraction points fail nested prefixes of one order, so one backward
+pass per trial counts them all: revive the devices from the order's
+last one back to its 5% cut in a union-find over an adjacency map of
+the network's links, keep at each component root whether a live Core
+is in it and how many RSWs it holds, and read both running counts at
+each cut.  :func:`reference_trials` is the oracle the pass is tested
+against: a networkx sweep that rebuilds the surviving subgraph and its
+components at every fraction point.  networkx is loaded only for the
+storm mode's blast radius and by that oracle.
 
 The trial corpus is generated, not simulated over time: the two
 reference networks (one classic cluster design, one fabric design,
@@ -25,10 +35,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.survivability.correlated import correlated_failure_order
 from repro.topology.cluster import build_cluster_network
+from repro.topology.devices import DeviceType
 from repro.topology.fabric import build_fabric_network
 from repro.topology.graph import build_graph, downstream_devices
 
@@ -40,6 +51,7 @@ __all__ = [
     "default_correlated_knobs",
     "design_networks",
     "generate_trials",
+    "reference_trials",
 ]
 
 #: The two intra data center designs the study compares (section 3.1).
@@ -144,26 +156,113 @@ class TrialSet:
         return iter(self._records)
 
 
-def _survival_counts(
-    graph,
-    rsws: List[str],
-    cores: List[str],
-    links: List[Tuple[str, str]],
-    failed: frozenset,
-) -> Tuple[int, int]:
-    """(connected RSWs, surviving links) after removing ``failed``."""
-    import networkx as nx
+def _blast_radius(network, storm_bias: float) -> Dict[str, int]:
+    """Per-device blast radius, which only the storm mode reads."""
+    if storm_bias <= 0:
+        return {}
+    graph = build_graph(network)
+    return {
+        name: len(downstream_devices(graph, name)) for name in graph.nodes
+    }
 
-    surviving_links = sum(
-        1 for a, b in links if a not in failed and b not in failed
+
+def _failure_order(
+    design: str,
+    trial: int,
+    seed: int,
+    knobs: Dict,
+    devices: Iterable[str],
+    blast_radius: Dict[str, int],
+) -> List[str]:
+    """The trial's correlated failure order, seeded per (design, trial)."""
+    return correlated_failure_order(
+        devices,
+        random.Random(f"{seed}:{design}:{trial}"),
+        power_domain_size=knobs["power_domain_size"],
+        storm_bias=knobs["storm_bias"],
+        maintenance_clustering=knobs["maintenance_clustering"],
+        blast_radius=blast_radius,
     )
-    alive = graph.subgraph(n for n in graph.nodes if n not in failed)
-    reachable = set()
-    for component in nx.connected_components(alive):
-        if any(core in component for core in cores):
-            reachable |= component
-    connected_rsw = sum(1 for rsw in rsws if rsw in reachable)
-    return connected_rsw, surviving_links
+
+
+def _records(
+    design: str,
+    trial: int,
+    counts: List[Tuple[int, int]],
+    total_rsw: int,
+    total_links: int,
+) -> List[FailureTrial]:
+    """One record per fraction point from its (connected, surviving)."""
+    return [
+        FailureTrial(
+            design=design,
+            trial=trial,
+            fraction_idx=idx,
+            fraction_pct=pct,
+            connected_rsw=connected,
+            total_rsw=total_rsw,
+            surviving_links=surviving,
+            total_links=total_links,
+        )
+        for idx, (pct, (connected, surviving))
+        in enumerate(zip(FRACTION_PERCENTS, counts))
+    ]
+
+
+def _survival_curve(
+    order: List[str],
+    adjacency: Dict[str, List[str]],
+    rsws: Set[str],
+    cores: Set[str],
+) -> List[Tuple[int, int]]:
+    """(connected RSWs, surviving links) at every fraction point.
+
+    Walks ``order`` backwards, reviving one device at a time into a
+    union-find.  Each component root records whether a live Core is in
+    the component and how many RSWs it holds, so the count of RSWs
+    reaching a Core moves only when a revival merges components.  A
+    link survives from the moment its second endpoint is revived.
+    """
+    parent: Dict[str, str] = {}
+    has_core: Dict[str, bool] = {}
+    rsw_count: Dict[str, int] = {}
+
+    def find(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
+    def reaching(root: str) -> int:
+        return rsw_count[root] if has_core[root] else 0
+
+    connected = surviving = 0
+    counts = []
+    revived = len(order)
+    cuts = [(pct * len(order)) // 100 for pct in FRACTION_PERCENTS]
+    for cut in reversed(cuts):
+        while revived > cut:
+            revived -= 1
+            device = order[revived]
+            parent[device] = device
+            has_core[device] = device in cores
+            rsw_count[device] = int(device in rsws)
+            connected += reaching(device)
+            for peer in adjacency[device]:
+                if peer not in parent:
+                    continue
+                surviving += 1
+                root, other = find(device), find(peer)
+                if root == other:
+                    continue
+                before = reaching(root) + reaching(other)
+                parent[other] = root
+                has_core[root] = has_core[root] or has_core[other]
+                rsw_count[root] += rsw_count[other]
+                connected += reaching(root) - before
+        counts.append((connected, surviving))
+    counts.reverse()
+    return counts
 
 
 def _trial_records(
@@ -171,14 +270,20 @@ def _trial_records(
     trial: int,
     seed: int,
     knobs: Dict,
-    graph,
-    rsws: List[str],
-    cores: List[str],
-    links: List[Tuple[str, str]],
+    adjacency: Dict[str, List[str]],
+    rsws: Set[str],
+    cores: Set[str],
+    total_links: int,
     blast_radius: Dict[str, int],
 ) -> List[FailureTrial]:
-    """All fraction points of one trial — one correlated order, nested
-    prefixes, so per-trial counts are monotone non-increasing."""
+    """All fraction points of one trial from one backward pass.
+
+    The fraction points fail nested prefixes of one correlated order,
+    so one walk from the order's last device back to its 5% cut passes
+    every point: :func:`_survival_curve` reads both counts at each cut
+    on the way, 50% first, and per-trial counts are monotone
+    non-increasing in the fraction by construction.
+    """
     from repro.faultline import hooks
     from repro.faultline.plan import SurvivabilitySweepCrash
 
@@ -187,33 +292,11 @@ def _trial_records(
             f"injected crash in survivability sweep "
             f"({design} trial {trial})"
         )
-    rng = random.Random(f"{seed}:{design}:{trial}")
-    order = correlated_failure_order(
-        graph.nodes,
-        rng,
-        power_domain_size=knobs["power_domain_size"],
-        storm_bias=knobs["storm_bias"],
-        maintenance_clustering=knobs["maintenance_clustering"],
-        blast_radius=blast_radius,
+    order = _failure_order(
+        design, trial, seed, knobs, adjacency, blast_radius
     )
-    n = len(order)
-    records = []
-    for idx, pct in enumerate(FRACTION_PERCENTS):
-        failed = frozenset(order[: (pct * n) // 100])
-        connected, surviving = _survival_counts(
-            graph, rsws, cores, links, failed
-        )
-        records.append(FailureTrial(
-            design=design,
-            trial=trial,
-            fraction_idx=idx,
-            fraction_pct=pct,
-            connected_rsw=connected,
-            total_rsw=len(rsws),
-            surviving_links=surviving,
-            total_links=len(links),
-        ))
-    return records
+    counts = _survival_curve(order, adjacency, rsws, cores)
+    return _records(design, trial, counts, len(rsws), total_links)
 
 
 def generate_trials(
@@ -231,11 +314,50 @@ def generate_trials(
     """
     from repro.faultline import hooks
     from repro.faultline.plan import SurvivabilitySweepCrash
-    from repro.topology.devices import DeviceType
 
     knobs = default_correlated_knobs(correlated)
     records: List[FailureTrial] = []
     retries = 0
+    for design, network in sorted(design_networks().items()):
+        adjacency: Dict[str, List[str]] = {
+            name: [] for name in network.devices
+        }
+        for a, b in network.links:
+            adjacency[a].append(b)
+            if b != a:
+                adjacency[b].append(a)
+        rsws = {d.name for d in network.devices_of_type(DeviceType.RSW)}
+        cores = {d.name for d in network.devices_of_type(DeviceType.CORE)}
+        blast_radius = _blast_radius(network, knobs["storm_bias"])
+        args = (seed, knobs, adjacency, rsws, cores, len(network.links),
+                blast_radius)
+        for trial in range(knobs["trials"]):
+            try:
+                rows = _trial_records(design, trial, *args)
+            except SurvivabilitySweepCrash:
+                retries += 1
+                with hooks.suppressed("survivability.sweep"):
+                    rows = _trial_records(design, trial, *args)
+            records.extend(rows)
+    return TrialSet(records, seed=seed, knobs=knobs, retries=retries)
+
+
+def reference_trials(
+    seed: int = 1,
+    correlated: Optional[Dict] = None,
+) -> List[FailureTrial]:
+    """The trial records by a networkx sweep, one per fraction point.
+
+    The oracle :func:`generate_trials` is tested against, as
+    :func:`repro.runtime.reference_fold` is for the executor: the same
+    failure orders, but every fraction point builds the surviving
+    subgraph and its connected components anew.  It has no fault site
+    and returns the records in canonical order.
+    """
+    import networkx as nx
+
+    knobs = default_correlated_knobs(correlated)
+    records: List[FailureTrial] = []
     for design, network in sorted(design_networks().items()):
         graph = build_graph(network)
         rsws = sorted(
@@ -245,22 +367,27 @@ def generate_trials(
             d.name for d in network.devices_of_type(DeviceType.CORE)
         )
         links = list(network.links)
-        blast_radius = {
-            name: len(downstream_devices(graph, name))
-            for name in graph.nodes
-        }
+        blast_radius = _blast_radius(network, knobs["storm_bias"])
         for trial in range(knobs["trials"]):
-            try:
-                rows = _trial_records(
-                    design, trial, seed, knobs,
-                    graph, rsws, cores, links, blast_radius,
+            order = _failure_order(
+                design, trial, seed, knobs, graph.nodes, blast_radius
+            )
+            counts = []
+            for pct in FRACTION_PERCENTS:
+                failed = frozenset(order[: (pct * len(order)) // 100])
+                alive = graph.subgraph(
+                    n for n in graph.nodes if n not in failed
                 )
-            except SurvivabilitySweepCrash:
-                retries += 1
-                with hooks.suppressed("survivability.sweep"):
-                    rows = _trial_records(
-                        design, trial, seed, knobs,
-                        graph, rsws, cores, links, blast_radius,
-                    )
-            records.extend(rows)
-    return TrialSet(records, seed=seed, knobs=knobs, retries=retries)
+                reachable = set()
+                for component in nx.connected_components(alive):
+                    if any(core in component for core in cores):
+                        reachable |= component
+                counts.append((
+                    sum(1 for rsw in rsws if rsw in reachable),
+                    sum(1 for a, b in links
+                        if a not in failed and b not in failed),
+                ))
+            records.extend(
+                _records(design, trial, counts, len(rsws), len(links))
+            )
+    return records

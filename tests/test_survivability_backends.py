@@ -3,23 +3,37 @@
 Property (c): every execution path — the per-row reference fold, the
 plan's serial column batches, and the plan's column shards on the
 worker pool — answers every survivability analysis with a
-bit-identical digest, over multiple seeds.  Plus the sweep contract:
-correlated knobs are grid axes like any other, with whole-cell cache
-hits on a warm re-run.
+bit-identical digest, over multiple seeds.  The trial corpus itself
+has an oracle too: the backward union-find pass of ``generate_trials``
+must emit the records of the per-fraction networkx sweep
+``reference_trials``.  Plus the sweep contract: correlated knobs are
+grid axes like any other, with whole-cell cache hits on a warm re-run.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faultline.oracle import report_digest
 from repro.runtime import Executor, ResultCache, RunContext, reference_fold
 from repro.survivability import (
     generate_trials,
+    reference_trials,
     run_survivability_report,
     survivability_report_analyses,
     survivability_report_from,
 )
 
 SEEDS = (1, 7, 13)
+
+#: Knob sets the trial oracle is checked under: the independent model,
+#: power domains, storm with maintenance, and power domains with storm.
+ORACLE_KNOBS = {
+    "default": {},
+    "domains4": {"power_domain_size": 4},
+    "storm2_maintenance": {"storm_bias": 2.0, "maintenance_clustering": 0.5},
+    "domains2_storm1": {"power_domain_size": 2, "storm_bias": 1.0},
+}
 
 #: Every path the runtime answers a trial corpus by.
 PATHS = {
@@ -94,6 +108,37 @@ class TestBackendEquivalence:
         ) != report_digest(
             run_survivability_report(stormy)
         )
+
+
+class TestTrialOracle:
+    """The backward pass counts what the per-fraction sweep counts."""
+
+    @pytest.mark.parametrize("knobs", sorted(ORACLE_KNOBS))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_records_equal_reference(self, seed, knobs):
+        correlated = ORACLE_KNOBS[knobs]
+        records = list(generate_trials(seed, correlated).records())
+        assert records == reference_trials(seed, correlated)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        size=st.integers(min_value=1, max_value=6),
+        bias=st.sampled_from([0.0, 0.5, 3.0]),
+        clustering=st.sampled_from([0.0, 0.4, 1.0]),
+        trials=st.integers(min_value=1, max_value=3),
+    )
+    def test_records_equal_reference_under_any_knobs(
+        self, seed, size, bias, clustering, trials
+    ):
+        correlated = {
+            "power_domain_size": size,
+            "storm_bias": bias,
+            "maintenance_clustering": clustering,
+            "trials": trials,
+        }
+        records = list(generate_trials(seed, correlated).records())
+        assert records == reference_trials(seed, correlated)
 
 
 class TestGridSweep:
