@@ -46,7 +46,6 @@ import sys
 from typing import List, Optional
 
 from repro import (
-    BackboneMonitor,
     BackboneSimulator,
     DeviceType,
     IntraSimulator,
@@ -54,7 +53,7 @@ from repro import (
     paper_fleet,
     paper_scenario,
 )
-from repro.incidents import RootCause, SEVStore, Severity
+from repro.incidents import RootCause, Severity
 from repro.viz import format_table
 
 def _parse_jobs(value: str):
@@ -109,8 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--scale", type=float, default=1.0,
                         help="intra corpus scale factor")
     report.add_argument("--cache", metavar="DIR", default=None,
-                        help="result cache directory: analyses of an "
-                             "unchanged corpus are reused, not recomputed")
+                        help="result cache directory: every study's "
+                             "analyses of an unchanged corpus are "
+                             "reused, not recomputed")
     report.add_argument("--jobs", type=_parse_jobs, default=1,
                         metavar="N",
                         help="worker processes for the column-batch "
@@ -385,80 +385,88 @@ def _open_partitioned(store_dir: str):
     return cls.open(store_dir)
 
 
+def _check_store(store_dir: str, study: str) -> None:
+    """Exit with a message unless ``store_dir`` can feed ``study``."""
+    if study == "survivability":
+        raise SystemExit(
+            "survivability trials are generated, not stored; "
+            "'report survivability' does not take --store-dir"
+        )
+    if study == "full":
+        raise SystemExit(
+            "a partitioned store holds one domain; use "
+            "--store-dir with 'report intra' or 'report backbone'"
+        )
+    from repro.storage import Manifest
+
+    domain, label = {"intra": ("sev", "SEV"),
+                     "backbone": ("ticket", "ticket")}[study]
+    held = Manifest.load(store_dir).domain
+    if held != domain:
+        raise SystemExit(
+            f"{store_dir} holds a {held!r} store; "
+            f"'report {study}' needs a {label} store"
+        )
+
+
+def _cache(cache_dir: Optional[str]):
+    """The ``--cache`` directory as a result cache (None without one)."""
+    from repro.runtime import ResultCache
+
+    return ResultCache(cache_dir) if cache_dir is not None else None
+
+
+def _print_footer(report, cache, digest: bool) -> None:
+    """The ``--digest`` line, then the ``[cache]`` line after a hit."""
+    if digest:
+        from repro.faultline.oracle import report_digest
+
+        print(f"\nreport_digest: {report_digest(report)}")
+    if cache is not None and cache.hits:
+        _print_cache_stats(cache)
+
+
 def _intra_report(seed: Optional[int], scale: float,
+                  cache_dir: Optional[str] = None,
                   jobs: int = 1,
                   digest: bool = False,
                   store_dir: Optional[str] = None) -> None:
-    if store_dir is not None:
-        # Report over a stored corpus: the fleet model (and the cache
-        # fingerprint seed) come from the generator parameters the
-        # manifest recorded at `store init` time.
-        store = _open_partitioned(store_dir)
-        if store.domain != "sev":
-            raise SystemExit(
-                f"{store_dir} holds a {store.domain!r} store; "
-                "'report intra' needs a SEV store"
-            )
-        meta = store.manifest.meta
-        seed = meta.get("seed", seed if seed is not None else 1)
-        scale = meta.get("scale", scale)
-        scenario = paper_scenario(seed=seed, scale=scale)
-    else:
-        scenario = (paper_scenario(seed=seed, scale=scale)
-                    if seed is not None else paper_scenario(scale=scale))
-        store = IntraSimulator(scenario).run()
-    fleet = scenario.fleet
-    _print_intra_tables(store, fleet, jobs=jobs)
-    if digest:
-        from repro.faultline.oracle import report_digest
-        from repro.runtime import RunContext, run_intra_report
+    """The intra study: one executor run feeds the tables and the digest.
 
-        report = run_intra_report(
-            RunContext(store=store, fleet=fleet,
-                       corpus_seed=scenario.seed),
-            jobs=jobs,
-        )
-        print(f"\nreport_digest: {report_digest(report)}")
+    With ``store_dir`` the corpus is a stored one; the fleet model (and
+    the cache fingerprint seed) come from the generator parameters the
+    manifest recorded at ``store init`` time.
+    """
+    from repro.runtime import build_intra_context, run_intra_report
+
+    context = build_intra_context(seed, scale, store_dir=store_dir)
+    cache = _cache(cache_dir)
+    report = run_intra_report(context, jobs=jobs, cache=cache)
+    _print_intra_tables(report, context.store)
+    _print_footer(report, cache, digest)
 
 
-def _print_intra_tables(store: SEVStore, fleet, jobs: int = 1) -> None:
-    from repro.runtime import Executor, RunContext
-    from repro.runtime.analyses import (
-        DesignComparisonAnalysis,
-        DistributionAnalysis,
-        GrowthAnalysis,
-        RootCausesAnalysis,
-        SeverityByDeviceAnalysis,
-        SwitchReliabilityAnalysis,
-    )
+def _print_intra_tables(report, store) -> None:
+    """Table 2 and Figures 4, 7 and 12 of one intra study report."""
+    years = store.years()
+    last = report.last_year
+    print(f"corpus: {len(store)} SEVs, years {years[0]}-{years[-1]}\n")
 
-    print(f"corpus: {len(store)} SEVs, years "
-          f"{store.years()[0]}-{store.years()[-1]}\n")
-
-    executor = Executor(jobs=jobs)
-    context = RunContext(store=store, fleet=fleet)
-    results = executor.run(
-        [RootCausesAnalysis(), SeverityByDeviceAnalysis(),
-         DistributionAnalysis(), GrowthAnalysis()],
-        context,
-    )
-
-    t2 = results["root_causes"]
+    t2 = report.root_causes
     print(format_table(
         ["Root cause", "Share"],
         [[c.value, f"{t2.fraction(c):.1%}"] for c in RootCause],
         title="Table 2: root causes",
     ))
 
-    fig4 = results["severity_by_device"]
-    last = fig4.year
+    fig4 = report.severity
     print("\n" + format_table(
         ["Severity", "Share"],
         [[s.label, f"{fig4.level_share(s):.1%}"] for s in sorted(Severity)],
         title=f"Figure 4: severity mix, {last}",
     ))
 
-    dist = results["distribution"]
+    dist = report.distribution
     print("\n" + format_table(
         ["Device", f"Share of {last}"],
         [[t.value, f"{dist.fraction_of_year(last, t):.1%}"]
@@ -466,25 +474,19 @@ def _print_intra_tables(store: SEVStore, fleet, jobs: int = 1) -> None:
         title="Figure 7: incidents by device type",
     ))
 
-    first = store.years()[0]
-    if dist.year_total(first):
-        print(f"\ngrowth {first}->{last}: {results['growth']:.1f}x")
+    if dist.year_total(years[0]):
+        print(f"\ngrowth {years[0]}->{last}: {report.growth:.1f}x")
 
     try:
-        populated = executor.run(
-            [SwitchReliabilityAnalysis(), DesignComparisonAnalysis()],
-            context,
-        )
-        sr = populated["switch_reliability"]
+        sr = report.switches
         print("\n" + format_table(
             ["Device", f"MTBI {last} (device-hours)"],
             [[t.value, f"{sr.mtbi_h[last][t]:.3g}"]
              for t in DeviceType if t in sr.mtbi_h.get(last, {})],
             title="Figure 12: MTBI",
         ))
-        comparison = populated["design_comparison"]
         print(f"\nfabric/cluster incidents in {last}: "
-              f"{comparison.fabric_to_cluster_ratio(last):.0%}")
+              f"{report.designs.fabric_to_cluster_ratio(last):.0%}")
     except (KeyError, ValueError):
         # An imported corpus may not align with the built-in fleet
         # model; the population-normalized figures need one.
@@ -501,19 +503,17 @@ def _survivability_report(seed: Optional[int],
     Same executor, same cache as ``report intra`` — the generated
     trial corpus is just another record source.
     """
-    from repro.runtime import ResultCache, RunContext
-    from repro.survivability import generate_trials, run_survivability_report
-
-    seed = seed if seed is not None else 1
-    trials = generate_trials(seed=seed)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    context = RunContext(trials=trials, corpus_seed=seed)
-    report = run_survivability_report(context, jobs=jobs, cache=cache)
-    print(f"corpus: {len(trials)} trial records, seed {seed}, "
-          f"designs cluster+fabric\n")
-    print(report.render())
     from repro.core import survivable_capacity
+    from repro.survivability import (
+        build_survivability_context, run_survivability_report,
+    )
 
+    context = build_survivability_context(1 if seed is None else seed)
+    cache = _cache(cache_dir)
+    report = run_survivability_report(context, jobs=jobs, cache=cache)
+    print(f"corpus: {len(context.trials)} trial records, "
+          f"seed {context.corpus_seed}, designs cluster+fabric\n")
+    print(report.render())
     rows = survivable_capacity(report)
     floor = rows[0].floor if rows else 0.5
     print(f"\ncapacity floor {floor:.0%} survivable up to: " + "; ".join(
@@ -521,10 +521,7 @@ def _survivability_report(seed: Optional[int],
     ))
     if cache is not None and cache.hits:
         _print_cache_stats(cache)
-    if digest:
-        from repro.faultline.oracle import report_digest
-
-        print(f"\nreport_digest: {report_digest(report)}")
+    _print_footer(report, None, digest)
 
 
 def _backbone_report(seed: Optional[int],
@@ -535,52 +532,20 @@ def _backbone_report(seed: Optional[int],
     """The backbone study through the domain-generic runtime.
 
     Same executor, same cache as ``report intra`` — the ticket corpus
-    is just another record source.  With
-    ``store_dir`` the tickets stream from a partitioned store; the
-    topology and window are rebuilt from the seed the manifest
-    recorded (the ticket corpus itself is the store's, not the
-    simulator's).
+    is just another record source.  With ``store_dir`` the tickets
+    stream from a partitioned store; the topology and window are
+    rebuilt from the seed the manifest recorded.
     """
-    from repro.runtime import ResultCache, RunContext, run_backbone_report
+    from repro.runtime import build_backbone_context, run_backbone_report
 
-    tickets = None
-    if store_dir is not None:
-        store = _open_partitioned(store_dir)
-        if store.domain != "ticket":
-            raise SystemExit(
-                f"{store_dir} holds a {store.domain!r} store; "
-                "'report backbone' needs a ticket store"
-            )
-        seed = store.manifest.meta.get(
-            "seed", seed if seed is not None else 7
-        )
-        tickets = store
-    scenario = (paper_backbone_scenario(seed=seed)
-                if seed is not None else paper_backbone_scenario())
-    corpus = BackboneSimulator(scenario).run()
-    if tickets is None:
-        tickets = corpus.tickets
-        monitor = BackboneMonitor(corpus.topology, corpus.tickets)
-    else:
-        monitor = BackboneMonitor(corpus.topology, tickets.to_database())
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    context = RunContext(
-        monitor=monitor, topology=corpus.topology,
-        window_h=corpus.window_h, corpus_seed=scenario.seed,
-        tickets=tickets,
-    )
+    context = build_backbone_context(seed, store_dir=store_dir)
+    cache = _cache(cache_dir)
     report = run_backbone_report(context, cache=cache, jobs=jobs)
-
-    print(f"corpus: {len(tickets)} tickets, "
-          f"{len(corpus.topology.edges)} edges, "
-          f"{len(corpus.topology.links)} links\n")
+    print(f"corpus: {len(context.tickets)} tickets, "
+          f"{len(context.topology.edges)} edges, "
+          f"{len(context.topology.links)} links\n")
     print(report.render())
-    if digest:
-        from repro.faultline.oracle import report_digest
-
-        print(f"\nreport_digest: {report_digest(report)}")
-    if cache is not None and cache.hits:
-        _print_cache_stats(cache)
+    _print_footer(report, cache, digest)
 
 
 def _print_cache_stats(cache) -> None:
@@ -795,8 +760,11 @@ def _analyze(path: str) -> None:
         reader = import_sevs_json
     else:
         reader = import_sevs_csv
+    from repro.runtime import RunContext, run_intra_report
+
     store = reader(path)
-    _print_intra_tables(store, paper_fleet())
+    report = run_intra_report(RunContext(store=store, fleet=paper_fleet()))
+    _print_intra_tables(report, store)
 
 
 def _analyze_tickets(path: str) -> None:
@@ -839,37 +807,23 @@ def _full_report(seed: Optional[int], scale: float,
                  cache_dir: Optional[str] = None,
                  jobs: int = 1,
                  digest: bool = False) -> None:
-    from repro.core import backbone_study_report
-    from repro.runtime import ResultCache, RunContext, run_intra_report
-
-    scenario = (paper_scenario(seed=seed, scale=scale)
-                if seed is not None else paper_scenario(scale=scale))
-    store = IntraSimulator(scenario).run()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    context = RunContext(
-        store=store, fleet=scenario.fleet, corpus_seed=scenario.seed
+    from repro.runtime import (
+        build_backbone_context, build_intra_context, run_backbone_report,
+        run_intra_report,
     )
-    intra = run_intra_report(context, cache=cache, jobs=jobs)
+
+    cache = _cache(cache_dir)
+    intra = run_intra_report(build_intra_context(seed, scale),
+                             jobs=jobs, cache=cache)
     print(intra.render())
-    if digest:
-        from repro.faultline.oracle import report_digest
+    _print_footer(intra, cache, digest)
 
-        print(f"\nreport_digest: {report_digest(intra)}")
-    if cache is not None and cache.hits:
-        _print_cache_stats(cache)
-
-    backbone_scenario = (paper_backbone_scenario(seed=seed)
-                         if seed is not None else paper_backbone_scenario())
-    corpus = BackboneSimulator(backbone_scenario).run()
-    monitor = BackboneMonitor(corpus.topology, corpus.tickets)
-    backbone = backbone_study_report(
-        monitor, corpus.topology, corpus.window_h
-    )
+    # The backbone section reads and fills the cache but prints no
+    # [cache] line of its own.
+    backbone = run_backbone_report(build_backbone_context(seed),
+                                   jobs=jobs, cache=cache)
     print("\n" + backbone.render())
-    if digest:
-        from repro.faultline.oracle import report_digest
-
-        print(f"\nreport_digest: {report_digest(backbone)}")
+    _print_footer(backbone, None, digest)
 
     print()
     _survivability_report(seed, cache_dir, jobs, digest=digest)
@@ -920,7 +874,7 @@ def _serve(args) -> int:
             print(f"resumed {pending} pending job(s) from "
                   f"{app.data_dir / 'jobs.json'}")
         print(f"serving on {app.url} "
-              f"(seed {args.seed}, scale {args.scale}, "
+              f"(seed {app.state.seed}, scale {app.state.scale}, "
               f"{args.jobs} job worker(s))")
         print(f"  try: curl {app.url}/healthz")
         print(f"       curl {app.url}/reports/intra")
@@ -1105,27 +1059,18 @@ def _dispatch(args) -> int:
         from repro.stream import resolve_jobs
 
         jobs = resolve_jobs(args.jobs)
+        if args.store_dir is not None:
+            _check_store(args.store_dir, args.study)
         if args.study == "intra":
-            _intra_report(args.seed, args.scale, jobs,
+            _intra_report(args.seed, args.scale, args.cache, jobs,
                           digest=args.digest, store_dir=args.store_dir)
         elif args.study == "backbone":
             _backbone_report(args.seed, args.cache, jobs,
                              digest=args.digest, store_dir=args.store_dir)
         elif args.study == "survivability":
-            if args.store_dir is not None:
-                raise SystemExit(
-                    "survivability trials are generated, not stored; "
-                    "'report survivability' does not take --store-dir"
-                )
             _survivability_report(args.seed, args.cache, jobs,
                                   digest=args.digest)
         else:
-            if args.store_dir is not None:
-                raise SystemExit(
-                    "a partitioned store holds one domain; use "
-                    "--store-dir with 'report intra' or "
-                    "'report backbone'"
-                )
             _full_report(args.seed, args.scale, args.cache, jobs,
                          digest=args.digest)
         if args.cache_prune is not None:

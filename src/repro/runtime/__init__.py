@@ -42,6 +42,8 @@ from repro.runtime.domain import Corpus, SEVCorpus, TicketCorpus, TrialCorpus
 from repro.runtime.executor import (
     Executor,
     backbone_report_from,
+    build_backbone_context,
+    build_intra_context,
     intra_report_from,
     reference_fold,
     run_backbone_report,
@@ -82,6 +84,8 @@ __all__ = [
     "shutdown_executor_pool",
     "backbone_report_analyses",
     "backbone_report_from",
+    "build_backbone_context",
+    "build_intra_context",
     "corpus_fingerprint",
     "intra_report_analyses",
     "intra_report_from",

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import atexit
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from pathlib import Path
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.reports import BackboneStudyReport, IntraStudyReport
 from repro.faultline import hooks
@@ -59,6 +60,8 @@ from repro.runtime.cache import ResultCache
 
 __all__ = [
     "Executor",
+    "build_backbone_context",
+    "build_intra_context",
     "reference_fold",
     "run_backbone_report",
     "run_intra_report",
@@ -545,4 +548,87 @@ def run_backbone_report(
     return backbone_report_from(
         executor.run(backbone_report_analyses(), context, source=source),
         context.window_h,
+    )
+
+
+# -- study contexts ----------------------------------------------------
+#
+# Every front end gets a study's context from these builders: the CLI's
+# report commands, repro.serve's state and its report jobs.  One corpus
+# and seed thus make one fingerprint and one report digest, whichever
+# front end asks.
+
+
+def build_intra_context(
+    seed: Optional[int] = None,
+    scale: float = 1.0,
+    check_same_thread: bool = True,
+    store_dir: Optional[Union[str, Path]] = None,
+) -> RunContext:
+    """The intra study's context: a generated corpus or a stored one.
+
+    Without ``store_dir`` the paper scenario of ``seed`` (its default
+    seed when None) and ``scale`` is generated into a fresh SEV store;
+    ``check_same_thread=False`` builds that store so a threaded server
+    can query it from handler threads (access must then be serialized
+    by the caller; :class:`repro.serve.api.ServeState` holds the lock).
+    With ``store_dir`` the context reads a tiered partitioned SEV store
+    (:mod:`repro.storage`) instead, and the seed and scale its manifest
+    recorded at ``store init`` time override the arguments: they pick
+    the fleet model and the fingerprint's seed and scenario digest.
+    """
+    from repro.simulation.scenarios import paper_scenario
+
+    store = None
+    if store_dir is not None:
+        from repro.storage import PartitionedSEVStore
+
+        store = PartitionedSEVStore.open(store_dir)
+        seed = store.manifest.meta.get("seed", seed)
+        scale = store.manifest.meta.get("scale", scale)
+    scenario = (paper_scenario(scale=scale) if seed is None
+                else paper_scenario(seed=seed, scale=scale))
+    if store is None:
+        from repro.incidents.store import SEVStore
+        from repro.simulation.generator import IntraSimulator
+
+        store = IntraSimulator(scenario).run(
+            store=SEVStore(check_same_thread=check_same_thread)
+        )
+    return RunContext(
+        store=store, fleet=scenario.fleet, corpus_seed=scenario.seed,
+        scenario_digest=scenario.spec_digest,
+    )
+
+
+def build_backbone_context(
+    seed: Optional[int] = None,
+    store_dir: Optional[Union[str, Path]] = None,
+) -> RunContext:
+    """The backbone study's context: the topology and the tickets.
+
+    The backbone scenario of ``seed`` (its default seed when None) is
+    simulated for the topology and the observation window, and for the
+    tickets unless ``store_dir`` names a tiered partitioned ticket
+    store: the tickets then stream from the store, and the seed its
+    manifest recorded overrides ``seed``.  No backbone analysis reads
+    more than the topology and the tickets, so the context carries no
+    :class:`~repro.backbone.monitor.BackboneMonitor`.
+    """
+    from repro.simulation.backbone_sim import BackboneSimulator
+    from repro.simulation.scenarios import paper_backbone_scenario
+
+    tickets = None
+    if store_dir is not None:
+        from repro.storage import PartitionedTicketStore
+
+        tickets = PartitionedTicketStore.open(store_dir)
+        seed = tickets.manifest.meta.get("seed", seed)
+    scenario = (paper_backbone_scenario() if seed is None
+                else paper_backbone_scenario(seed=seed))
+    corpus = BackboneSimulator(scenario).run()
+    return RunContext(
+        topology=corpus.topology, window_h=corpus.window_h,
+        tickets=corpus.tickets if tickets is None else tickets,
+        corpus_seed=scenario.seed, scenario_digest=scenario.spec_digest,
     )

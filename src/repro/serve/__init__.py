@@ -16,31 +16,38 @@ package keeps the answers resident.  Stdlib only
     threads execute them and publish artifacts; job state is
     JSON-checkpointed so a killed server resumes its queue on restart.
 :mod:`~repro.serve.warm`
-    a pre-warmer — builds every study's payload at startup and tails
-    the :mod:`repro.stream` engine, rebuilding the intra payload so the
-    request path is never O(corpus).
+    a pre-warmer — builds every study's payload at startup and tails a
+    live SEV source into the served store, rebuilding the intra payload
+    so the request path is never O(corpus).
 :mod:`~repro.serve.payloads`
-    the JSON the service speaks — payload builders shared with the
-    CLI's ``report --digest``, each embedding the canonical
-    ``report_digest`` so HTTP and CLI answers are comparable with one
-    string.
+    the JSON the service speaks — each report payload embeds the
+    canonical ``report_digest`` so HTTP and CLI answers are comparable
+    with one string.
+
+The service and the CLI's ``report`` commands build every study's
+context with the same builders, which live beside the runners they
+feed: :func:`~repro.runtime.build_intra_context` and
+:func:`~repro.runtime.build_backbone_context` in
+:mod:`repro.runtime.executor`, and
+:func:`~repro.survivability.build_survivability_context` in
+:mod:`repro.survivability.analysis`.  They are re-exported here.
 
 Entry point: ``python -m repro serve --port 8351``.
 """
 
+from repro.runtime import build_backbone_context, build_intra_context
 from repro.serve.api import ApiError, ServeApp, ServeState
 from repro.serve.jobs import JOB_KINDS, Job, JobQueue, execute_job
 from repro.serve.payloads import (
     FIGURES,
     backbone_report_payload,
-    build_backbone_context,
-    build_intra_context,
     canonical_json,
     figure_ids,
     intra_report_payload,
     payload_digest,
 )
 from repro.serve.warm import CacheWarmer
+from repro.survivability import build_survivability_context
 
 __all__ = [
     "ApiError",
@@ -54,6 +61,7 @@ __all__ = [
     "backbone_report_payload",
     "build_backbone_context",
     "build_intra_context",
+    "build_survivability_context",
     "canonical_json",
     "execute_job",
     "figure_ids",

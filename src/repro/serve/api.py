@@ -17,7 +17,7 @@ Endpoints (all JSON):
 ``GET /``             endpoint index
 ``GET /healthz``      liveness: status, uptime, corpus sizes
 ``GET /stats``        payload builds and hits, cache hit/miss counters,
-                      request counts, job and stream statistics
+                      request counts, job statistics, rows ingested
 ``GET /reports/intra``     the intra study
 ``GET /reports/backbone``  the backbone study
 ``GET /reports/survivability``  correlated-failure survivability curves
@@ -45,20 +45,22 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from repro.runtime import ResultCache
+from repro.runtime import (
+    ResultCache,
+    build_backbone_context,
+    build_intra_context,
+)
 from repro.serve.jobs import JOB_KINDS, JobQueue
 from repro.serve.payloads import (
     FIGURES,
     backbone_report_payload,
-    build_backbone_context,
-    build_intra_context,
-    build_survivability_context,
     canonical_json,
     figure_ids,
     intra_report_payload,
     payload_digest,
     survivability_report_payload,
 )
+from repro.survivability import build_survivability_context
 
 __all__ = ["ApiError", "ServeApp", "ServeState"]
 
@@ -106,50 +108,33 @@ class ServeState:
         self._requests: Dict[str, int] = {}
         self._request_lock = threading.Lock()
 
-        from repro.stream import StreamEngine
-
-        #: Live-ingest tail (repro.stream): folded alongside the store
-        #: so /stats can answer streaming aggregates for free.
-        self.engine = StreamEngine()
-        if store_dir is not None:
-            # Serve a tiered partitioned store (repro.storage): the
-            # manifest's recorded generator parameters supply the
-            # fleet model and the cache-fingerprint seed, and the
-            # partitioned scan feeds the stream tail like a replay.
-            from repro.runtime import RunContext
-            from repro.simulation.scenarios import paper_scenario
-            from repro.storage import PartitionedSEVStore
-
-            store = PartitionedSEVStore.open(store_dir)
-            meta = store.manifest.meta
-            self.seed = seed = meta.get("seed", seed)
-            self.scale = scale = meta.get("scale", scale)
-            self.engine.run(store.records())
-            self.intra_context = RunContext(
-                store=store,
-                fleet=paper_scenario(seed=seed, scale=scale).fleet,
-                corpus_seed=seed,
-            )
-        elif corpus_path is not None:
+        #: SEV rows the served corpus took in: a stored or exported
+        #: corpus counts its rows at start-up, and every ingest adds
+        #: its own (``/stats`` ``stream.events_ingested``).
+        self.events_ingested = 0
+        if corpus_path is not None and store_dir is None:
             # Serve an exported corpus: replay it into a thread-shared
-            # store (and through the stream engine, so the live
-            # aggregates cover the replayed history too).
+            # store, modelled by the fleet of the given seed and scale.
             from repro.incidents.store import SEVStore
             from repro.runtime import RunContext
             from repro.simulation.scenarios import paper_scenario
             from repro.stream.sources import replay_file
 
             store = SEVStore(check_same_thread=False)
-            reports = list(replay_file(corpus_path))
-            store.insert_many(reports)
-            self.engine.run(replay_file(corpus_path))
-            self.intra_context = RunContext(
-                store=store, fleet=paper_scenario(seed=seed, scale=scale).fleet,
-            )
+            self.events_ingested = store.insert_many(replay_file(corpus_path))
+            fleet = paper_scenario(seed=seed, scale=scale).fleet
+            self.intra_context = RunContext(store=store, fleet=fleet)
         else:
             self.intra_context = build_intra_context(
-                seed=seed, scale=scale, check_same_thread=False
+                seed=seed, scale=scale, check_same_thread=False,
+                store_dir=store_dir,
             )
+            if store_dir is not None:
+                # A stored corpus is the one its manifest recorded.
+                store = self.intra_context.store
+                self.seed = self.intra_context.corpus_seed
+                self.scale = store.manifest.meta.get("scale", scale)
+                self.events_ingested = len(store)
         self.backbone_context = build_backbone_context(seed=backbone_seed)
         self.survivability_context = build_survivability_context(
             seed=self.seed
@@ -223,19 +208,17 @@ class ServeState:
         }
 
     def ingest(self, reports) -> int:
-        """Fold new SEV events into the served corpus.
+        """Insert new SEV events into the served corpus; returns the count.
 
         Drops the intra payload and changes the corpus fingerprint (row
         count moves), so every cached intra report key rotates; the
         warmer re-folds the dirty analyses off the request path.
         """
-        reports = list(reports)
         with self.lock:
-            self.intra_context.store.insert_many(reports)
+            count = self.intra_context.store.insert_many(reports)
             self._payloads.pop("intra", None)
-            for report in reports:
-                self.engine.ingest(report)
-        return len(reports)
+            self.events_ingested += count
+        return count
 
 
 class ServeApp:
@@ -438,7 +421,7 @@ class ServeApp:
             "requests": state.request_counts(),
             "jobs": self.queue.stats(),
             "warmer": self.warmer.stats(),
-            "stream": {"events_ingested": state.engine.events_ingested},
+            "stream": {"events_ingested": state.events_ingested},
         }
 
     def _submit_job(self, body: Optional[bytes]) -> Tuple[int, dict]:

@@ -103,15 +103,14 @@ def execute_job(kind: str, params: dict) -> str:
     same artifact bytes, which is what makes kill/resume safe and
     per-seed artifact digests a verify anchor.
     """
+    from repro.runtime import build_backbone_context, build_intra_context
     from repro.serve.payloads import (
         backbone_report_payload,
-        build_backbone_context,
-        build_intra_context,
-        build_survivability_context,
         canonical_json,
         intra_report_payload,
         survivability_report_payload,
     )
+    from repro.survivability import build_survivability_context
 
     if kind == "report":
         study = params.get("study", "intra")

@@ -1,12 +1,15 @@
 """Report payloads: the JSON the serving layer speaks.
 
 One module owns the translation from report dataclasses to JSON-able
-dicts so every consumer — the HTTP endpoints of
-:mod:`repro.serve.api`, the job artifacts of :mod:`repro.serve.jobs`,
-and the CLI's ``report --digest`` line — serializes the same corpus
-the same way.  Each report payload embeds the canonical
-``report_digest`` of the underlying report dataclass (the
-:func:`repro.faultline.oracle.report_digest` hash), so an HTTP
+dicts, so the HTTP endpoints of :mod:`repro.serve.api` and the job
+artifacts of :mod:`repro.serve.jobs` serialize the same corpus the
+same way.  Each report payload embeds the canonical ``report_digest``
+of the underlying report dataclass (the
+:func:`repro.faultline.oracle.report_digest` hash).  The CLI's
+``report --digest`` prints that hash for a context from the same
+builders (:func:`repro.runtime.build_intra_context`,
+:func:`repro.runtime.build_backbone_context`,
+:func:`repro.survivability.build_survivability_context`), so an HTTP
 response and a CLI invocation over the same corpus+seed can be
 compared with one string.
 
@@ -30,9 +33,6 @@ from repro.topology.devices import DeviceType
 __all__ = [
     "FIGURES",
     "backbone_report_payload",
-    "build_backbone_context",
-    "build_intra_context",
-    "build_survivability_context",
     "canonical_json",
     "figure_ids",
     "intra_report_payload",
@@ -49,63 +49,6 @@ def canonical_json(payload) -> str:
 def payload_digest(payload) -> str:
     """SHA-256 over the canonical JSON of ``payload``."""
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
-# -- context builders ---------------------------------------------------
-
-
-def build_intra_context(
-    seed: int = 1,
-    scale: float = 1.0,
-    check_same_thread: bool = True,
-) -> RunContext:
-    """Generate the seeded intra corpus and wrap it in a run context.
-
-    ``check_same_thread=False`` builds the SEV store so a threaded
-    server can query it from handler threads (access must then be
-    serialized by the caller; :class:`repro.serve.api.ServeState`
-    holds the lock).
-    """
-    from repro.incidents.store import SEVStore
-    from repro.simulation.generator import IntraSimulator
-    from repro.simulation.scenarios import paper_scenario
-
-    scenario = paper_scenario(seed=seed, scale=scale)
-    store = SEVStore(check_same_thread=check_same_thread)
-    IntraSimulator(scenario).run(store=store)
-    return RunContext(
-        store=store, fleet=scenario.fleet, corpus_seed=scenario.seed,
-        scenario_digest=scenario.spec_digest,
-    )
-
-
-def build_survivability_context(seed: int = 1) -> RunContext:
-    """Generate the seeded correlated-failure trial corpus + context.
-
-    The trial corpus is a pure function of ``(seed, knobs)``, so the
-    context carries the seed as the corpus fingerprint seed and no
-    scenario digest (the server serves the default knobs).
-    """
-    from repro.survivability import generate_trials
-
-    trials = generate_trials(seed=seed)
-    return RunContext(trials=trials, corpus_seed=seed)
-
-
-def build_backbone_context(seed: int = 7) -> RunContext:
-    """Generate the seeded backbone ticket corpus and its context."""
-    from repro.backbone.monitor import BackboneMonitor
-    from repro.simulation.backbone_sim import BackboneSimulator
-    from repro.simulation.scenarios import paper_backbone_scenario
-
-    scenario = paper_backbone_scenario(seed=seed)
-    corpus = BackboneSimulator(scenario).run()
-    monitor = BackboneMonitor(corpus.topology, corpus.tickets)
-    return RunContext(
-        monitor=monitor, topology=corpus.topology,
-        window_h=corpus.window_h, corpus_seed=seed,
-        scenario_digest=scenario.spec_digest,
-    )
 
 
 # -- figure/table extraction --------------------------------------------

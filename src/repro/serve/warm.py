@@ -9,12 +9,11 @@ build.  This module is that someone:
 * :meth:`CacheWarmer.prewarm` builds every study's payload at startup,
   folding through the shared :class:`~repro.runtime.cache.ResultCache`,
   so even the *first* HTTP request reuses a built payload.
-* :meth:`CacheWarmer.tail` consumes a live SEV source through the
-  server's :mod:`repro.stream` engine.  Every ingest drops the intra
-  payload and rotates the corpus fingerprint (all cached intra report
-  keys go stale), so the warmer counts dirty events and rebuilds at a
-  cadence — new data becomes visible in served reports without any
-  request ever paying the fold.
+* :meth:`CacheWarmer.tail` inserts a live SEV source into the served
+  store.  Every ingest drops the intra payload and rotates the corpus
+  fingerprint (all cached intra report keys go stale), so the warmer
+  counts dirty events and rebuilds at a cadence — new data becomes
+  visible in served reports without any request ever paying the fold.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ class CacheWarmer:
         ``source`` is any iterator of :class:`~repro.incidents.sev.SEVReport`
         (e.g. :func:`repro.stream.sources.replay_file`).  Events are
         ingested in batches through :meth:`ServeState.ingest` — which
-        updates both the SQL store and the stream aggregates — and the
+        inserts them into the served store and counts them — and the
         dirty counter re-folds the intra report at the configured
         cadence.  Always finishes with a final refold when anything
         landed, so the served reports include the complete tail.

@@ -28,6 +28,7 @@ from repro.survivability.analysis import (
     SurvivabilityStudyReport,
     SurvivabilitySummary,
     SurvivabilityTallies,
+    build_survivability_context,
     run_survivability_report,
     survivability_report_analyses,
     survivability_report_from,
@@ -59,6 +60,7 @@ __all__ = [
     "SurvivabilitySummary",
     "SurvivabilityTallies",
     "TrialSet",
+    "build_survivability_context",
     "correlated_failure_order",
     "default_correlated_knobs",
     "design_networks",

@@ -32,6 +32,7 @@ __all__ = [
     "SurvivabilitySummary",
     "SurvivabilityTallies",
     "DesignSurvivability",
+    "build_survivability_context",
     "run_survivability_report",
     "survivability_report_analyses",
     "survivability_report_from",
@@ -327,3 +328,15 @@ def run_survivability_report(
     return survivability_report_from(executor.run(
         survivability_report_analyses(), context, source=source
     ))
+
+
+def build_survivability_context(seed: int = 1) -> RunContext:
+    """The survivability study's context: the seeded trial corpus.
+
+    The trial corpus is a pure function of ``(seed, knobs)``, so the
+    context carries the seed as the corpus fingerprint seed and no
+    scenario digest (the builder runs the default knobs).
+    """
+    from repro.survivability.trials import generate_trials
+
+    return RunContext(trials=generate_trials(seed=seed), corpus_seed=seed)

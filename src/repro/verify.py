@@ -675,12 +675,13 @@ def serve_checks(seed: int = 1, backbone_seed: int = 7,
     import tempfile
 
     from repro.faultline.oracle import report_digest
-    from repro.runtime import run_backbone_report, run_intra_report
-    from repro.serve import JobQueue, ServeApp
-    from repro.serve.payloads import (
+    from repro.runtime import (
         build_backbone_context,
         build_intra_context,
+        run_backbone_report,
+        run_intra_report,
     )
+    from repro.serve import JobQueue, ServeApp
 
     checks: List[Check] = []
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -67,15 +68,46 @@ class TestReport:
         assert "Vendor scorecards" in out
         assert "Repair durations" in out
 
-    def test_backbone_cache_reuses_analyses(self, tmp_path, capsys):
-        args = ["report", "backbone", "--seed", "4",
+    @pytest.mark.parametrize("study, analyses",
+                             [("backbone", 4), ("intra", 8)])
+    def test_backbone_cache_reuses_analyses(self, tmp_path, capsys,
+                                            study, analyses):
+        args = ["report", study, "--seed", "4",
                 "--cache", str(tmp_path / "cache")]
+        if study == "intra":
+            args += ["--scale", "0.1"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "[cache]" not in first
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert "[cache] 4 analyses reused, 0 computed" in second
+        assert f"[cache] {analyses} analyses reused, 0 computed" in second
+        # The [cache] line follows the tables and the digest line.
+        assert second.rstrip().splitlines()[-1].startswith("[cache]")
+
+    @pytest.mark.parametrize("digest", [[], ["--digest"]],
+                             ids=["plain", "digest"])
+    def test_intra_report_runs_the_executor_once(self, tmp_path, capsys,
+                                                 monkeypatch, digest):
+        # One run answers the tables and the digest line alike, over
+        # a generated corpus and over a stored one.
+        from repro.runtime.executor import Executor
+
+        store = str(tmp_path / "store")
+        assert main(["store", "init", store, "--scale", "0.1"]) == 0
+        runs = []
+        run = Executor.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(args)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Executor, "run", counted)
+        for source in (["--scale", "0.1"], ["--store-dir", store]):
+            runs.clear()
+            assert main(["report", "intra"] + source + digest) == 0
+            assert len(runs) == 1, source
+        capsys.readouterr()
 
 
 class TestVerify:
@@ -153,6 +185,29 @@ class TestExportAnalyze:
         out = capsys.readouterr().out
         assert "Vendor scorecards" in out
         assert "Repair durations" in out
+
+    @pytest.mark.parametrize("seed", [1, 7, 13])
+    def test_analyze_fabric_only_export_skips_fleet_figures(
+        self, tmp_path, capsys, seed
+    ):
+        # Without cluster devices the population-normalized figures
+        # have no denominator; analyze prints the rest and says so.
+        full, fabric = tmp_path / "sevs.jsonl", tmp_path / "fabric.jsonl"
+        assert main(["export", "sevs", str(full), "--seed", str(seed),
+                     "--scale", "0.25"]) == 0
+        with open(full) as src, open(fabric, "w") as dst:
+            for line in src:
+                device = json.loads(line)["device_name"].split(".")[0]
+                if device in ("fsw", "ssw", "esw", "rsw"):
+                    dst.write(line)
+        capsys.readouterr()
+        assert main(["analyze", str(fabric)]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 7: incidents by device type" in out
+        assert out.rstrip().splitlines()[-1] == (
+            "(no fleet model for this corpus; skipping "
+            "population-normalized figures)"
+        )
 
 
 class TestStream:
@@ -246,7 +301,6 @@ class TestImportCost:
             import sys
 
             from repro.cli import main
-            from repro.serve import ServeApp
 
             tmp = {str(tmp_path)!r}
             for argv in (
@@ -260,6 +314,13 @@ class TestImportCost:
                  "--digest"],
             ):
                 assert main(argv) == 0, argv
+            # The report commands build their contexts without the
+            # serving layer (or its HTTP server) coming along.
+            served = [m for m in ("http.server", "repro.serve")
+                      if m in sys.modules]
+            assert not served, served
+            from repro.serve import ServeApp
+
             with ServeApp(seed=1, scale=0.1, prewarm=True):
                 pass
             print(sorted(m for m in sys.modules

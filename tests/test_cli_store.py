@@ -91,6 +91,20 @@ class TestReportOverStore:
                      ticket_store_dir, "--digest"]) == 0
         assert _digest(capsys.readouterr().out) == expected
 
+    @pytest.mark.parametrize("study, store, held, needs", [
+        ("intra", "ticket_store_dir", "ticket", "SEV"),
+        ("backbone", "sev_store_dir", "sev", "ticket"),
+    ], ids=["intra", "backbone"])
+    def test_store_of_the_other_domain_is_refused(self, request, study,
+                                                  store, held, needs):
+        path = request.getfixturevalue(store)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", study, "--store-dir", path])
+        assert exc.value.code == (
+            f"{path} holds a {held!r} store; "
+            f"'report {study}' needs a {needs} store"
+        )
+
     def test_full_refuses_store_dir(self, sev_store_dir):
         with pytest.raises(SystemExit):
             main(["report", "full", "--store-dir", sev_store_dir])

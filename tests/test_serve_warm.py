@@ -89,7 +89,8 @@ class TestTail:
         ingested = app.warmer.tail(new_events(10))
         assert ingested == 10
         assert len(app.state.intra_context.store) == rows_before + 10
-        assert app.state.engine.events_ingested == 10
+        _, stats = app.handle("GET", "/stats")
+        assert stats["stream"]["events_ingested"] == 10
         assert app.warmer.stats()["events_tailed"] == 10
 
         # The corpus moved, so the served report moved with it — and
