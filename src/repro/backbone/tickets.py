@@ -61,6 +61,10 @@ class TicketDatabase:
         self._open_by_link: Dict[str, RepairTicket] = {}
         self._open_by_ref: Dict[str, RepairTicket] = {}
         self._seq = 0
+        #: The provenance key of a freshly generated corpus, as on
+        #: :class:`~repro.incidents.store.SEVStore`: set by the context
+        #: builder that generated it, dropped by every write.
+        self.provenance: Optional[str] = None
 
     # -- ingestion -----------------------------------------------------
 
@@ -75,6 +79,7 @@ class TicketDatabase:
         link is rejected as ambiguous — the production pipeline
         reconciles pairs the same way.
         """
+        self.provenance = None
         if email.is_start:
             if email.ticket_ref is None and email.link_id in self._open_by_link:
                 raise ValueError(
@@ -150,6 +155,7 @@ class TicketDatabase:
     ) -> RepairTicket:
         if completed_at_h < started_at_h:
             raise ValueError("ticket completes before it starts")
+        self.provenance = None
         ticket = RepairTicket(
             ticket_id=f"fib-{self._seq:06d}",
             link_id=link_id,
@@ -176,6 +182,7 @@ class TicketDatabase:
                 f"ticket {ticket.ticket_id!r} is still open; "
                 "only completed tickets can be added directly"
             )
+        self.provenance = None
         self._tickets.append(ticket)
         self._seq += 1
         return ticket

@@ -153,6 +153,11 @@ class SEVStore:
         self._conn.executescript(_SCHEMA)
         ensure_region_column(self._conn)
         self.create_indexes()
+        #: The provenance key of a freshly generated corpus
+        #: (:func:`repro.runtime.cache.provenance_fingerprint`), set by
+        #: the context builder that generated it; every write below
+        #: drops it, so the cache falls back to the row-based key.
+        self.provenance: Optional[str] = None
 
     # -- indexes -----------------------------------------------------
 
@@ -237,6 +242,7 @@ class SEVStore:
         self._conn.executemany(self._INSERT_CAUSE, self._cause_rows(report))
 
     def insert(self, report: SEVReport) -> None:
+        self.provenance = None
         with self._conn:
             self._insert_in_tx(report)
 
@@ -256,6 +262,7 @@ class SEVStore:
         device name carries none (pre-partition imports), so foreign
         corpora land in a chosen partition instead of the catch-all.
         """
+        self.provenance = None
         iterator = iter(reports)
         consumed: List[SEVReport] = []
 
@@ -298,6 +305,7 @@ class SEVStore:
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        self.provenance = None
         conn = self._conn
         (synchronous,) = conn.execute("PRAGMA synchronous").fetchone()
         (journal_mode,) = conn.execute("PRAGMA journal_mode").fetchone()

@@ -15,19 +15,22 @@ both of the paper's datasets ship as corpora —
 SEV store (sections 4-5) and :class:`~repro.runtime.domain.TicketCorpus`
 over the backbone repair-ticket database (section 6).  A
 content-addressed :class:`~repro.runtime.cache.ResultCache` keyed by
-domain-tagged corpus fingerprints makes repeat runs over unchanged
-corpora free.
+domain-tagged corpus fingerprints and analysis versions makes repeat
+runs over unchanged corpora free; a generated corpus is keyed by its
+provenance, so a repeat run does not even generate it.
 """
 
-from repro.runtime.analysis import Analysis, RunContext
+from repro.runtime.analysis import Analysis, PendingCorpus, RunContext
 from repro.runtime.analyses import (
     backbone_report_analyses,
     intra_report_analyses,
     registry,
 )
 from repro.runtime.cache import (
+    GENERATOR_VERSION,
     ResultCache,
     corpus_fingerprint,
+    provenance_fingerprint,
     ticket_fingerprint,
     trial_fingerprint,
 )
@@ -44,6 +47,8 @@ from repro.runtime.executor import (
     backbone_report_from,
     build_backbone_context,
     build_intra_context,
+    generated_backbone_context,
+    generated_intra_context,
     intra_report_from,
     reference_fold,
     run_backbone_report,
@@ -69,7 +74,9 @@ __all__ = [
     "Corpus",
     "DurationSketches",
     "Executor",
+    "GENERATOR_VERSION",
     "OutageTallies",
+    "PendingCorpus",
     "ResultCache",
     "RunContext",
     "SEVColumnBatch",
@@ -87,8 +94,11 @@ __all__ = [
     "build_backbone_context",
     "build_intra_context",
     "corpus_fingerprint",
+    "generated_backbone_context",
+    "generated_intra_context",
     "intra_report_analyses",
     "intra_report_from",
+    "provenance_fingerprint",
     "reference_fold",
     "registry",
     "run_backbone_report",

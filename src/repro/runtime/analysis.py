@@ -33,12 +33,53 @@ result comes entirely from the context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.fleet.population import FleetModel
 from repro.incidents.store import SEVStore
 
-__all__ = ["Analysis", "RunContext"]
+__all__ = ["Analysis", "PendingCorpus", "RunContext"]
+
+
+class PendingCorpus(NamedTuple):
+    """A generated corpus a context will build only when it is read.
+
+    ``provenance`` is the corpus' cache key
+    (:func:`repro.runtime.cache.provenance_fingerprint`), known before
+    generation; ``build`` generates the corpus and returns the context
+    fields it fills, by name (``store`` for ``domain="sev"``,
+    ``topology`` and ``tickets`` for ``domain="ticket"``).
+    """
+
+    domain: str
+    provenance: str
+    build: Callable[[], Dict[str, Any]]
+
+
+class _Generated:
+    """A context field that a pending corpus of ``domain`` fills.
+
+    Reading the field builds the pending corpus first, so every reader
+    (the executor's scan, a front end's row count) sees the generated
+    substrate, and nothing is generated that no one reads.
+    """
+
+    def __init__(self, domain: str) -> None:
+        self.domain = domain
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, context, owner=None):
+        if context is None:
+            return None  # the dataclass default
+        pending = context.pending
+        if pending is not None and pending.domain == self.domain:
+            context.generate()
+        return context.__dict__.get(self.name)
+
+    def __set__(self, context, value) -> None:
+        context.__dict__[self.name] = value
 
 
 @dataclass
@@ -49,37 +90,66 @@ class RunContext:
     means "the newest year in the corpus", resolved after folding so
     folds need no look-ahead.  ``baseline_year`` defaults
     to the resolved target year.  ``corpus_seed`` travels with the
-    context so the result cache can fingerprint generated corpora —
+    context so the result cache can fingerprint stored corpora —
     of either domain; the fingerprints themselves are domain-tagged,
     so a SEV corpus and a ticket corpus sharing a seed never collide.
+
+    A context may hold its generated corpus as ``pending`` (a
+    :class:`PendingCorpus`): the cache keys it by provenance without
+    building it, and the first read of a field it fills builds it.
     """
 
-    store: Optional[SEVStore] = None
+    store: Optional[SEVStore] = _Generated("sev")
     fleet: Optional[FleetModel] = None
     year: Optional[int] = None
     baseline_year: Optional[int] = None
     corpus_seed: Optional[int] = None
     #: Spec digest of the generating scenario
     #: (:attr:`repro.simulation.scenarios.IntraScenario.spec_digest`);
-    #: travels into the corpus fingerprints so two distinct scenarios
-    #: at identical (rows, seed, schema) never share a cache entry.
+    #: travels into the row-based corpus fingerprints so two distinct
+    #: scenarios at identical (rows, seed, schema) never share a cache
+    #: entry.
     scenario_digest: Optional[str] = None
     #: Table 1 substrate (:class:`repro.remediation.engine.RemediationEngine`).
     engine: Any = None
     #: Section 6 substrate (:class:`repro.backbone.monitor.BackboneMonitor`).
     monitor: Any = None
     #: Section 6 topology (:class:`repro.topology.backbone.BackboneTopology`).
-    topology: Any = None
+    topology: Any = _Generated("ticket")
     #: Section 6 observation window in hours.
     window_h: Optional[float] = None
     #: Section 6 record source (:class:`repro.backbone.tickets.TicketDatabase`);
     #: defaults to ``monitor.tickets`` when only a monitor is supplied.
-    tickets: Any = None
+    tickets: Any = _Generated("ticket")
     #: Survivability record source
     #: (:class:`repro.survivability.trials.TrialSet`).
     trials: Any = None
     #: Free-form extras for user-defined analyses.
     extra: dict = field(default_factory=dict)
+    #: The generated corpus not built yet, if any; see
+    #: :meth:`generate` and :meth:`fingerprint_for`.
+    pending: Optional[PendingCorpus] = field(default=None, repr=False,
+                                             compare=False)
+
+    def generate(self) -> None:
+        """Build the pending corpus now; a no-op when none is pending."""
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            for name, value in pending.build().items():
+                setattr(self, name, value)
+
+    def fingerprint_for(self, domain: str) -> Optional[str]:
+        """The ``domain`` corpus' cache fingerprint, building nothing.
+
+        A pending corpus answers with its provenance key; any other
+        with :meth:`~repro.runtime.domain.Corpus.fingerprint` (``None``
+        when the context has no corpus of that domain).
+        """
+        pending = self.pending
+        if pending is not None and pending.domain == domain:
+            return pending.provenance
+        corpus = self.corpus_for(domain)
+        return corpus.fingerprint() if corpus is not None else None
 
     def resolve_year(self, years) -> int:
         """The target year: explicit, or the newest year observed."""
@@ -120,8 +190,10 @@ class RunContext:
     def corpus_for(self, domain: str):
         """The :class:`~repro.runtime.domain.Corpus` for ``domain``.
 
-        Returns ``None`` when the context carries no record source of
-        that kind (the analysis must then be fed an explicit source).
+        Builds a pending corpus of that domain first
+        (:meth:`fingerprint_for` keys it without building it).  Returns
+        ``None`` when the context carries no record source of that
+        kind (the analysis must then be fed an explicit source).
         """
         from repro.runtime.domain import SEVCorpus, TicketCorpus, TrialCorpus
 
@@ -155,6 +227,10 @@ class Analysis:
 
     #: Registry and cache key; unique among registered analyses.
     name: str = ""
+    #: Code version, part of every cache key of the analysis' results:
+    #: bump it whenever a change moves what the analysis returns, so a
+    #: persistent cache recomputes this analysis and no other.
+    version: int = 1
     #: Whether the analysis folds corpus records (False = context-only).
     requires_corpus: bool = True
     #: Which record kind ``fold`` consumes ("sev" or "ticket"); the

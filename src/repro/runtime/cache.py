@@ -3,11 +3,27 @@
 A full report is ~10 analyses over one corpus; re-running ``report
 full`` or ``verify`` over an *unchanged* corpus should cost zero
 corpus passes.  The cache keys every finalized result by a **corpus
-fingerprint** — store row count, generator seed, and a hash of the
-SQLite schema — plus the analysis name and the context's year/baseline
-parameters, so any change to the corpus or the question misses
-cleanly.  How the executor gathered a result is not part of the key:
-every path answers bit-identically, so one entry serves them all.
+fingerprint**, the analysis name and its ``version``, and the
+context's year/baseline/window parameters, so any change to the
+corpus, the analysis code or the question misses cleanly.  How the
+executor gathered a result is not part of the key: every path answers
+bit-identically, so one entry serves them all.
+
+A corpus fingerprint comes in one of two kinds:
+
+*provenance*
+    a corpus this library generated is keyed by how it was made: its
+    domain tag, its generating scenario's spec digest (which carries
+    the seed, the scale and every knob) and :data:`GENERATOR_VERSION`
+    (:func:`provenance_fingerprint`).  The key is known before the
+    corpus exists, so a warm run looks its results up first and
+    generates only on a miss.  Any write after generation drops it.
+*row-based*
+    a stored, imported or written-to corpus keeps the cheap
+    (domain, rows, seed, scenario digest, schema) fingerprint of
+    :func:`corpus_fingerprint` and :func:`ticket_fingerprint`; it
+    sees no content, so two such corpora of equal size and seed share
+    a key.
 
 The cache is content-addressed, not invalidated: nothing is ever
 evicted by mutation, a changed corpus simply hashes elsewhere.  By
@@ -39,24 +55,56 @@ from repro.faultline import hooks
 from repro.incidents.store import SEVStore
 
 __all__ = [
+    "GENERATOR_VERSION",
     "ResultCache",
     "corpus_fingerprint",
+    "provenance_fingerprint",
     "ticket_fingerprint",
     "trial_fingerprint",
 ]
 
 PathLike = Union[str, Path]
 
+#: Version of the corpus generators (the intra and backbone simulators
+#: and the survivability trials).  It joins every provenance key and
+#: the trial fingerprint: bump it whenever a change moves what a
+#: generator emits for a given spec, or a persistent cache serves
+#: results computed over the old corpus.
+GENERATOR_VERSION = 1
+
+
+def provenance_fingerprint(domain: str, scenario: str) -> str:
+    """Fingerprint a generated corpus by how it was made.
+
+    ``scenario`` is the generating scenario's spec digest
+    (:meth:`repro.scenarios.ScenarioSpec.digest`), which already
+    carries the seed, the scale and every knob; the generators are
+    deterministic in it, so (domain, spec digest,
+    :data:`GENERATOR_VERSION`) pins the corpus content without the
+    corpus.  A corpus written to after generation must not keep this
+    key (:class:`~repro.incidents.store.SEVStore` and
+    :class:`~repro.backbone.tickets.TicketDatabase` drop their
+    ``provenance`` on every write).
+    """
+    payload = (
+        f"domain={domain};provenance={scenario}"
+        f";generator={GENERATOR_VERSION}"
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
 
 def corpus_fingerprint(store: SEVStore, seed: Optional[int] = None,
                        scenario: Optional[str] = None) -> str:
-    """Fingerprint a SEV corpus: domain, rows, seed, scenario, schema.
+    """Row-based fingerprint of a SEV store: domain, rows, seed,
+    scenario, schema.
 
-    Cheap by design (no corpus scan): the generators are deterministic
-    in their seed *and scenario*, so (seed, scenario digest, row
-    count, schema) pins the corpus content for every corpus this
-    library produces.  Corpora imported from elsewhere should pass a
-    caller-chosen ``seed`` surrogate or skip caching.  The domain tag
+    The key of stored, imported and written-to corpora; a corpus the
+    context builders generate is keyed by
+    :func:`provenance_fingerprint` instead, for as long as nothing
+    writes to it.  Cheap by design (no corpus scan), and blind to
+    content: two stores with the same row count, seed surrogate and
+    schema share a key, so corpora imported from elsewhere should pass
+    a caller-chosen ``seed`` surrogate or skip caching.  The domain tag
     keeps a SEV corpus from ever colliding with a ticket corpus of
     the same size and seed.
 
@@ -85,9 +133,12 @@ def corpus_fingerprint(store: SEVStore, seed: Optional[int] = None,
 
 def ticket_fingerprint(tickets, seed: Optional[int] = None,
                        scenario: Optional[str] = None) -> str:
-    """Fingerprint a ticket corpus: domain, rows, seed, scenario, schema.
+    """Row-based fingerprint of a ticket corpus: domain, rows, seed,
+    scenario, schema.
 
-    The ticket analog of :func:`corpus_fingerprint`: completed-ticket
+    The ticket analog of :func:`corpus_fingerprint`, and likewise the
+    key of stored and written-to ticket corpora only (a generated one
+    is keyed by :func:`provenance_fingerprint`): completed-ticket
     count, scenario seed, the generating scenario's spec digest, and
     a hash of the interchange schema (the exported field list plus
     the ticket-type vocabulary, the ticket database's equivalent of a
@@ -115,8 +166,10 @@ def trial_fingerprint(trials, seed: Optional[int] = None,
                       scenario: Optional[str] = None) -> str:
     """Fingerprint a survivability trial corpus.
 
-    The trial analog of :func:`corpus_fingerprint`: row count, seed,
-    the generating scenario's spec digest, the record schema (the
+    Trials are generated eagerly (a corpus costs milliseconds), so
+    their key is computed from the corpus: row count, seed, the
+    generating scenario's spec digest, :data:`GENERATOR_VERSION`, the
+    record schema (the
     :class:`~repro.survivability.trials.FailureTrial` field list),
     *and the correlation knobs* — a trial corpus is a pure function of
     (seed, knobs), so two corpora of equal size and seed under
@@ -139,7 +192,7 @@ def trial_fingerprint(trials, seed: Optional[int] = None,
     ).hexdigest()
     payload = (
         f"domain=trial;rows={rows};seed={seed};scenario={scenario}"
-        f";schema={schema_hash}"
+        f";generator={GENERATOR_VERSION};schema={schema_hash}"
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -166,16 +219,20 @@ class ResultCache:
         year: Optional[int],
         baseline_year: Optional[int],
         window_h: Optional[float] = None,
+        version: Any = 1,
     ) -> str:
-        """One cache key: corpus identity plus the full question.
+        """One cache key: corpus identity, analysis code, the question.
 
+        ``version`` is the analysis' code version
+        (:attr:`repro.runtime.analysis.Analysis.version`), so a bumped
+        analysis misses while its neighbours keep hitting.
         ``window_h`` is the ticket domain's context parameter (the
         observation window the MTBF math scales by), playing the role
         ``year``/``baseline_year`` play for the SEV domain.
         """
         payload = (
-            f"{fingerprint}:{analysis}:{year}:{baseline_year}"
-            f":{window_h}"
+            f"{fingerprint}:{analysis}:v{version}:{year}"
+            f":{baseline_year}:{window_h}"
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 

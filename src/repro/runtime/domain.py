@@ -9,8 +9,10 @@ plan asks of a record source:
 ``records()``
     iterate every record (the per-row reference fold's input);
 ``fingerprint()``
-    a content hash for the result cache, or ``None`` when the corpus
-    cannot be fingerprinted (then nothing is cached);
+    the corpus' result-cache key — the provenance key a generated
+    corpus carries until something writes to it, else the row-based
+    fingerprint — or ``None`` when the corpus cannot be fingerprinted
+    (then nothing is cached);
 ``sql_shards()``
     the SQLite shards ``fold_sql`` runs on, or ``None``;
 ``column_batches(batch_size)``
@@ -111,6 +113,9 @@ class SEVCorpus(Corpus):
         return self.store.all_reports()
 
     def fingerprint(self) -> Optional[str]:
+        provenance = getattr(self.store, "provenance", None)
+        if provenance is not None:
+            return provenance
         return corpus_fingerprint(self.store, seed=self.seed,
                                   scenario=self.scenario)
 
@@ -149,6 +154,9 @@ class TicketCorpus(Corpus):
         return self.tickets.completed()
 
     def fingerprint(self) -> Optional[str]:
+        provenance = getattr(self.tickets, "provenance", None)
+        if provenance is not None:
+            return provenance
         return ticket_fingerprint(self.tickets, seed=self.seed,
                                   scenario=self.scenario)
 

@@ -37,8 +37,9 @@ them by :attr:`~repro.runtime.analysis.Analysis.domain` and resolves
 each group's :class:`~repro.runtime.domain.Corpus` from the context.
 Give the executor a :class:`~repro.runtime.cache.ResultCache` and
 finalized results are keyed by the corpus fingerprint of the
-analysis' domain: re-running the same questions over an unchanged
-corpus performs no pass at all.
+analysis' domain and the analysis' version: re-running the same
+questions over an unchanged corpus performs no pass at all, and over a
+generated corpus it does not even generate it.
 """
 
 from __future__ import annotations
@@ -51,17 +52,19 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 from repro.core.reports import BackboneStudyReport, IntraStudyReport
 from repro.faultline import hooks
 from repro.faultline.plan import ColumnFoldCrash, ShardWorkerCrash
-from repro.runtime.analysis import Analysis, RunContext
+from repro.runtime.analysis import Analysis, PendingCorpus, RunContext
 from repro.runtime.analyses import (
     backbone_report_analyses,
     intra_report_analyses,
 )
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import ResultCache, provenance_fingerprint
 
 __all__ = [
     "Executor",
     "build_backbone_context",
     "build_intra_context",
+    "generated_backbone_context",
+    "generated_intra_context",
     "reference_fold",
     "run_backbone_report",
     "run_intra_report",
@@ -148,9 +151,12 @@ class Executor:
         analyses' record kind — valid only when every corpus analysis
         in the run shares one domain); by default the plan reads the
         domain corpus resolved from the context.  Results are cached
-        per corpus fingerprint when a cache is configured and the
-        records come from a fingerprintable corpus (an anonymous
-        iterator has no fingerprint).
+        per corpus fingerprint and analysis version when a cache is
+        configured and the records come from a fingerprintable corpus
+        (an anonymous iterator has no fingerprint).  Every lookup runs
+        before the fold, and a pending generated corpus is keyed by its
+        provenance, so a run whose every analysis hits never generates
+        its corpus.
         """
         analyses = list(analyses)
         names = [a.name for a in analyses]
@@ -167,10 +173,7 @@ class Executor:
                 # report they ride along with.
                 domain = analysis.domain if analysis.requires_corpus else "sev"
                 if domain not in fingerprints:
-                    corpus = context.corpus_for(domain)
-                    fingerprints[domain] = (
-                        corpus.fingerprint() if corpus is not None else None
-                    )
+                    fingerprints[domain] = context.fingerprint_for(domain)
                 fingerprint = fingerprints[domain]
                 if fingerprint is None:
                     pending.append(analysis)
@@ -178,6 +181,7 @@ class Executor:
                 key = ResultCache.key(
                     fingerprint, analysis.name, context.year,
                     context.baseline_year, context.window_h,
+                    version=analysis.version,
                 )
                 hit, value = self.cache.lookup(key)
                 if hit:
@@ -399,12 +403,12 @@ def _worker_context(context: RunContext) -> RunContext:
     """A picklable copy of the context for worker processes.
 
     The live substrates — SQLite store, remediation engine, backbone
-    monitor, ticket database — are stripped; folding only reads
-    batches and the fleet.
+    monitor, ticket database — and a pending corpus' build are
+    stripped; folding only reads batches and the fleet.
     """
     return replace(
         context, store=None, engine=None, monitor=None, topology=None,
-        tickets=None, trials=None,
+        tickets=None, trials=None, pending=None,
     )
 
 
@@ -554,9 +558,64 @@ def run_backbone_report(
 # -- study contexts ----------------------------------------------------
 #
 # Every front end gets a study's context from these builders: the CLI's
-# report commands, repro.serve's state and its report jobs.  One corpus
-# and seed thus make one fingerprint and one report digest, whichever
-# front end asks.
+# report commands, repro.serve's state and its report jobs, and the
+# grid's cells.  One corpus and seed thus make one fingerprint and one
+# report digest, whichever front end asks.  A generated corpus is
+# pending until first read (RunContext.pending), keyed by provenance.
+
+
+def generated_intra_context(scenario,
+                            check_same_thread: bool = True) -> RunContext:
+    """The context of the SEV corpus ``scenario`` generates, built on
+    first read.
+
+    The corpus' cache key is its provenance
+    (:func:`~repro.runtime.cache.provenance_fingerprint` over the
+    scenario's spec digest), so an executor run whose every analysis
+    hits the cache never generates it.  ``check_same_thread=False``
+    builds a store a threaded server can query from handler threads.
+    """
+    from repro.incidents.store import SEVStore
+    from repro.simulation.generator import IntraSimulator
+
+    provenance = provenance_fingerprint("sev", scenario.spec_digest)
+
+    def build() -> Dict[str, Any]:
+        store = IntraSimulator(scenario).run(
+            store=SEVStore(check_same_thread=check_same_thread)
+        )
+        store.provenance = provenance
+        return {"store": store}
+
+    return RunContext(
+        fleet=scenario.fleet, corpus_seed=scenario.seed,
+        scenario_digest=scenario.spec_digest,
+        pending=PendingCorpus("sev", provenance, build),
+    )
+
+
+def generated_backbone_context(scenario) -> RunContext:
+    """The context of the ticket corpus ``scenario`` generates, built
+    on first read.
+
+    The backbone analogue of :func:`generated_intra_context`.  The
+    observation window comes from the scenario, so a fully cached run
+    needs neither the topology nor the tickets.
+    """
+    from repro.simulation.backbone_sim import BackboneSimulator
+
+    provenance = provenance_fingerprint("ticket", scenario.spec_digest)
+
+    def build() -> Dict[str, Any]:
+        corpus = BackboneSimulator(scenario).run()
+        corpus.tickets.provenance = provenance
+        return {"topology": corpus.topology, "tickets": corpus.tickets}
+
+    return RunContext(
+        window_h=scenario.window_h, corpus_seed=scenario.seed,
+        scenario_digest=scenario.spec_digest,
+        pending=PendingCorpus("ticket", provenance, build),
+    )
 
 
 def build_intra_context(
@@ -567,15 +626,14 @@ def build_intra_context(
 ) -> RunContext:
     """The intra study's context: a generated corpus or a stored one.
 
-    Without ``store_dir`` the paper scenario of ``seed`` (its default
-    seed when None) and ``scale`` is generated into a fresh SEV store;
-    ``check_same_thread=False`` builds that store so a threaded server
-    can query it from handler threads (access must then be serialized
-    by the caller; :class:`repro.serve.api.ServeState` holds the lock).
-    With ``store_dir`` the context reads a tiered partitioned SEV store
-    (:mod:`repro.storage`) instead, and the seed and scale its manifest
-    recorded at ``store init`` time override the arguments: they pick
-    the fleet model and the fingerprint's seed and scenario digest.
+    Without ``store_dir`` the context holds the paper scenario of
+    ``seed`` (its default seed when None) and ``scale`` as a pending
+    corpus (:func:`generated_intra_context`), generated into a fresh
+    SEV store on first read.  With ``store_dir`` the context reads a
+    tiered partitioned SEV store (:mod:`repro.storage`) instead, and
+    the seed and scale its manifest recorded at ``store init`` time
+    override the arguments: they pick the fleet model and the
+    row-based fingerprint's seed and scenario digest.
     """
     from repro.simulation.scenarios import paper_scenario
 
@@ -589,12 +647,7 @@ def build_intra_context(
     scenario = (paper_scenario(scale=scale) if seed is None
                 else paper_scenario(seed=seed, scale=scale))
     if store is None:
-        from repro.incidents.store import SEVStore
-        from repro.simulation.generator import IntraSimulator
-
-        store = IntraSimulator(scenario).run(
-            store=SEVStore(check_same_thread=check_same_thread)
-        )
+        return generated_intra_context(scenario, check_same_thread)
     return RunContext(
         store=store, fleet=scenario.fleet, corpus_seed=scenario.seed,
         scenario_digest=scenario.spec_digest,
@@ -607,13 +660,15 @@ def build_backbone_context(
 ) -> RunContext:
     """The backbone study's context: the topology and the tickets.
 
-    The backbone scenario of ``seed`` (its default seed when None) is
-    simulated for the topology and the observation window, and for the
-    tickets unless ``store_dir`` names a tiered partitioned ticket
-    store: the tickets then stream from the store, and the seed its
-    manifest recorded overrides ``seed``.  No backbone analysis reads
-    more than the topology and the tickets, so the context carries no
-    :class:`~repro.backbone.monitor.BackboneMonitor`.
+    Without ``store_dir`` the context holds the backbone scenario of
+    ``seed`` (its default seed when None) as a pending corpus
+    (:func:`generated_backbone_context`), simulated on first read.
+    With ``store_dir`` the tickets stream from a tiered partitioned
+    ticket store, the seed its manifest recorded overrides ``seed``,
+    only the scenario's topology is built (no simulation), and the
+    observation window is the one the manifest recorded.  No backbone
+    analysis reads more than the topology and the tickets, so the
+    context carries no :class:`~repro.backbone.monitor.BackboneMonitor`.
     """
     from repro.simulation.backbone_sim import BackboneSimulator
     from repro.simulation.scenarios import paper_backbone_scenario
@@ -626,9 +681,11 @@ def build_backbone_context(
         seed = tickets.manifest.meta.get("seed", seed)
     scenario = (paper_backbone_scenario() if seed is None
                 else paper_backbone_scenario(seed=seed))
-    corpus = BackboneSimulator(scenario).run()
+    if tickets is None:
+        return generated_backbone_context(scenario)
+    topology, _, _ = BackboneSimulator(scenario).build_world()
     return RunContext(
-        topology=corpus.topology, window_h=corpus.window_h,
-        tickets=corpus.tickets if tickets is None else tickets,
+        topology=topology, tickets=tickets,
+        window_h=tickets.manifest.meta.get("window_h", scenario.window_h),
         corpus_seed=scenario.seed, scenario_digest=scenario.spec_digest,
     )

@@ -13,7 +13,8 @@ typo'd axis path fails exactly like a typo'd spec file.
 
 :class:`GridRunner` runs each cell through the existing
 :class:`~repro.runtime.executor.Executor` and keys the
-:class:`~repro.runtime.ResultCache` on the **cell spec digest**, so
+:class:`~repro.runtime.ResultCache` on the **cell spec digest** and
+the versions of the generator and of the cell's analyses, so
 re-running a sweep is all cache hits and overlapping grids share
 cells.  Per-cell results carry the cell's spec digest and its report
 digest; the grid's ``summary_digest`` hashes the
@@ -141,6 +142,32 @@ class GridSpec:
         ).hexdigest()
 
 
+def _cell_version(spec: ScenarioSpec) -> str:
+    """The code a cell's record depends on besides its spec.
+
+    :data:`~repro.runtime.cache.GENERATOR_VERSION` plus the ``version``
+    of every analysis the cell runs, so a cached cell misses once the
+    generator or any of its analyses is bumped.
+    """
+    from repro.runtime import (
+        GENERATOR_VERSION,
+        backbone_report_analyses,
+        intra_report_analyses,
+    )
+
+    if spec.kind == "backbone":
+        analyses = backbone_report_analyses()
+    else:
+        analyses = intra_report_analyses()
+        if spec.correlated is not None:
+            from repro.survivability import survivability_report_analyses
+
+            analyses += survivability_report_analyses()
+    return f"generator={GENERATOR_VERSION};" + ",".join(
+        f"{a.name}={a.version}" for a in analyses
+    )
+
+
 def _summary_digest(cells: List[Dict[str, Any]]) -> str:
     """Hash the ordered (spec digest, report digest) pairs.
 
@@ -158,9 +185,9 @@ class GridRunner:
 
     ``jobs`` is honored exactly as the single-report entry points
     honor it; ``cache`` (optional) keys
-    whole cells on their spec digest — a repeated sweep costs zero
-    corpus passes, and the same cache also serves the per-analysis
-    entries inside each cell.
+    whole cells on their spec digest and code versions — a repeated
+    sweep costs zero corpus passes, and the same cache also serves the
+    per-analysis entries inside each cell.
     """
 
     jobs: int = 1
@@ -182,7 +209,8 @@ class GridRunner:
         """
         from repro.runtime import ResultCache
 
-        key = ResultCache.key(spec.digest(), "grid.cell", None, None)
+        key = ResultCache.key(spec.digest(), "grid.cell", None, None,
+                              version=_cell_version(spec))
         if self.cache is not None:
             hit, value = self.cache.lookup(key)
             if hit:
@@ -225,16 +253,12 @@ class GridRunner:
 
     def _execute_intra_cell(self, spec: ScenarioSpec) -> Dict[str, Any]:
         from repro.faultline.oracle import report_digest
-        from repro.runtime import RunContext, run_intra_report
-        from repro.simulation.generator import IntraSimulator
+        from repro.runtime import generated_intra_context, run_intra_report
         from repro.topology.devices import DeviceType, NetworkDesign
 
         scenario = spec.materialize()
-        with IntraSimulator(scenario).run() as store:
-            context = RunContext(
-                store=store, fleet=scenario.fleet, corpus_seed=scenario.seed,
-                scenario_digest=scenario.spec_digest,
-            )
+        context = generated_intra_context(scenario)
+        with context.store as store:
             report = run_intra_report(
                 context, jobs=self.jobs, cache=self.cache,
             )
@@ -306,19 +330,10 @@ class GridRunner:
             )
 
     def _execute_backbone_cell(self, spec: ScenarioSpec) -> Dict[str, Any]:
-        from repro.backbone.monitor import BackboneMonitor
         from repro.faultline.oracle import report_digest
-        from repro.runtime import RunContext, run_backbone_report
-        from repro.simulation.backbone_sim import BackboneSimulator
+        from repro.runtime import generated_backbone_context, run_backbone_report
 
-        scenario = spec.materialize()
-        corpus = BackboneSimulator(scenario).run()
-        context = RunContext(
-            monitor=BackboneMonitor(corpus.topology, corpus.tickets),
-            topology=corpus.topology, window_h=corpus.window_h,
-            corpus_seed=scenario.seed, tickets=corpus.tickets,
-            scenario_digest=scenario.spec_digest,
-        )
+        context = generated_backbone_context(spec.materialize())
         report = run_backbone_report(
             context, jobs=self.jobs, cache=self.cache,
         )
@@ -328,10 +343,10 @@ class GridRunner:
             "spec_digest": spec.digest(),
             "report_digest": report_digest(report),
             "metrics": {
-                "tickets": len(corpus.tickets.completed()),
-                "edges": len(corpus.topology.edges),
-                "links": len(corpus.topology.links),
-                "window_h": corpus.window_h,
+                "tickets": len(context.tickets.completed()),
+                "edges": len(context.topology.edges),
+                "links": len(context.topology.links),
+                "window_h": context.window_h,
             },
         }
 

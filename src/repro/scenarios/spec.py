@@ -9,8 +9,9 @@ consume.  The split buys three things:
 
 * **identity**: every spec has a canonical JSON form and a SHA-256
   content digest, so two runs can agree they studied the same
-  scenario with one string comparison, and the result cache can key
-  on it (:func:`repro.runtime.cache.corpus_fingerprint`);
+  scenario with one string comparison, and the result cache keys a
+  generated corpus on it before generating it
+  (:func:`repro.runtime.cache.provenance_fingerprint`);
 * **files**: scenarios load from JSON documents (YAML too, when
   PyYAML happens to be importable — it is never required), with
   strict validation: unknown keys, wrong-typed values, and torn files

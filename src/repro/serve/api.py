@@ -136,6 +136,10 @@ class ServeState:
                 self.scale = store.manifest.meta.get("scale", scale)
                 self.events_ingested = len(store)
         self.backbone_context = build_backbone_context(seed=backbone_seed)
+        # Generate now, not on a first read: /healthz counts the rows,
+        # and handler threads must never race to build a corpus.
+        self.intra_context.generate()
+        self.backbone_context.generate()
         self.survivability_context = build_survivability_context(
             seed=self.seed
         )
@@ -210,7 +214,8 @@ class ServeState:
     def ingest(self, reports) -> int:
         """Insert new SEV events into the served corpus; returns the count.
 
-        Drops the intra payload and changes the corpus fingerprint (row
+        Drops the intra payload and changes the corpus fingerprint (the
+        write drops a generated corpus' provenance key, and the row
         count moves), so every cached intra report key rotates; the
         warmer re-folds the dirty analyses off the request path.
         """
