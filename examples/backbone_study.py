@@ -12,7 +12,6 @@ fiber cut.
 """
 
 from repro import (
-    BackboneMonitor,
     BackboneSimulator,
     TrafficEngineer,
     capacity_report,
@@ -35,7 +34,6 @@ def section(title: str) -> None:
 def main() -> None:
     scenario = paper_backbone_scenario()
     corpus = BackboneSimulator(scenario).run()
-    monitor = BackboneMonitor(corpus.topology, corpus.tickets)
 
     section("4.3.2 The vendor e-mail pipeline")
     sample = format_start_email(
@@ -56,7 +54,7 @@ def main() -> None:
     # One executor run over the ticket corpus answers every section 6
     # artifact; the plan folds the tickets as column batches, once.
     context = RunContext(
-        monitor=monitor, topology=corpus.topology,
+        tickets=corpus.tickets, topology=corpus.topology,
         window_h=corpus.window_h, corpus_seed=scenario.seed,
     )
     report = run_backbone_report(context)

@@ -437,20 +437,33 @@ def _intra_report(seed: Optional[int], scale: float,
     the cache fingerprint seed) come from the generator parameters the
     manifest recorded at ``store init`` time.
     """
-    from repro.runtime import build_intra_context, run_intra_report
+    from repro.runtime import build_intra_context
 
     context = build_intra_context(seed, scale, store_dir=store_dir)
     cache = _cache(cache_dir)
-    report = run_intra_report(context, jobs=jobs, cache=cache)
-    _print_intra_tables(report, context.store)
+    report = _print_intra_tables(context, jobs, cache)
     _print_footer(report, cache, digest)
 
 
-def _print_intra_tables(report, store) -> None:
-    """Table 2 and Figures 4, 7 and 12 of one intra study report."""
-    years = store.years()
+def _print_intra_tables(context, jobs: int = 1, cache=None):
+    """Table 2 and Figures 4, 7 and 12 of the context's intra study.
+
+    One executor run answers the report and the corpus line
+    (``corpus_size``), so a warm cached run prints both without
+    building the corpus.  Returns the report.
+    """
+    from repro.runtime import (
+        Executor, intra_report_analyses, intra_report_from,
+    )
+    from repro.runtime.analyses import CorpusSizeAnalysis
+
+    results = Executor(jobs=jobs, cache=cache).run(
+        intra_report_analyses() + [CorpusSizeAnalysis()], context
+    )
+    report = intra_report_from(results)
+    rows, years = results["corpus_size"]
     last = report.last_year
-    print(f"corpus: {len(store)} SEVs, years {years[0]}-{years[-1]}\n")
+    print(f"corpus: {rows} SEVs, years {years[0]}-{years[-1]}\n")
 
     t2 = report.root_causes
     print(format_table(
@@ -492,6 +505,7 @@ def _print_intra_tables(report, store) -> None:
         # model; the population-normalized figures need one.
         print("\n(no fleet model for this corpus; skipping "
               "population-normalized figures)")
+    return report
 
 
 def _survivability_report(seed: Optional[int],
@@ -760,11 +774,9 @@ def _analyze(path: str) -> None:
         reader = import_sevs_json
     else:
         reader = import_sevs_csv
-    from repro.runtime import RunContext, run_intra_report
+    from repro.runtime import RunContext
 
-    store = reader(path)
-    report = run_intra_report(RunContext(store=store, fleet=paper_fleet()))
-    _print_intra_tables(report, store)
+    _print_intra_tables(RunContext(store=reader(path), fleet=paper_fleet()))
 
 
 def _analyze_tickets(path: str) -> None:

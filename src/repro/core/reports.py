@@ -156,6 +156,6 @@ def backbone_study_report(monitor, topology, window_h: float
     from repro.runtime import RunContext, run_backbone_report
 
     context = RunContext(
-        monitor=monitor, topology=topology, window_h=window_h
+        tickets=monitor.tickets, topology=topology, window_h=window_h
     )
     return run_backbone_report(context)

@@ -295,7 +295,6 @@ def bench_backbone(
     """
     import os
 
-    from repro.backbone.monitor import BackboneMonitor
     from repro.runtime import (
         ResultCache,
         RunContext,
@@ -310,9 +309,8 @@ def bench_backbone(
     corpus = BackboneSimulator(
         paper_backbone_scenario(seed=seed, links_per_edge=links_per_edge)
     ).run()
-    monitor = BackboneMonitor(corpus.topology, corpus.tickets)
     context = RunContext(
-        monitor=monitor, topology=corpus.topology,
+        tickets=corpus.tickets, topology=corpus.topology,
         window_h=corpus.window_h, corpus_seed=seed,
     )
     tickets = len(corpus.tickets)

@@ -2,7 +2,7 @@
 
 Every paper artifact is declared once as an
 :class:`~repro.runtime.analysis.Analysis` (prepare / fold / merge /
-finalize, optionally ``fold_sql`` and ``fold_batch``) and the
+finalize / fold_batch, plus ``fold_sql`` for SEV analyses) and the
 :class:`~repro.runtime.executor.Executor` answers any set of them with
 one plan: SQL pushdown on every SQLite shard the corpus has, and
 array-at-a-time folds over :class:`~repro.runtime.columns.ColumnBatch`

@@ -17,12 +17,14 @@ Table 1 reads the remediation engine — are context-only
 
 Analyses that fold the same state declare a shared ``state_key`` so
 the executor folds each record into each distinct state once, not once
-per analysis.
+per analysis.  The streaming runtime keeps the SEV states by the same
+keys, so :func:`repro.stream.finalize_analyses` answers these analyses
+over a live feed with the same ``finalize``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.backbone.monitor import failures_from_link_outages
 from repro.core.backbone_reliability import (
@@ -57,6 +59,8 @@ from repro.topology.devices import DeviceType
 __all__ = [
     "BackboneReliabilityAnalysis",
     "ContinentTableAnalysis",
+    "CorpusSize",
+    "CorpusSizeAnalysis",
     "DesignComparisonAnalysis",
     "DistributionAnalysis",
     "GrowthAnalysis",
@@ -85,7 +89,7 @@ class _Delegating:
     :mod:`repro.runtime.states` speaks ``fold`` and ``fold_batch``);
     ``prepare`` builds one, and records and whole
     :class:`~repro.runtime.columns.ColumnBatch` chunks are handed to
-    it — which opts the analysis into the column-batch fast path.
+    it.
     """
 
     state_type: type
@@ -205,6 +209,30 @@ class GrowthAnalysis(_DelegatingSQL, Analysis):
         )
 
 
+class CorpusSize(NamedTuple):
+    """How many SEVs a corpus holds, typed or not, and its years."""
+
+    rows: int
+    years: List[int]
+
+
+class CorpusSizeAnalysis(_DelegatingSQL, Analysis):
+    """The corpus line of ``report intra`` and ``analyze``.
+
+    Read off the yearly totals, which count every SEV, so the values
+    equal ``len(store)`` and ``store.years()`` — and a warm cached run
+    answers them without building the corpus.
+    """
+
+    name = "corpus_size"
+    state_key = "year_type"
+    state_type = YearTypeCounts
+
+    def finalize(self, state: YearTypeCounts, context: RunContext):
+        totals = state.yearly_totals
+        return CorpusSize(rows=sum(totals.values()), years=sorted(totals))
+
+
 class DesignComparisonAnalysis(_DelegatingSQL, Analysis):
     """Figures 9/10: incidents aggregated by network design."""
 
@@ -221,11 +249,16 @@ class DesignComparisonAnalysis(_DelegatingSQL, Analysis):
 
 
 class _SwitchState:
-    """Composite fold state: year/type counts plus duration sketches."""
+    """Composite fold state: year/type counts plus duration sketches.
 
-    def __init__(self) -> None:
-        self.counts = YearTypeCounts()
-        self.irt = DurationSketches()
+    Empty by default; :func:`repro.stream.finalize_analyses` builds one
+    over the stream's own counts and sketches.
+    """
+
+    def __init__(self, counts: Optional[YearTypeCounts] = None,
+                 irt: Optional[DurationSketches] = None) -> None:
+        self.counts = counts if counts is not None else YearTypeCounts()
+        self.irt = irt if irt is not None else DurationSketches()
 
     def fold(self, report) -> None:
         self.counts.fold(report)
@@ -300,13 +333,6 @@ class _TicketAnalysis(_Delegating, Analysis):
     state_key = "ticket_outages"
     state_type = OutageTallies
 
-    @staticmethod
-    def _topology(context: RunContext):
-        topology = context.topology
-        if topology is None:
-            topology = getattr(context.monitor, "topology", None)
-        return topology
-
 
 class BackboneReliabilityAnalysis(_TicketAnalysis):
     """Figures 15-18: the four backbone percentile curves."""
@@ -314,11 +340,10 @@ class BackboneReliabilityAnalysis(_TicketAnalysis):
     name = "backbone_reliability"
 
     def finalize(self, state: OutageTallies, context: RunContext):
-        topology = self._topology(context)
+        topology = context.topology
         if topology is None:
             raise ValueError(
-                "backbone_reliability needs a topology (or monitor) "
-                "in the context"
+                "backbone_reliability needs a topology in the context"
             )
         window = context.resolve_window(state.max_end_h)
         failures = failures_from_link_outages(
@@ -335,11 +360,10 @@ class ContinentTableAnalysis(_TicketAnalysis):
     name = "continent_table"
 
     def finalize(self, state: OutageTallies, context: RunContext):
-        topology = self._topology(context)
+        topology = context.topology
         if topology is None:
             raise ValueError(
-                "continent_table needs a topology (or monitor) "
-                "in the context"
+                "continent_table needs a topology in the context"
             )
         window = context.resolve_window(state.max_end_h)
         failures = failures_from_link_outages(
@@ -384,6 +408,7 @@ _ANALYSES = (
     GrowthAnalysis,
     DesignComparisonAnalysis,
     SwitchReliabilityAnalysis,
+    CorpusSizeAnalysis,
     RemediationTableAnalysis,
     BackboneReliabilityAnalysis,
     ContinentTableAnalysis,

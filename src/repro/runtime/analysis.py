@@ -13,13 +13,12 @@ to scan the corpus for it:
 ``finalize(state, context)``
     turn the folded state into the analysis' result dataclass.
 
-The executor (:mod:`repro.runtime.executor`) plans *how*: an analysis
-with an optional :meth:`Analysis.fold_sql` builds its state from GROUP
-BY queries on each SQLite shard, everything else absorbs whole column
-batches through :meth:`Analysis.fold_batch` (or, without one, the
-per-row ``fold``).  Both must reach exactly the state the per-row
-``fold`` reaches, which :func:`~repro.runtime.executor.reference_fold`
-runs as the oracle.
+The executor (:mod:`repro.runtime.executor`) plans *how*: a SEV
+analysis builds its state from GROUP BY queries on each SQLite shard
+through :meth:`Analysis.fold_sql`, and everything else absorbs whole
+column batches through :meth:`Analysis.fold_batch`.  Both must reach
+exactly the state the per-row ``fold`` reaches, which
+:func:`~repro.runtime.executor.reference_fold` runs as the oracle.
 
 An analysis declares which record kind it folds with ``domain``
 (``"sev"`` for SEV reports, ``"ticket"`` for backbone repair tickets);
@@ -112,20 +111,16 @@ class RunContext:
     scenario_digest: Optional[str] = None
     #: Table 1 substrate (:class:`repro.remediation.engine.RemediationEngine`).
     engine: Any = None
-    #: Section 6 substrate (:class:`repro.backbone.monitor.BackboneMonitor`).
-    monitor: Any = None
     #: Section 6 topology (:class:`repro.topology.backbone.BackboneTopology`).
     topology: Any = _Generated("ticket")
     #: Section 6 observation window in hours.
     window_h: Optional[float] = None
-    #: Section 6 record source (:class:`repro.backbone.tickets.TicketDatabase`);
-    #: defaults to ``monitor.tickets`` when only a monitor is supplied.
+    #: Section 6 record source (:class:`repro.backbone.tickets.TicketDatabase`
+    #: or a partitioned ticket store).
     tickets: Any = _Generated("ticket")
     #: Survivability record source
     #: (:class:`repro.survivability.trials.TrialSet`).
     trials: Any = None
-    #: Free-form extras for user-defined analyses.
-    extra: dict = field(default_factory=dict)
     #: The generated corpus not built yet, if any; see
     #: :meth:`generate` and :meth:`fingerprint_for`.
     pending: Optional[PendingCorpus] = field(default=None, repr=False,
@@ -181,12 +176,6 @@ class RunContext:
             "(or fold at least one completed ticket)"
         )
 
-    def resolve_tickets(self):
-        """The ticket database: explicit, or the monitor's."""
-        if self.tickets is not None:
-            return self.tickets
-        return getattr(self.monitor, "tickets", None)
-
     def corpus_for(self, domain: str):
         """The :class:`~repro.runtime.domain.Corpus` for ``domain``.
 
@@ -203,10 +192,9 @@ class RunContext:
             return SEVCorpus(self.store, seed=self.corpus_seed,
                              scenario=self.scenario_digest)
         if domain == TicketCorpus.domain:
-            tickets = self.resolve_tickets()
-            if tickets is None:
+            if self.tickets is None:
                 return None
-            return TicketCorpus(tickets, seed=self.corpus_seed,
+            return TicketCorpus(self.tickets, seed=self.corpus_seed,
                                 scenario=self.scenario_digest)
         if domain == TrialCorpus.domain:
             if self.trials is None:
@@ -260,40 +248,30 @@ class Analysis:
         raise NotImplementedError
 
     def fold_batch(self, batch, state) -> None:
-        """Optional columnar fold: absorb one whole
+        """Columnar fold: absorb one whole
         :class:`~repro.runtime.columns.ColumnBatch` into ``state``.
 
         The array-at-a-time fast path.  Must reach bit-identical
         finalized results to folding ``batch.records`` one by one —
         the per-row :meth:`fold` stays the reference implementation,
-        and the executor falls back to it automatically for analyses
-        that don't override this (and for a column batch that raises
-        mid-fold, via the ``runtime.fold`` fault site).  Analyses
-        whose state implements ``fold_batch`` opt in by delegating
+        and the executor replays a batch through it when this raises
+        (as this default does, and as the ``runtime.fold`` fault site
+        does).  Analyses whose state implements ``fold_batch`` delegate
         (``state.fold_batch(batch)``).
         """
         raise NotImplementedError
 
-    def has_fold_batch(self) -> bool:
-        """Whether the analysis opted into the columnar fast path."""
-        return type(self).fold_batch is not Analysis.fold_batch
-
     def fold_sql(self, store, state) -> None:
-        """Optional SQL pushdown: absorb one SQLite shard into ``state``.
+        """SQL pushdown: absorb one SQLite shard into ``state``.
 
         ``store`` is a monolithic-schema :class:`SEVStore` (possibly
         one hot shard of a partitioned store); the implementation runs
         GROUP BY queries and adds their tallies to the mergeable
         state.  Must be fold-equivalent over the shard's rows.  The
-        executor prefers it on every SQLite shard, so each expressible
-        analysis is pushed down to SQLite instead of folding rows in
-        Python.
+        executor folds every SQLite shard this way, so a SEV analysis
+        must implement it.
         """
         raise NotImplementedError
-
-    def has_sql_fold(self) -> bool:
-        """Whether the analysis can build its state straight from SQL."""
-        return type(self).fold_sql is not Analysis.fold_sql
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -12,18 +12,14 @@ Three properties make the layout safe and cheap:
 
 * **Full fidelity.**  A batch carries every field of its records, so
   :attr:`ColumnBatch.records` can re-materialize the original
-  dataclasses on demand — the per-row fallback path (an analysis that
-  has not opted in, a columnar fold that raised mid-batch) folds those
-  and reaches bit-identical states, because the fold math reads only
-  columns the batch preserves exactly.
-* **Derived columns come from the substrate.**  The SEV scan
-  (:func:`sev_batches_from_store`) reads ``opened_year``,
-  ``device_type`` and ``duration_h`` straight out of SQLite — they
-  were computed from the record once at insert — so a columnar scan
-  never re-parses a device name and never constructs a report object.
-  Batches built from records (:func:`batches_from_records`)
-  compute the same derived columns through the record properties,
-  which is the same math.
+  dataclasses on demand — the per-row fallback path (a columnar fold
+  that raised mid-batch) folds those and reaches bit-identical states,
+  because the fold math reads only columns the batch preserves
+  exactly.
+* **Derived columns are computed once.**  Batches built from records
+  (:func:`batches_from_records`) compute ``opened_year``,
+  ``device_type`` and ``duration_h`` through the record properties
+  when the batch is framed, so no fold re-parses a device name.
 * **Lean transport.**  Pickling a batch ships the column lists only
   (the memoized record list is dropped and rebuilt lazily), so the
   executor's worker pool receives columns instead of pickled
@@ -45,7 +41,6 @@ __all__ = [
     "TicketColumnBatch",
     "TrialColumnBatch",
     "batches_from_records",
-    "sev_batches_from_store",
 ]
 
 #: Default rows per column batch.  Large enough that per-batch
@@ -79,7 +74,7 @@ class ColumnBatch:
         """The batch's records as dataclasses, materialized lazily.
 
         The per-row fallback input: identical field for field to the
-        records the batch was built from (or scanned out of SQL), and
+        records the batch was built from, and
         memoized so repeated fallbacks in one batch pay once.
         """
         if self._records is None:
@@ -111,7 +106,7 @@ class SEVColumnBatch(ColumnBatch):
         "sev_ids", "severities", "device_names", "opened_at_hs",
         "resolved_at_hs", "root_causes", "descriptions",
         "service_impacts", "revieweds",
-        # derived once, at scan or build time:
+        # derived once, at build time:
         "years", "device_types", "durations",
     )
 
@@ -358,76 +353,3 @@ def batches_from_records(
             chunk = []
     if chunk:
         yield batch_cls.from_records(chunk)
-
-
-_SEV_SCAN = (
-    "SELECT sev_id, severity, device_name, device_type, opened_at_h, "
-    "resolved_at_h, opened_year, duration_h, description, "
-    "service_impact, reviewed FROM sevs ORDER BY opened_at_h, sev_id"
-)
-
-_CAUSE_SCAN = (
-    "SELECT sev_id, root_cause FROM sev_root_causes "
-    "ORDER BY sev_id, root_cause"
-)
-
-
-def sev_batches_from_store(
-    store, batch_size: int = COLUMN_BATCH_ROWS
-) -> Iterator[SEVColumnBatch]:
-    """Columnar scan of a (monolithic) :class:`SEVStore`.
-
-    Two queries for the whole corpus — the sev rows in the global
-    ``(opened_at_h, sev_id)`` order plus one pass over the root-cause
-    join table — against two *per row* for the record scan it
-    replaces.  The derived columns (year, device type, duration) come
-    off the table, where they were computed from the record at insert
-    time, so no name is re-parsed and no dataclass is built.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    conn = store.connection
-    # Plain dict lookups: `Enum.__call__` costs a method dispatch plus
-    # a `__new__` per row, which at corpus scale is one of the scan's
-    # hottest lines.
-    severity_of = {member.value: member for member in Severity}
-    device_of = {member.value: member for member in DeviceType}
-    cause_of = {member.value: member for member in RootCause}
-    # Most SEVs carry a single cause, so build 1-tuples directly and
-    # concatenate only on the rare multi-cause row — a generator or
-    # groupby per group costs more than the whole loop.
-    causes: dict = {}
-    for sev_id, cause in conn.execute(_CAUSE_SCAN):
-        prev = causes.get(sev_id)
-        if prev is None:
-            causes[sev_id] = (cause_of[cause],)
-        else:
-            causes[sev_id] = prev + (cause_of[cause],)
-    cursor = conn.execute(_SEV_SCAN)
-    empty: tuple = ()
-    causes_of = causes.get
-    while True:
-        rows = cursor.fetchmany(batch_size)
-        if not rows:
-            break
-        # One C-level transpose instead of a listcomp per column.
-        (sev_ids, severities, device_names, device_types, opened_at_hs,
-         resolved_at_hs, years, durations, descriptions, service_impacts,
-         revieweds) = map(list, zip(*rows))
-        yield SEVColumnBatch(
-            sev_ids=sev_ids,
-            severities=[severity_of[v] for v in severities],
-            device_names=device_names,
-            opened_at_hs=opened_at_hs,
-            resolved_at_hs=resolved_at_hs,
-            root_causes=[causes_of(i, empty) for i in sev_ids],
-            descriptions=descriptions,
-            service_impacts=service_impacts,
-            revieweds=[bool(v) for v in revieweds],
-            years=years,
-            device_types=[
-                device_of[v] if v is not None else None
-                for v in device_types
-            ],
-            durations=durations,
-        )

@@ -73,8 +73,8 @@ class Corpus:
         chunks — the plan's scan wherever SQL does not answer.
 
         Frames :meth:`records` into batches.  (A corpus with SQLite
-        shards never needs it: the executor scans each shard's columns
-        straight off SQL.)
+        shards never needs it: the executor answers each SQLite shard
+        with ``fold_sql``.)
         """
         from repro.runtime.columns import (
             COLUMN_BATCH_ROWS,

@@ -5,18 +5,18 @@ The :class:`Executor` answers a set of
 chosen per analysis from what the corpus offers:
 
 SQL
-    every analysis with a ``fold_sql`` runs its GROUP BY queries on
-    each SQLite shard the corpus has — a monolithic SEV store is one
-    shard, a tiered store's hot partitions are the others — and adds
-    the tallies to its mergeable state.
+    every analysis runs its ``fold_sql`` GROUP BY queries on each
+    SQLite shard the corpus has — a monolithic SEV store is one shard,
+    a tiered store's hot partitions are the others — and adds the
+    tallies to its mergeable state.
 column batches
     everything else — cold partitions, repair tickets, survivability
     trials, an explicit ``source`` iterable — folds
     :class:`~repro.runtime.columns.ColumnBatch` chunks array-at-a-time
-    (``Analysis.fold_batch``).  An analysis that did not opt in, and
-    any batch whose columnar fold raises (the ``runtime.fold`` fault
-    site), folds the batch's records through the per-row ``fold``
-    instead, so the states are bit-identical by construction.
+    (``Analysis.fold_batch``).  A batch whose columnar fold raises
+    (the ``runtime.fold`` fault site, or an analysis without a
+    ``fold_batch``) folds the batch's records through the per-row
+    ``fold`` instead, so the states are bit-identical by construction.
 
 With ``jobs > 1`` the column batches pack into at most ``jobs``
 shards that fold in one shared worker-process pool; only the small
@@ -216,15 +216,13 @@ class Executor:
               domain: str, source: Optional[Iterable]) -> Dict[str, Any]:
         """Fold one domain group: SQL on SQLite shards, batches elsewhere.
 
-        Analyses with ``fold_sql`` take it on every SQLite shard the
-        corpus has; the others scan those shards as column batches.
-        Shards without SQL (cold partitions, ticket and trial corpora,
-        an explicit source) fold as column batches for every analysis.
+        Every analysis takes ``fold_sql`` on each SQLite shard the
+        corpus has.  Shards without SQL (cold partitions, ticket and
+        trial corpora, an explicit source) fold as column batches.
         """
         from repro.runtime.columns import (
             COLUMN_BATCH_ROWS,
             batches_from_records,
-            sev_batches_from_store,
         )
 
         size = self.batch_size or COLUMN_BATCH_ROWS
@@ -239,19 +237,14 @@ class Executor:
             self._fold_batches(owners, states, context,
                                corpus.column_batches(self.batch_size))
             return states
-        sql = {k: o for k, o in owners.items() if o.has_sql_fold()}
-        scan = {k: o for k, o in owners.items() if k not in sql}
         # Record shards' batches wait for one pooled fold when jobs > 1
         # and fold as they arrive otherwise, so a serial scan holds one
         # partition at a time.
         pending: list = []
         for kind, payload in shards:
             if kind == "store":
-                for key, owner in sql.items():
+                for key, owner in owners.items():
                     owner.fold_sql(payload, states[key])
-                if scan:
-                    self._fold_batches(scan, states, context,
-                                       sev_batches_from_store(payload, size))
             elif self.jobs > 1:
                 pending.extend(batches_from_records(domain, payload, size))
             else:
@@ -266,12 +259,11 @@ class Executor:
                       batches: Iterable) -> None:
         """Fold column batches into the owners' states.
 
-        Serial at ``jobs == 1``; otherwise (two or more batches, every
-        owner opted into ``fold_batch``) the batches pack
-        longest-first by row count into ``jobs`` shards for the
-        shared pool.
+        Serial at ``jobs == 1``; otherwise (two or more batches) the
+        batches pack longest-first by row count into ``jobs`` shards
+        for the shared pool.
         """
-        if self.jobs > 1 and all(o.has_fold_batch() for o in owners.values()):
+        if self.jobs > 1:
             batches = list(batches)
             if len(batches) > 1:
                 from repro.stream.sharding import shard_cells
@@ -402,12 +394,12 @@ def _finalize(analyses: Sequence[Analysis], states: Dict[str, Any],
 def _worker_context(context: RunContext) -> RunContext:
     """A picklable copy of the context for worker processes.
 
-    The live substrates — SQLite store, remediation engine, backbone
-    monitor, ticket database — and a pending corpus' build are
-    stripped; folding only reads batches and the fleet.
+    The live substrates — SQLite store, remediation engine, topology,
+    ticket database — and a pending corpus' build are stripped;
+    folding only reads batches and the fleet.
     """
     return replace(
-        context, store=None, engine=None, monitor=None, topology=None,
+        context, store=None, engine=None, topology=None,
         tickets=None, trials=None, pending=None,
     )
 
@@ -416,36 +408,30 @@ def _fold_batch_into(owners: Dict[str, Analysis], states: Dict[str, Any],
                      context: RunContext, batch) -> int:
     """Fold one column batch into every owner's state.
 
-    Opted-in owners fold the batch array-at-a-time into a fresh
-    scratch state, merged in afterwards — so a fold that raises
-    mid-batch (the ``runtime.fold`` fault site, or a genuine bug in a
-    ``fold_batch``) discards the partial scratch and replays the batch
-    through the per-row reference ``fold``, leaving the merged states
-    exactly as if the fast path had never been tried.  Owners without
-    a columnar fold take the per-row path directly.  Returns how many
-    folds fell back.
+    Each owner folds the batch array-at-a-time into a fresh scratch
+    state, merged in afterwards — so a fold that raises mid-batch (the
+    ``runtime.fold`` fault site, an analysis without a ``fold_batch``,
+    or a genuine bug in one) discards the partial scratch and replays
+    the batch through the per-row reference ``fold``, leaving the
+    merged states exactly as if the fast path had never been tried.
+    Returns how many folds fell back.
     """
     fallbacks = 0
     for key, owner in owners.items():
-        if owner.has_fold_batch():
-            scratch = owner.prepare(context)
-            try:
-                if hooks.fire("runtime.fold"):
-                    raise ColumnFoldCrash(
-                        "injected columnar fold crash"
-                    )
-                owner.fold_batch(batch, scratch)
-            except Exception:
-                fallbacks += 1
-                with hooks.suppressed("runtime.fold"):
-                    scratch = owner.prepare(context)
-                    for record in batch.records:
-                        owner.fold(record, scratch)
-            states[key] = owner.merge(states[key], scratch)
-        else:
-            state = states[key]
-            for record in batch.records:
-                owner.fold(record, state)
+        scratch = owner.prepare(context)
+        try:
+            if hooks.fire("runtime.fold"):
+                raise ColumnFoldCrash(
+                    "injected columnar fold crash"
+                )
+            owner.fold_batch(batch, scratch)
+        except Exception:
+            fallbacks += 1
+            with hooks.suppressed("runtime.fold"):
+                scratch = owner.prepare(context)
+                for record in batch.records:
+                    owner.fold(record, scratch)
+        states[key] = owner.merge(states[key], scratch)
     return fallbacks
 
 
@@ -544,9 +530,9 @@ def run_backbone_report(
 
     The ticket-domain sibling of :func:`run_intra_report`: the same
     plan, the same merge law, the same cache.  The context needs a
-    ticket source (a monitor, a ticket database, or an explicit
-    ``source`` iterable of completed tickets) and a topology (its own
-    or the monitor's).
+    ticket source (a ticket database, a partitioned ticket store, or
+    an explicit ``source`` iterable of completed tickets) and a
+    topology.
     """
     executor = Executor(jobs=jobs, cache=cache)
     return backbone_report_from(
@@ -666,9 +652,7 @@ def build_backbone_context(
     With ``store_dir`` the tickets stream from a tiered partitioned
     ticket store, the seed its manifest recorded overrides ``seed``,
     only the scenario's topology is built (no simulation), and the
-    observation window is the one the manifest recorded.  No backbone
-    analysis reads more than the topology and the tickets, so the
-    context carries no :class:`~repro.backbone.monitor.BackboneMonitor`.
+    observation window is the one the manifest recorded.
     """
     from repro.simulation.backbone_sim import BackboneSimulator
     from repro.simulation.scenarios import paper_backbone_scenario

@@ -16,8 +16,10 @@ is the law the executor's pooled column shards (and
 folded shard-locally and merged in any order, reaches the same state
 as a single sequential pass.  The streaming runtime's
 :class:`~repro.stream.aggregates.StreamAggregates` is a bundle of these
-states, so the executor and the stream engine share one implementation
-of the math.
+states and computes nothing from them itself: the stream's shares,
+rates and percentiles come from the same analyses' ``finalize`` the
+executor runs (:func:`repro.stream.finalize_analyses`), so the
+executor and the stream engine share one implementation of the math.
 
 Each state also speaks two faster dialects of the same math:
 

@@ -412,9 +412,7 @@ class ServeApp:
             "backbone_seed": state.backbone_seed,
             "scale": state.scale,
             "sev_rows": len(state.intra_context.store),
-            "tickets": len(
-                state.backbone_context.resolve_tickets().completed()
-            ),
+            "tickets": len(state.backbone_context.tickets.completed()),
         }
 
     def _stats(self) -> dict:

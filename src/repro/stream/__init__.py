@@ -8,9 +8,11 @@ job:
 
 * :mod:`~repro.stream.sources` — event feeds: the simulator as a live
   producer, or replay of stored/exported corpora;
-* :mod:`~repro.stream.aggregates` — single-pass, constant-memory
-  counterparts of the batch analyses (counts, rates, MTBI, severity
-  and root-cause mixes, sketched resolution-time percentiles);
+* :mod:`~repro.stream.aggregates` — the single-pass, constant-memory
+  fold state (the runtime's count tallies and resolution-time
+  sketches), and :func:`finalize_analyses`, which answers the intra
+  analyses over it with their own ``finalize`` — the same shares,
+  rates, MTBI and percentiles ``report intra`` prints;
 * :mod:`~repro.stream.engine` — the ingestion loop, with periodic
   checkpointing;
 * :mod:`~repro.stream.checkpoint` — JSON snapshots and resume;
@@ -21,15 +23,19 @@ job:
 
 Quickstart::
 
-    from repro import paper_scenario
-    from repro.stream import StreamEngine, live_feed
+    from repro import RunContext, paper_scenario
+    from repro.runtime.analyses import RootCausesAnalysis
+    from repro.stream import StreamEngine, finalize_analyses, live_feed
 
     engine = StreamEngine()
     engine.run(live_feed(paper_scenario(scale=0.25)))
-    print(engine.aggregates.root_cause_distribution())
+    results = finalize_analyses(
+        engine.aggregates, [RootCausesAnalysis()], RunContext()
+    )
+    print(results["root_causes"].distribution())
 """
 
-from repro.stream.aggregates import StreamAggregates
+from repro.stream.aggregates import StreamAggregates, finalize_analyses
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.engine import StreamEngine
 from repro.stream.sharding import (
@@ -55,6 +61,7 @@ __all__ = [
     "StreamEngine",
     "aggregate_cells",
     "cell_weights",
+    "finalize_analyses",
     "generate_aggregates",
     "live_feed",
     "live_ticket_feed",

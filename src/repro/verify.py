@@ -374,7 +374,7 @@ def storage_checks(seed: int = 1, backbone_seed: int = 7,
     base = assemble(reference_fold(
         backbone_report_analyses(),
         RunContext(
-            monitor=BackboneMonitor(corpus.topology, corpus.tickets),
+            tickets=corpus.tickets,
             topology=corpus.topology, window_h=corpus.window_h,
             corpus_seed=backbone_seed,
         ),
@@ -385,7 +385,6 @@ def storage_checks(seed: int = 1, backbone_seed: int = 7,
         if len(tickets.years()) > 1:
             tickets.compact(keep_hot_years=1)
         context = RunContext(
-            monitor=BackboneMonitor(corpus.topology, tickets.to_database()),
             topology=corpus.topology, window_h=corpus.window_h,
             corpus_seed=backbone_seed, tickets=tickets,
         )
@@ -503,7 +502,7 @@ def backbone_runtime_checks(backbone_seed: int = 7) -> List[Check]:
     monitor, window = (BackboneMonitor(corpus.topology, corpus.tickets),
                        corpus.window_h)
     context = RunContext(
-        monitor=monitor, topology=corpus.topology,
+        tickets=corpus.tickets, topology=corpus.topology,
         window_h=window, corpus_seed=backbone_seed,
     )
     analyses = backbone_report_analyses
@@ -543,16 +542,27 @@ def stream_smoke_checks(seed: int = 1, scale: float = 0.25) -> List[Check]:
     Three invariants, all exact: a checkpoint written mid-stream and
     resumed must finish with the same aggregates as an uninterrupted
     run; a sharded generation must merge to the 1-worker result; and
-    the streamed root-cause/severity counts must equal the batch
-    recomputation over the same corpus.
+    the intra report the runtime analyses finalize over the streamed
+    state must digest like the planned report over the same corpus.
     """
     import tempfile
     from pathlib import Path
 
-    from repro.core import root_cause_breakdown as batch_root_causes
+    from repro.faultline.oracle import report_digest
     from repro.incidents.store import SEVStore
+    from repro.runtime import (
+        RunContext,
+        intra_report_analyses,
+        intra_report_from,
+        run_intra_report,
+    )
     from repro.simulation.generator import iter_scenario_reports
-    from repro.stream import StreamEngine, generate_aggregates, live_feed
+    from repro.stream import (
+        StreamEngine,
+        finalize_analyses,
+        generate_aggregates,
+        live_feed,
+    )
 
     checks: List[Check] = []
     scenario = paper_scenario(seed=seed, scale=scale)
@@ -583,15 +593,18 @@ def stream_smoke_checks(seed: int = 1, scale: float = 0.25) -> List[Check]:
 
     store = SEVStore()
     store.insert_many(iter_scenario_reports(scenario))
-    batch = batch_root_causes(store)
-    streamed = one_shot.aggregates
-    causes_match = len(store) == streamed.events and all(
-        abs(batch.fraction(c) - streamed.root_cause_fraction(c)) < 1e-12
-        for c in RootCause
+    context = RunContext(store=store, fleet=scenario.fleet)
+    streamed = intra_report_from(finalize_analyses(
+        one_shot.aggregates, intra_report_analyses(), context
+    ))
+    reports_match = (
+        len(store) == one_shot.aggregates.events
+        and report_digest(streamed)
+        == report_digest(run_intra_report(context))
     )
     checks.append(Check(
-        "Stream", "streamed counts equal batch recomputation", 1.0,
-        float(causes_match), 0.0, relative=False,
+        "Stream", "streamed report equals batch report", 1.0,
+        float(reports_match), 0.0, relative=False,
     ))
     return checks
 

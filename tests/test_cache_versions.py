@@ -37,6 +37,7 @@ PINNED_GENERATOR_VERSION = 1
 PINNED_ANALYSIS_VERSIONS = {
     "backbone_reliability": 1,
     "continent_table": 1,
+    "corpus_size": 1,
     "design_comparison": 1,
     "distribution": 1,
     "growth": 1,

@@ -33,9 +33,8 @@ SEEDS = [3, 11, 42]
 
 def make_context(seed):
     corpus = BackboneSimulator(paper_backbone_scenario(seed=seed)).run()
-    monitor = BackboneMonitor(corpus.topology, corpus.tickets)
     return RunContext(
-        monitor=monitor, topology=corpus.topology,
+        tickets=corpus.tickets, topology=corpus.topology,
         window_h=corpus.window_h, corpus_seed=seed,
     )
 
@@ -72,7 +71,8 @@ class TestBackendsAgree:
         assert reference_report(context) == batch_report
 
     def test_monitor_queries_equal_plan(self, context, batch_report):
-        monitor, window = context.monitor, context.window_h
+        monitor = BackboneMonitor(context.topology, context.tickets)
+        window = context.window_h
         assert batch_report.reliability == backbone_reliability(
             monitor, window
         )

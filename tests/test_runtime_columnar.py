@@ -19,7 +19,7 @@ from repro.faultline.oracle import report_digest
 from repro.runtime import RunContext, intra_report_from, run_intra_report
 from repro.runtime import executor as executor_module
 from repro.runtime.analyses import intra_report_analyses
-from repro.runtime.columns import sev_batches_from_store
+from repro.runtime.columns import batches_from_records
 from repro.runtime.executor import Executor, shutdown_executor_pool
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_scenario
@@ -78,31 +78,30 @@ class TestThreeDialectEquivalence:
         self, corpus, context
     ):
         # The satellite property, spelled per analysis: fold,
-        # fold_batch, and (where offered) fold_sql reach bit-identical
-        # finalized results over the same corpus.
+        # fold_batch, and fold_sql reach bit-identical finalized
+        # results over the same corpus.
         store = corpus["store"]
         checked = 0
         for analysis in intra_report_analyses():
-            if not (analysis.requires_corpus and analysis.has_fold_batch()):
-                continue
             state = analysis.prepare(context)
             for report in store.all_reports():
                 analysis.fold(report, state)
             reference = analysis.finalize(state, context)
 
             state = analysis.prepare(context)
-            for batch in sev_batches_from_store(store, batch_size=100):
+            for batch in batches_from_records(
+                "sev", store.all_reports(), batch_size=100
+            ):
                 analysis.fold_batch(batch, state)
             assert analysis.finalize(state, context) == reference, (
                 analysis.name
             )
 
-            if analysis.has_sql_fold():
-                state = analysis.prepare(context)
-                analysis.fold_sql(store, state)
-                assert analysis.finalize(state, context) == reference, (
-                    analysis.name
-                )
+            state = analysis.prepare(context)
+            analysis.fold_sql(store, state)
+            assert analysis.finalize(state, context) == reference, (
+                analysis.name
+            )
             checked += 1
         assert checked >= 6
 

@@ -214,7 +214,7 @@ class TestRegistry:
     def test_names_are_unique_and_match_keys(self):
         reg = registry()
         assert all(name == analysis.name for name, analysis in reg.items())
-        assert len(reg) == 14
+        assert len(reg) == 15
 
     def test_every_entry_is_an_analysis(self):
         assert all(isinstance(a, Analysis) for a in registry().values())
@@ -224,9 +224,11 @@ class TestRegistry:
         # also fills from SQL, so a SEV store is answered by SQL alone.
         for analysis in registry().values():
             if analysis.requires_corpus:
-                assert analysis.has_fold_batch(), analysis.name
+                method = type(analysis).fold_batch
+                assert method is not Analysis.fold_batch, analysis.name
                 if analysis.domain == "sev":
-                    assert analysis.has_sql_fold(), analysis.name
+                    method = type(analysis).fold_sql
+                    assert method is not Analysis.fold_sql, analysis.name
 
 
 class TestRunIntraReport:

@@ -1,35 +1,43 @@
 """Streaming-versus-batch parity (the repro.stream guarantee).
 
-One pass of :class:`repro.stream.StreamAggregates` over a corpus must
-agree with the batch pipeline recomputing over the same corpus loaded
-into a :class:`~repro.incidents.store.SEVStore`: exactly for every
-count-based artifact (Tables 2, Figures 3/4/7/8/12), and within the
-sketch error bound for the streamed resolution-time percentiles
-(Figure 13).  Checked property-style across several seeds, plus the
-merge laws that make sharded generation deterministic.
+One pass of :class:`repro.stream.StreamAggregates` over a corpus holds
+the fold states the executor builds over the same corpus loaded into
+a :class:`~repro.incidents.store.SEVStore`, so the intra analyses
+finalized over the stream (:func:`repro.stream.finalize_analyses`)
+reproduce the batch report exactly: the same ``report_digest`` as the
+SQL plan and as the per-row reference fold.  The streamed
+resolution-time percentiles also stay within the sketch error bound of
+the exact order statistics (Figure 13).  Checked across several seeds,
+plus the merge laws that make sharded generation deterministic and
+the checkpoint state pinned at three seeds.
 """
 
 import itertools
 
 import pytest
 
-from repro.core.distribution import incident_distribution
-from repro.core.incident_rates import incident_rates
-from repro.core.root_causes import root_cause_breakdown
-from repro.core.severity import severity_by_device
 from repro.core.switch_reliability import switch_reliability
-from repro.incidents.sev import RootCause, Severity
+from repro.faultline.oracle import report_digest
 from repro.incidents.store import SEVStore
+from repro.runtime import (
+    Executor,
+    RunContext,
+    intra_report_analyses,
+    intra_report_from,
+    reference_fold,
+)
 from repro.simulation.generator import iter_scenario_reports, scenario_cells
 from repro.simulation.scenarios import paper_scenario
 from repro.stats.mttr import percentile
 from repro.stream import (
     StreamAggregates,
+    StreamEngine,
     aggregate_cells,
+    finalize_analyses,
     generate_aggregates,
+    live_feed,
     shard_cells,
 )
-from repro.topology.devices import DeviceType
 
 SEEDS = [3, 11, 42]
 SCALE = 0.25
@@ -50,7 +58,37 @@ def corpus(request):
     return build_pair(request.param)
 
 
+@pytest.fixture(scope="module")
+def reports(corpus):
+    """(streamed, batch) intra reports over the same corpus; the batch
+    report is the executor's SQL plan over the store."""
+    scenario, streamed, store = corpus
+    context = RunContext(store=store, fleet=scenario.fleet)
+    return (
+        intra_report_from(finalize_analyses(
+            streamed, intra_report_analyses(), context
+        )),
+        intra_report_from(Executor().run(intra_report_analyses(), context)),
+    )
+
+
+class TestReportParity:
+    def test_streamed_report_digest_equals_sql_and_reference(
+            self, corpus, reports):
+        # The structural guarantee: the stream's states, finalized by
+        # the analyses report intra runs, are the executor's states.
+        scenario, _, store = corpus
+        reference = intra_report_from(reference_fold(
+            intra_report_analyses(),
+            RunContext(store=store, fleet=scenario.fleet),
+        ))
+        streamed, sql = (report_digest(report) for report in reports)
+        assert streamed == sql == report_digest(reference)
+
+
 class TestCountParity:
+    """Each artifact of the streamed report equals the batch one."""
+
     def test_event_totals(self, corpus):
         _, streamed, store = corpus
         assert streamed.events == len(store)
@@ -59,93 +97,79 @@ class TestCountParity:
             per_year[report.opened_year] = (
                 per_year.get(report.opened_year, 0) + 1
             )
-        for year in store.years():
-            assert streamed.year_total(year) == per_year[year]
+        assert streamed.year_type.yearly_totals == per_year
 
-    def test_root_causes_exact(self, corpus):
-        _, streamed, store = corpus
-        batch = root_cause_breakdown(store)
-        for cause in RootCause:
-            assert streamed.root_cause_fraction(cause) == pytest.approx(
-                batch.fraction(cause), abs=1e-12
-            )
+    def test_root_causes_exact(self, reports):
+        streamed, batch = reports
+        assert streamed.root_causes == batch.root_causes
 
-    def test_incident_distribution_exact(self, corpus):
-        _, streamed, store = corpus
-        last = store.years()[-1]
-        dist = incident_distribution(store, baseline_year=last)
-        for year in store.years():
-            for device_type in DeviceType:
-                assert streamed.fraction_of_year(
-                    year, device_type
-                ) == pytest.approx(
-                    dist.fraction_of_year(year, device_type), abs=1e-12
-                )
+    def test_incident_distribution_exact(self, reports):
+        streamed, batch = reports
+        assert streamed.distribution == batch.distribution
 
-    def test_growth_exact(self, corpus):
-        _, streamed, store = corpus
-        first, last = store.years()[0], store.years()[-1]
-        dist = incident_distribution(store, baseline_year=first)
-        assert streamed.growth(first, last) == pytest.approx(
-            dist.year_total(last) / dist.year_total(first), abs=1e-12
-        )
+    def test_growth_exact(self, reports):
+        streamed, batch = reports
+        assert streamed.growth == batch.growth
 
-    def test_incident_rates_exact(self, corpus):
-        scenario, streamed, store = corpus
-        rates = incident_rates(store, scenario.fleet)
-        for year in store.years():
-            for device_type in DeviceType:
-                if scenario.fleet.count(year, device_type) == 0:
-                    continue
-                assert streamed.incident_rate(
-                    year, device_type, scenario.fleet
-                ) == pytest.approx(
-                    rates.rate(year, device_type), abs=1e-12
-                )
+    def test_incident_rates_exact(self, reports):
+        streamed, batch = reports
+        assert streamed.rates == batch.rates
 
-    def test_mtbi_exact(self, corpus):
-        scenario, streamed, store = corpus
-        sr = switch_reliability(store, scenario.fleet)
-        for year, per_type in sr.mtbi_h.items():
-            for device_type, batch_mtbi in per_type.items():
-                assert streamed.mtbi_h(
-                    year, device_type, scenario.fleet
-                ) == pytest.approx(batch_mtbi, rel=1e-12)
+    def test_mtbi_exact(self, reports):
+        streamed, batch = reports
+        assert streamed.switches.mtbi_h == batch.switches.mtbi_h
 
-    def test_severity_shares_exact(self, corpus):
-        _, streamed, store = corpus
-        for year in store.years():
-            fig4 = severity_by_device(store, year)
-            for severity in Severity:
-                assert streamed.severity_share(
-                    year, severity
-                ) == pytest.approx(fig4.level_share(severity), abs=1e-12)
+    def test_severity_shares_exact(self, reports):
+        streamed, batch = reports
+        assert streamed.severity == batch.severity
+        assert streamed.severity_over_time == batch.severity_over_time
 
 
 class TestPercentileParity:
-    def test_p75_irt_within_two_percent(self, corpus):
-        """Figure 13 streamed: per-year p75 IRT within 2% of batch."""
-        _, streamed, store = corpus
-        for year in store.years():
-            durations = [
-                r.duration_h for r in store.all_reports()
-                if r.device_type is not None and r.opened_year == year
-            ]
-            if not durations:
-                continue
-            batch_p75 = percentile(durations, 0.75)
-            assert streamed.p75_irt(year) == pytest.approx(
-                batch_p75, rel=0.02
-            )
+    """Figure 13 streamed: the finalized p75 IRT is a sketch quantile,
+    within 2% of the exact order statistic."""
 
-    def test_per_type_p75_within_two_percent(self, corpus):
-        scenario, streamed, store = corpus
-        sr = switch_reliability(store, scenario.fleet)
-        for year, per_type in sr.p75_irt_h.items():
-            for device_type, batch_p75 in per_type.items():
-                assert streamed.p75_irt(year, device_type) == pytest.approx(
-                    batch_p75, rel=0.02
+    def test_p75_irt_within_two_percent(self, corpus, reports):
+        # Against the exact p75 of each cell's rows.
+        _, _, store = corpus
+        streamed, _ = reports
+        for year, per_type in streamed.switches.p75_irt_h.items():
+            for device_type, streamed_p75 in per_type.items():
+                durations = [
+                    r.duration_h for r in store.all_reports()
+                    if r.opened_year == year
+                    and r.device_type is device_type
+                ]
+                assert streamed_p75 == pytest.approx(
+                    percentile(durations, 0.75), rel=0.02
                 )
+
+    def test_per_type_p75_within_two_percent(self, corpus, reports):
+        # Against repro.core's SQL path, which takes exact percentiles.
+        scenario, _, store = corpus
+        streamed, _ = reports
+        exact = switch_reliability(store, scenario.fleet).p75_irt_h
+        assert streamed.switches.p75_irt_h.keys() == exact.keys()
+        for year, per_type in exact.items():
+            assert streamed.switches.p75_irt_h[year].keys() == per_type.keys()
+            for device_type, batch_p75 in per_type.items():
+                assert streamed.switches.p75_irt_h[year][device_type] \
+                    == pytest.approx(batch_p75, rel=0.02)
+
+
+class TestCheckpointState:
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "cb9bbc301e12a3d0"),
+        (7, "9ecdc3860d71452c"),
+        (13, "2d7e1584dc2037fa"),
+    ])
+    def test_one_shot_state_digest_is_pinned(self, seed, digest):
+        # The repro.stream-aggregates/1 checkpoint state of a one-shot
+        # live feed: a change here breaks every checkpoint on disk.
+        engine = StreamEngine()
+        engine.run(live_feed(paper_scenario(seed=seed, scale=SCALE)))
+        assert engine.events_ingested == 559
+        assert engine.aggregates.digest().startswith(digest)
 
 
 class TestMergeLaws:
