@@ -13,9 +13,10 @@ import pathlib
 import pytest
 
 from repro.backbone.monitor import BackboneMonitor
-from repro.core.backbone_reliability import backbone_reliability
+from repro.core.backbone_reliability import reliability_from_outages
 from repro.fleet.employees import paper_employees
 from repro.fleet.population import paper_fleet
+from repro.runtime import RunContext
 from repro.simulation.backbone_sim import BackboneSimulator
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_backbone_scenario, paper_scenario
@@ -39,8 +40,21 @@ def paper_store():
 
 
 @pytest.fixture(scope="session")
+def paper_context(paper_store, fleet):
+    return RunContext(store=paper_store, fleet=fleet)
+
+
+@pytest.fixture(scope="session")
 def backbone_corpus():
     return BackboneSimulator(paper_backbone_scenario()).run()
+
+
+@pytest.fixture(scope="session")
+def backbone_context(backbone_corpus):
+    return RunContext(
+        tickets=backbone_corpus.tickets, topology=backbone_corpus.topology,
+        window_h=backbone_corpus.window_h,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +64,11 @@ def backbone_monitor(backbone_corpus):
 
 @pytest.fixture(scope="session")
 def reliability(backbone_corpus, backbone_monitor):
-    return backbone_reliability(backbone_monitor, backbone_corpus.window_h)
+    return reliability_from_outages(
+        backbone_monitor.failures_by_edge(),
+        backbone_monitor.outages_by_vendor(),
+        backbone_corpus.window_h,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ scenario constructors, so the bench exercises the same expansion,
 digesting, and caching path as ``python -m repro grid run``.
 """
 
-from repro.core.switch_reliability import switch_reliability
+from repro.runtime import Executor, RunContext
+from repro.runtime.analyses import SwitchReliabilityAnalysis
 from repro.scenarios import GridRunner, GridSpec, preset
 from repro.simulation.generator import IntraSimulator
 from repro.topology.devices import DeviceType
@@ -43,9 +44,10 @@ def test_ablation_drain_policy(benchmark, emit):
     for cell in GRID.cells():
         scenario = cell.spec.materialize()
         store = IntraSimulator(scenario).run()
-        reliability[cell.spec.drain_policy] = switch_reliability(
-            store, scenario.fleet
-        )
+        reliability[cell.spec.drain_policy] = Executor().run(
+            [SwitchReliabilityAnalysis()],
+            RunContext(store=store, fleet=scenario.fleet),
+        )["switch_reliability"]
     with_drain = reliability[True]
     without_drain = reliability[False]
 

@@ -10,7 +10,8 @@ scenario constructors, so the bench exercises the same expansion,
 digesting, and caching path as ``python -m repro grid run``.
 """
 
-from repro.core.design_comparison import design_comparison
+from repro.runtime import Executor, RunContext
+from repro.runtime.analyses import DesignComparisonAnalysis
 from repro.scenarios import GridRunner, GridSpec, preset
 from repro.simulation.generator import IntraSimulator
 from repro.topology.devices import NetworkDesign
@@ -40,9 +41,10 @@ def test_ablation_fabric_rollout(benchmark, emit):
     for cell in GRID.cells():
         scenario = cell.spec.materialize()
         store = IntraSimulator(scenario).run()
-        comparison[int(cell.spec.fabric_year)] = design_comparison(
-            store, scenario.fleet
-        )
+        comparison[int(cell.spec.fabric_year)] = Executor().run(
+            [DesignComparisonAnalysis()],
+            RunContext(store=store, fleet=scenario.fleet),
+        )["design_comparison"]
     baseline = comparison[2015]
     shifted = comparison[2016]
 

@@ -10,13 +10,16 @@ import math
 
 import pytest
 
-from repro.core.switch_reliability import switch_reliability
+from repro.runtime import Executor
+from repro.runtime.analyses import SwitchReliabilityAnalysis
 from repro.topology.devices import DeviceType, NetworkDesign
 from repro.viz.tables import format_table
 
 
-def test_fig12_mtbi(benchmark, emit, paper_store, fleet):
-    sr = benchmark(switch_reliability, paper_store, fleet)
+def test_fig12_mtbi(benchmark, emit, paper_context):
+    sr = benchmark(
+        Executor().run, [SwitchReliabilityAnalysis()], paper_context
+    )["switch_reliability"]
 
     header = ["Year"] + [t.value for t in DeviceType]
     rows = []

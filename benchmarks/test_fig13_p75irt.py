@@ -5,13 +5,16 @@ hour in 2011 toward hundreds of hours in 2017 (log-scale axis 1e-1 to
 1e3 in the paper).
 """
 
-from repro.core.switch_reliability import switch_reliability
+from repro.runtime import Executor
+from repro.runtime.analyses import SwitchReliabilityAnalysis
 from repro.topology.devices import DeviceType
 from repro.viz.tables import format_table
 
 
-def test_fig13_p75irt(benchmark, emit, paper_store, fleet):
-    sr = benchmark(switch_reliability, paper_store, fleet)
+def test_fig13_p75irt(benchmark, emit, paper_context):
+    sr = benchmark(
+        Executor().run, [SwitchReliabilityAnalysis()], paper_context
+    )["switch_reliability"]
 
     header = ["Year"] + [t.value for t in DeviceType]
     rows = []

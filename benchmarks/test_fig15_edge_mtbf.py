@@ -6,14 +6,15 @@ once every 3521 h; model MTBF_edge(p) = 462.88 e^{2.3408 p}, R² = 0.94.
 
 import pytest
 
-from repro.core.backbone_reliability import backbone_reliability
+from repro.runtime import Executor
+from repro.runtime.analyses import BackboneReliabilityAnalysis
 from repro.viz.tables import format_table
 
 
-def test_fig15_edge_mtbf(benchmark, emit, backbone_monitor, backbone_corpus):
+def test_fig15_edge_mtbf(benchmark, emit, backbone_context):
     rel = benchmark(
-        backbone_reliability, backbone_monitor, backbone_corpus.window_h
-    )
+        Executor().run, [BackboneReliabilityAnalysis()], backbone_context
+    )["backbone_reliability"]
     curve = rel.edge_mtbf
     model = rel.edge_mtbf_model()
 

@@ -5,14 +5,17 @@ undetermined) are spread across all seven device types; small
 categories may miss small-population types.
 """
 
-from repro.core.root_causes import root_causes_by_device
 from repro.incidents.sev import RootCause
+from repro.runtime import Executor
+from repro.runtime.analyses import RootCausesByDeviceAnalysis
 from repro.topology.devices import DeviceType
 from repro.viz.tables import format_table
 
 
-def test_fig2_root_cause_by_device(benchmark, emit, paper_store):
-    fractions = benchmark(root_causes_by_device, paper_store)
+def test_fig2_root_cause_by_device(benchmark, emit, paper_context):
+    fractions = benchmark(
+        Executor().run, [RootCausesByDeviceAnalysis()], paper_context
+    )["root_causes_by_device"]
 
     header = ["Root cause"] + [t.value for t in DeviceType]
     rows = []

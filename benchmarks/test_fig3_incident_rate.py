@@ -7,13 +7,16 @@ low-bisection population (ESW/SSW/FSW/RSW/CSW) sits below 1% in 2017.
 
 import pytest
 
-from repro.core.incident_rates import incident_rates
+from repro.runtime import Executor
+from repro.runtime.analyses import IncidentRatesAnalysis
 from repro.topology.devices import DeviceType
 from repro.viz.tables import format_table
 
 
-def test_fig3_incident_rate(benchmark, emit, paper_store, fleet):
-    rates = benchmark(incident_rates, paper_store, fleet)
+def test_fig3_incident_rate(benchmark, emit, paper_context):
+    rates = benchmark(
+        Executor().run, [IncidentRatesAnalysis()], paper_context
+    )["incident_rates"]
 
     header = ["Year"] + [t.value for t in DeviceType]
     rows = []

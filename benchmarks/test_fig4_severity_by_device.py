@@ -6,14 +6,18 @@ fabric devices are small slices (ESW 3%, SSW 2%, FSW 8%).
 
 import pytest
 
-from repro.core.severity import severity_by_device
 from repro.incidents.sev import Severity
+from repro.runtime import Executor
+from repro.runtime.analyses import SeverityByDeviceAnalysis
 from repro.topology.devices import DeviceType
 from repro.viz.tables import format_table
 
 
-def test_fig4_severity_by_device(benchmark, emit, paper_store):
-    fig4 = benchmark(severity_by_device, paper_store, 2017)
+def test_fig4_severity_by_device(benchmark, emit, paper_context):
+    fig4 = benchmark(
+        Executor().run, [SeverityByDeviceAnalysis()], paper_context
+    )["severity_by_device"]
+    assert fig4.year == 2017  # the corpus' newest year
 
     header = ["Level", "N"] + [t.value for t in DeviceType]
     rows = []

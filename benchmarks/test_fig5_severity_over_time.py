@@ -6,13 +6,16 @@ deployment), then declines; per-device rates are in the 1e-3 band.
 
 import pytest
 
-from repro.core.severity import severity_rates_over_time
 from repro.incidents.sev import Severity
+from repro.runtime import Executor
+from repro.runtime.analyses import SeverityOverTimeAnalysis
 from repro.viz.tables import format_table
 
 
-def test_fig5_severity_over_time(benchmark, emit, paper_store, fleet):
-    series = benchmark(severity_rates_over_time, paper_store, fleet)
+def test_fig5_severity_over_time(benchmark, emit, paper_context):
+    series = benchmark(
+        Executor().run, [SeverityOverTimeAnalysis()], paper_context
+    )["severity_over_time"]
 
     rows = [
         [year] + [f"{series.rate(year, s):.2e}" for s in sorted(Severity)]

@@ -7,13 +7,16 @@ modest.
 
 import pytest
 
-from repro.core.distribution import incident_distribution
+from repro.runtime import Executor
+from repro.runtime.analyses import DistributionAnalysis
 from repro.topology.devices import DeviceType
 from repro.viz.tables import format_table
 
 
-def test_fig7_incident_fraction(benchmark, emit, paper_store):
-    dist = benchmark(incident_distribution, paper_store)
+def test_fig7_incident_fraction(benchmark, emit, paper_context):
+    dist = benchmark(
+        Executor().run, [DistributionAnalysis()], paper_context
+    )["distribution"]
 
     header = ["Year"] + [t.value for t in DeviceType]
     rows = [

@@ -7,14 +7,21 @@ increase.
 
 import pytest
 
-from repro.core.distribution import incident_distribution, incident_growth
+from repro.runtime import Executor
+from repro.runtime.analyses import DistributionAnalysis, GrowthAnalysis
 from repro.topology.devices import DeviceType
 from repro.viz.tables import format_table
 
 
-def test_fig8_incident_growth(benchmark, emit, paper_store):
-    dist = incident_distribution(paper_store)
-    growth = benchmark(incident_growth, paper_store, 2011, 2017)
+def test_fig8_incident_growth(benchmark, emit, paper_context):
+    # Normalized to the newest corpus year (2017); growth runs from
+    # the first corpus year (2011) to it.
+    results = benchmark(
+        Executor().run, [DistributionAnalysis(), GrowthAnalysis()],
+        paper_context,
+    )
+    dist, growth = results["distribution"], results["growth"]
+    assert (dist.years[0], dist.baseline_year) == (2011, 2017)
 
     header = ["Year"] + [t.value for t in DeviceType]
     rows = [

@@ -6,13 +6,16 @@ incidents rise from zero; 2017 fabric is ~half of cluster.
 
 import pytest
 
-from repro.core.design_comparison import design_comparison
+from repro.runtime import Executor
+from repro.runtime.analyses import DesignComparisonAnalysis
 from repro.topology.devices import NetworkDesign
 from repro.viz.tables import format_table
 
 
-def test_fig9_design_fraction(benchmark, emit, paper_store, fleet):
-    comparison = benchmark(design_comparison, paper_store, fleet)
+def test_fig9_design_fraction(benchmark, emit, paper_context):
+    comparison = benchmark(
+        Executor().run, [DesignComparisonAnalysis()], paper_context
+    )["design_comparison"]
 
     rows = [
         [year,

@@ -7,8 +7,11 @@ in the substrates (workflow, SQLite store, SQL analysis) are visible.
 
 import pytest
 
-from repro.core.root_causes import root_cause_breakdown
-from repro.core.switch_reliability import switch_reliability
+from repro.runtime import Executor, RunContext
+from repro.runtime.analyses import (
+    RootCausesAnalysis,
+    SwitchReliabilityAnalysis,
+)
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_scenario
 
@@ -16,9 +19,11 @@ from repro.simulation.scenarios import paper_scenario
 def generate_and_analyze(scale: float):
     scenario = paper_scenario(seed=2, scale=scale)
     store = IntraSimulator(scenario).run()
-    breakdown = root_cause_breakdown(store)
-    reliability = switch_reliability(store, scenario.fleet)
-    return store, breakdown, reliability
+    results = Executor().run(
+        [RootCausesAnalysis(), SwitchReliabilityAnalysis()],
+        RunContext(store=store, fleet=scenario.fleet),
+    )
+    return store, results["root_causes"], results["switch_reliability"]
 
 
 @pytest.mark.parametrize("scale", [0.25, 1.0])

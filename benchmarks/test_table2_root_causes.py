@@ -6,8 +6,9 @@ accidents 10%, capacity 5%, undetermined 29%.
 
 import pytest
 
-from repro.core.root_causes import root_cause_breakdown
 from repro.incidents.sev import RootCause
+from repro.runtime import Executor
+from repro.runtime.analyses import RootCausesAnalysis
 from repro.viz.tables import format_table
 
 PAPER = {
@@ -21,8 +22,10 @@ PAPER = {
 }
 
 
-def test_table2_root_causes(benchmark, emit, paper_store):
-    breakdown = benchmark(root_cause_breakdown, paper_store)
+def test_table2_root_causes(benchmark, emit, paper_context):
+    breakdown = benchmark(
+        Executor().run, [RootCausesAnalysis()], paper_context
+    )["root_causes"]
     dist = breakdown.distribution()
 
     rows = [

@@ -6,7 +6,8 @@ SA 10% (1579 / 9), Africa 4% (5400 / 22), Australia 2% (1642 / 2).
 
 import pytest
 
-from repro.core.backbone_reliability import continent_table
+from repro.runtime import Executor
+from repro.runtime.analyses import ContinentTableAnalysis
 from repro.topology.backbone import Continent
 from repro.viz.tables import format_table
 
@@ -20,11 +21,10 @@ PAPER = {
 }
 
 
-def test_table4_continents(benchmark, emit, backbone_monitor, backbone_corpus):
+def test_table4_continents(benchmark, emit, backbone_context):
     rows = benchmark(
-        continent_table, backbone_monitor, backbone_corpus.topology,
-        backbone_corpus.window_h,
-    )
+        Executor().run, [ContinentTableAnalysis()], backbone_context
+    )["continent_table"]
     by_continent = {r.continent: r for r in rows}
 
     table_rows = []

@@ -10,23 +10,21 @@ evaluation.
 
 from repro import (
     DeviceType,
+    Executor,
     IntraSimulator,
-    incident_distribution,
-    incident_rates,
+    NetworkDesign,
+    RunContext,
     irt_vs_fleet_size,
     paper_employees,
     paper_fleet,
     paper_scenario,
     population_breakdown,
     remediation_table,
-    root_cause_breakdown,
-    root_causes_by_device,
-    severity_by_device,
-    severity_rates_over_time,
-    switch_reliability,
+    run_intra_report,
     switches_vs_employees,
 )
 from repro.incidents import RootCause, Severity
+from repro.runtime.analyses import RootCausesByDeviceAnalysis
 from repro.viz import bar_chart, format_table, series_chart
 
 TYPES = list(DeviceType)
@@ -41,6 +39,9 @@ def main() -> None:
     store = IntraSimulator(scenario).run()
     fleet = paper_fleet()
     employees = paper_employees()
+    context = RunContext(store=store, fleet=fleet)
+    # Every artifact the report composes, from one executor run.
+    report = run_intra_report(context)
 
     section("Table 1: automated remediation (April 2018 month)")
     month = IntraSimulator(scenario).simulate_remediation_month()
@@ -54,12 +55,14 @@ def main() -> None:
     ))
 
     section("5.1 Root causes (Table 2, Figure 2)")
-    t2 = root_cause_breakdown(store)
+    t2 = report.root_causes
     print(bar_chart(
         {c.value: t2.fraction(c) for c in RootCause}, title="Table 2"
     ))
     print(f"\nhuman/hardware error ratio: {t2.human_to_hardware_ratio:.2f}")
-    fig2 = root_causes_by_device(store)
+    fig2 = Executor().run(
+        [RootCausesByDeviceAnalysis()], context
+    )["root_causes_by_device"]
     print("\nFigure 2 (fraction of each cause's incidents by type):")
     print(format_table(
         ["cause"] + [t.value for t in TYPES],
@@ -68,7 +71,7 @@ def main() -> None:
     ))
 
     section("5.2 Incident rate (Figure 3)")
-    fig3 = incident_rates(store, fleet)
+    fig3 = report.rates
     print(format_table(
         ["year"] + [t.value for t in TYPES],
         [[y] + [f"{fig3.rate(y, t):.2g}" if fig3.rate(y, t) else "-"
@@ -78,20 +81,20 @@ def main() -> None:
           "(exceeds 1.0: more incidents than devices)")
 
     section("5.3 Incident severity (Figures 4-6)")
-    fig4 = severity_by_device(store, 2017)
+    fig4 = report.severity
     for severity in sorted(Severity):
         share = fig4.level_share(severity)
         mix = {t.value: fig4.device_fraction(severity, t) for t in TYPES}
         print(f"\n{severity.label} (N={share:.0%} of 2017 SEVs)")
         print(bar_chart(mix, width=30))
-    fig5 = severity_rates_over_time(store, fleet)
+    fig5 = report.severity_over_time
     print(f"\nSEV3-per-device inflection year: {fig5.inflection_year()}")
     fig6 = switches_vs_employees(fleet, employees)
     print("\nFigure 6 (switches vs. employees):")
     print(series_chart(fig6, height=8, width=40))
 
     section("5.4 Incident distribution (Figures 7-8)")
-    fig7 = incident_distribution(store)
+    fig7 = report.distribution
     print(format_table(
         ["year"] + [t.value for t in TYPES] + ["total"],
         [[y] + [f"{fig7.fraction_of_year(y, t):.2f}" for t in TYPES]
@@ -99,10 +102,7 @@ def main() -> None:
     ))
 
     section("5.5 Incidents by network design (Figures 9-11)")
-    from repro import design_comparison
-    from repro.topology.devices import NetworkDesign
-
-    fig9 = design_comparison(store, fleet)
+    fig9 = report.designs
     print(format_table(
         ["year", "cluster", "fabric", "cluster/device", "fabric/device"],
         [[y, fig9.count(y, NetworkDesign.CLUSTER),
@@ -118,7 +118,7 @@ def main() -> None:
     ))
 
     section("5.6 Switch reliability (Figures 12-14)")
-    sr = switch_reliability(store, fleet)
+    sr = report.switches
     print(format_table(
         ["year"] + [t.value for t in TYPES],
         [[y] + [

@@ -9,20 +9,12 @@ headline numbers of the paper from each.
 """
 
 from repro import (
-    BackboneMonitor,
-    BackboneSimulator,
     DeviceType,
-    IntraSimulator,
     NetworkDesign,
-    backbone_reliability,
-    design_comparison,
-    incident_growth,
-    paper_backbone_scenario,
-    paper_fleet,
-    paper_scenario,
-    root_cause_breakdown,
-    severity_by_device,
-    switch_reliability,
+    build_backbone_context,
+    build_intra_context,
+    run_backbone_report,
+    run_intra_report,
 )
 from repro.incidents import Severity
 
@@ -30,46 +22,45 @@ from repro.incidents import Severity
 def main() -> None:
     # ----- intra data center (sections 4-5) ---------------------------
     print("Generating the seven-year intra data center SEV corpus...")
-    store = IntraSimulator(paper_scenario()).run()
-    fleet = paper_fleet()
+    context = build_intra_context()
+    report = run_intra_report(context)
+    store = context.store
     print(f"  {len(store)} SEV reports across {len(store.years())} years\n")
 
-    table2 = root_cause_breakdown(store)
+    table2 = report.root_causes
     print("Root causes (Table 2):")
     for cause, fraction in sorted(
         table2.distribution().items(), key=lambda kv: -kv[1]
     ):
         print(f"  {cause.value:<14} {fraction:.1%}")
 
-    fig4 = severity_by_device(store, 2017)
+    fig4 = report.severity
     shares = ", ".join(
         f"{s.label} {fig4.level_share(s):.0%}" for s in sorted(Severity)
     )
     print(f"\n2017 severity mix (Figure 4): {shares}")
 
-    sr = switch_reliability(store, fleet)
+    sr = report.switches
     print(f"2017 MTBI: Cores {sr.mtbi(2017, DeviceType.CORE):,.0f} h, "
           f"RSWs {sr.mtbi(2017, DeviceType.RSW):,.0f} h")
     print(f"Fabric switches fail {sr.fabric_advantage(2017):.1f}x less "
           "often than cluster switches")
 
-    comparison = design_comparison(store, fleet)
+    comparison = report.designs
     print(f"Fabric incidents are "
           f"{comparison.fabric_to_cluster_ratio(2017):.0%} of cluster "
           f"incidents in 2017; cluster incidents peaked in "
           f"{comparison.cluster_inflection_year()}")
-    print(f"Total SEVs grew {incident_growth(store, 2011, 2017):.1f}x "
-          "from 2011 to 2017")
+    print(f"Total SEVs grew {report.growth:.1f}x from 2011 to 2017")
 
     # ----- inter data center (section 6) -------------------------------
     print("\nGenerating the eighteen-month backbone ticket corpus...")
-    corpus = BackboneSimulator(paper_backbone_scenario()).run()
-    monitor = BackboneMonitor(corpus.topology, corpus.tickets)
-    print(f"  {len(corpus.tickets)} vendor repair tickets over "
-          f"{len(corpus.topology.edges)} edges / "
-          f"{len(corpus.topology.links)} fiber links\n")
+    context = build_backbone_context()
+    rel = run_backbone_report(context).reliability
+    print(f"  {len(context.tickets)} vendor repair tickets over "
+          f"{len(context.topology.edges)} edges / "
+          f"{len(context.topology.links)} fiber links\n")
 
-    rel = backbone_reliability(monitor, corpus.window_h)
     print(f"Edge MTBF:  p50 {rel.edge_mtbf.p50:,.0f} h, "
           f"p90 {rel.edge_mtbf.p90:,.0f} h")
     print(f"Edge MTTR:  p50 {rel.edge_mttr.p50:.1f} h, "

@@ -12,34 +12,29 @@ figure of the paper.
 
 Quickstart::
 
-    from repro import paper_scenario, IntraSimulator, root_cause_breakdown
+    from repro import DeviceType, build_intra_context, run_intra_report
 
-    store = IntraSimulator(paper_scenario()).run()
-    table2 = root_cause_breakdown(store)
-    print(table2.distribution())
+    report = run_intra_report(build_intra_context())
+    print(report.root_causes.distribution())          # Table 2
+    print(report.switches.mtbi(2017, DeviceType.RSW))  # Figure 12
+
+One artifact is one analysis through the executor
+(``Executor().run([RootCausesAnalysis()], context)["root_causes"]``,
+analyses in :mod:`repro.runtime.analyses`); a question no analysis
+asks is a :mod:`repro.core` finalizer over
+:class:`~repro.incidents.query.SEVQuery` counts.
 
 See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
 from repro.core import (
-    backbone_reliability,
     capacity_report,
-    continent_table,
-    design_comparison,
-    incident_distribution,
-    incident_growth,
-    incident_rates,
     irt_vs_fleet_size,
     population_breakdown,
     remediation_table,
-    root_cause_breakdown,
-    root_causes_by_device,
-    severity_by_device,
-    severity_rates_over_time,
     sevs_per_employee,
     survivable_capacity,
-    switch_reliability,
     switches_vs_employees,
 )
 from repro.backbone import BackboneMonitor, TicketDatabase, TrafficEngineer
@@ -62,7 +57,15 @@ from repro.simulation import (
     paper_backbone_scenario,
     paper_scenario,
 )
-from repro.runtime import Executor, ResultCache, RunContext
+from repro.runtime import (
+    Executor,
+    ResultCache,
+    RunContext,
+    build_backbone_context,
+    build_intra_context,
+    run_backbone_report,
+    run_intra_report,
+)
 from repro.stream import StreamAggregates, StreamEngine
 from repro.topology import (
     DeviceType,
@@ -99,18 +102,14 @@ __all__ = [
     "TicketDatabase",
     "TrafficEngineer",
     "__version__",
-    "backbone_reliability",
     "build_backbone",
+    "build_backbone_context",
     "build_cluster_network",
     "build_fabric_network",
+    "build_intra_context",
     "capacity_report",
     "compare_root_causes",
-    "continent_table",
-    "design_comparison",
     "generate_trials",
-    "incident_distribution",
-    "incident_growth",
-    "incident_rates",
     "irt_vs_fleet_size",
     "masking_report",
     "paper_backbone_scenario",
@@ -121,13 +120,10 @@ __all__ = [
     "population_breakdown",
     "reference_catalog",
     "remediation_table",
-    "root_cause_breakdown",
-    "root_causes_by_device",
+    "run_backbone_report",
+    "run_intra_report",
     "run_survivability_report",
-    "severity_by_device",
-    "severity_rates_over_time",
     "sevs_per_employee",
     "survivable_capacity",
-    "switch_reliability",
     "switches_vs_employees",
 ]

@@ -36,7 +36,6 @@ from repro.backbone.scorecards import (
     grade_distribution,
     scorecards_from_outages,
     shortlist,
-    vendor_scorecards,
 )
 from repro.backbone.planes import (
     PLANE_COUNT,
@@ -88,5 +87,4 @@ __all__ = [
     "route_user_traffic",
     "scorecards_from_outages",
     "shortlist",
-    "vendor_scorecards",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.backbone.monitor import BackboneMonitor
 from repro.stats.intervals import OutageInterval
 from repro.stats.mtbf import mtbf_from_intervals
 from repro.stats.mttr import mean_time_to_recovery
@@ -53,11 +52,13 @@ def scorecards_from_outages(
     window_h: float,
     min_tickets: int = 1,
 ) -> Dict[str, VendorScorecard]:
-    """Scorecards from a pre-derived per-vendor outage view.
+    """Score every vendor with at least ``min_tickets`` outages.
 
-    The pure finalizer behind :func:`vendor_scorecards`, shared with
-    the fold states of :mod:`repro.runtime` so batch, streaming, and
-    sharded execution grade vendors identically.  Per-vendor interval
+    The pure finalizer of
+    :class:`repro.runtime.analyses.VendorScorecardAnalysis`, so batch,
+    streaming, and sharded execution grade vendors identically; a
+    :class:`~repro.backbone.monitor.BackboneMonitor`'s
+    ``outages_by_vendor()`` is the same view.  Per-vendor interval
     lists must be chronologically sorted.
     """
     if window_h <= 0:
@@ -76,16 +77,6 @@ def scorecards_from_outages(
             grade=_grade(mtbf),
         )
     return cards
-
-
-def vendor_scorecards(
-    monitor: BackboneMonitor, window_h: float,
-    min_tickets: int = 1,
-) -> Dict[str, VendorScorecard]:
-    """Score every vendor with at least ``min_tickets`` tickets."""
-    return scorecards_from_outages(
-        monitor.outages_by_vendor(), window_h, min_tickets=min_tickets
-    )
 
 
 def shortlist(

@@ -546,18 +546,27 @@ def _backbone_report(seed: Optional[int],
     """The backbone study through the domain-generic runtime.
 
     Same executor, same cache as ``report intra`` — the ticket corpus
-    is just another record source.  With ``store_dir`` the tickets
-    stream from a partitioned store; the topology and window are
-    rebuilt from the seed the manifest recorded.
+    is just another record source.  One executor run answers the
+    report and the corpus line (``ticket_corpus_size``), so a warm
+    cached run prints both without building the corpus.  With
+    ``store_dir`` the tickets stream from a partitioned store; the
+    topology and window are rebuilt from the seed the manifest
+    recorded.
     """
-    from repro.runtime import build_backbone_context, run_backbone_report
+    from repro.runtime import (
+        Executor, backbone_report_analyses, backbone_report_from,
+        build_backbone_context,
+    )
+    from repro.runtime.analyses import TicketCorpusSizeAnalysis
 
     context = build_backbone_context(seed, store_dir=store_dir)
     cache = _cache(cache_dir)
-    report = run_backbone_report(context, cache=cache, jobs=jobs)
-    print(f"corpus: {len(context.tickets)} tickets, "
-          f"{len(context.topology.edges)} edges, "
-          f"{len(context.topology.links)} links\n")
+    results = Executor(jobs=jobs, cache=cache).run(
+        backbone_report_analyses() + [TicketCorpusSizeAnalysis()], context
+    )
+    report = backbone_report_from(results, context.window_h)
+    tickets, edges, links = results["ticket_corpus_size"]
+    print(f"corpus: {tickets} tickets, {edges} edges, {links} links\n")
     print(report.render())
     _print_footer(report, cache, digest)
 

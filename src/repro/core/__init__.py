@@ -1,4 +1,4 @@
-"""The paper's analyses.
+"""The paper's result types and the pure math behind them.
 
 One module per analysis section:
 
@@ -16,48 +16,48 @@ Module                     Paper artifact
 ``conditional_risk``       capacity planning consumer (section 6.1)
 =========================  ==========================================
 
-Every function takes the substrate objects (SEV store, fleet model,
-monitor, ...) and returns plain result dataclasses; nothing in here
-reads :mod:`repro.paperdata`.
+Each module holds its artifact's result dataclass and the pure
+finalizer that builds it from already-tallied counts or outage views
+(``rates_from_counts``, ``reliability_from_outages``, ...).  The
+registered analyses of :mod:`repro.runtime` run those finalizers over
+their fold states, so a whole study is one executor run
+(:func:`repro.runtime.run_intra_report`); a question no analysis asks
+— Table 2 of one year, say — is the same finalizer over a
+:class:`~repro.incidents.query.SEVQuery` count.  The helpers for
+Figures 6, 11 and 14, which no analysis computes, read the substrate
+directly.  Nothing in here reads :mod:`repro.paperdata`.
 """
 
 from repro.core.root_causes import (
     RootCauseBreakdown,
-    root_cause_breakdown,
-    root_causes_by_device,
+    device_fractions_from_counts,
 )
-from repro.core.incident_rates import IncidentRateSeries, incident_rates
+from repro.core.incident_rates import IncidentRateSeries, rates_from_counts
 from repro.core.severity import (
     SeverityByDevice,
     SeverityRateSeries,
+    severity_rates_from_counts,
     sevs_per_employee,
-    severity_by_device,
-    severity_rates_over_time,
     switches_vs_employees,
 )
-from repro.core.distribution import (
-    IncidentDistribution,
-    incident_distribution,
-    incident_growth,
-)
+from repro.core.distribution import IncidentDistribution, growth_from_totals
 from repro.core.design_comparison import (
     DesignComparison,
-    design_comparison,
+    design_counts_from_type_counts,
     population_breakdown,
 )
 from repro.core.switch_reliability import (
     SwitchReliability,
+    irt_fleet_correlation,
     irt_vs_fleet_size,
-    switch_reliability,
+    switch_reliability_from_counts,
 )
 from repro.core.remediation_stats import RemediationTable, remediation_table
 from repro.core.backbone_reliability import (
     BackboneReliability,
     ContinentRow,
     RepairDurationSummary,
-    backbone_reliability,
     continent_rows_from_failures,
-    continent_table,
     reliability_from_outages,
 )
 from repro.core.conditional_risk import (
@@ -71,12 +71,7 @@ from repro.core.fault_tolerance import (
     redundancy_margin,
     redundancy_report,
 )
-from repro.core.reports import (
-    BackboneStudyReport,
-    IntraStudyReport,
-    backbone_study_report,
-    intra_study_report,
-)
+from repro.core.reports import BackboneStudyReport, IntraStudyReport
 
 __all__ = [
     "BackboneReliability",
@@ -95,28 +90,22 @@ __all__ = [
     "SeverityRateSeries",
     "SurvivableCapacityRow",
     "SwitchReliability",
-    "backbone_reliability",
-    "backbone_study_report",
     "capacity_report",
     "continent_rows_from_failures",
-    "continent_table",
-    "design_comparison",
-    "incident_distribution",
-    "incident_growth",
-    "incident_rates",
-    "intra_study_report",
+    "design_counts_from_type_counts",
+    "device_fractions_from_counts",
+    "growth_from_totals",
+    "irt_fleet_correlation",
     "irt_vs_fleet_size",
     "population_breakdown",
+    "rates_from_counts",
     "redundancy_margin",
     "redundancy_report",
     "reliability_from_outages",
     "remediation_table",
-    "root_cause_breakdown",
-    "root_causes_by_device",
-    "severity_by_device",
-    "severity_rates_over_time",
+    "severity_rates_from_counts",
     "sevs_per_employee",
     "survivable_capacity",
-    "switch_reliability",
+    "switch_reliability_from_counts",
     "switches_vs_employees",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.backbone.monitor import BackboneMonitor
 from repro.stats.expfit import ExponentialModel
 from repro.stats.intervals import OutageInterval
 from repro.stats.mtbf import mtbf_from_intervals
@@ -50,12 +49,14 @@ def reliability_from_outages(
 ) -> BackboneReliability:
     """The section 6 curves from pre-derived outage interval views.
 
-    The pure finalizer behind :func:`backbone_reliability`: the monitor
-    path and the fold states of :mod:`repro.runtime` both reduce to
-    these two views, so every execution path runs the identical
-    curve math.  Per-entity interval lists must be chronologically
-    sorted (both producers guarantee it) so the float summations agree
-    bit for bit.
+    The pure finalizer of
+    :class:`repro.runtime.analyses.BackboneReliabilityAnalysis`.  A
+    :class:`~repro.backbone.monitor.BackboneMonitor`'s
+    ``failures_by_edge()`` and ``outages_by_vendor()`` and the
+    runtime's fold state both reduce to these two views, so the curves
+    agree bit for bit whichever produced them.  Per-entity interval
+    lists must be chronologically sorted (both producers guarantee it)
+    so the float summations agree.
     """
     if window_h <= 0:
         raise ValueError("the observation window must be positive")
@@ -85,21 +86,6 @@ def reliability_from_outages(
     )
 
 
-def backbone_reliability(
-    monitor: BackboneMonitor, window_h: float
-) -> BackboneReliability:
-    """Compute the section 6 curves from the ticket-derived outages.
-
-    ``window_h`` is the observation window (eighteen months in the
-    study); it provides the MTBF scale for entities observed failing
-    only once.  Entities with no failures at all contribute no point,
-    as in the paper.
-    """
-    return reliability_from_outages(
-        monitor.failures_by_edge(), monitor.outages_by_vendor(), window_h
-    )
-
-
 @dataclass(frozen=True)
 class ContinentRow:
     """One Table 4 row."""
@@ -109,22 +95,6 @@ class ContinentRow:
     share: float
     mtbf_h: Optional[float]
     mttr_h: Optional[float]
-
-
-def continent_table(
-    monitor: BackboneMonitor,
-    topology: BackboneTopology,
-    window_h: float,
-) -> List[ContinentRow]:
-    """Compute Table 4: edge distribution and reliability by continent.
-
-    Per-continent MTBF/MTTR are means over the continent's edges that
-    failed at least once; continents whose edges never failed report
-    None for both.
-    """
-    return continent_rows_from_failures(
-        monitor.failures_by_edge(), topology, window_h
-    )
 
 
 def continent_rows_from_failures(

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.fleet.population import FleetModel
-from repro.incidents.query import SEVQuery
-from repro.incidents.store import SEVStore
 from repro.topology.devices import (
     CLUSTER_TYPES,
     FABRIC_TYPES,
@@ -92,19 +90,6 @@ def design_counts_from_type_counts(
             ),
         }
     return counts
-
-
-def design_comparison(
-    store: SEVStore, fleet: FleetModel, baseline_year: int = 2017
-) -> DesignComparison:
-    """Compute Figures 9/10: aggregate incidents by network design."""
-    return DesignComparison(
-        counts=design_counts_from_type_counts(
-            SEVQuery(store).count_by_year_and_type()
-        ),
-        baseline_year=baseline_year,
-        fleet=fleet,
-    )
 
 
 def population_breakdown(fleet: FleetModel) -> Dict[int, Dict[DeviceType, float]]:

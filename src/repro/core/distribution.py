@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.incidents.query import SEVQuery
-from repro.incidents.store import SEVStore
 from repro.topology.devices import DeviceType
 
 
@@ -59,16 +57,6 @@ class IncidentDistribution:
         return ordered[:k]
 
 
-def incident_distribution(
-    store: SEVStore, baseline_year: int = 2017
-) -> IncidentDistribution:
-    """Compute Figures 7/8 from the SEV database."""
-    return IncidentDistribution(
-        counts=SEVQuery(store).count_by_year_and_type(),
-        baseline_year=baseline_year,
-    )
-
-
 def growth_from_totals(
     totals: Dict[int, int], first_year: int, last_year: int
 ) -> float:
@@ -77,10 +65,3 @@ def growth_from_totals(
     if first == 0:
         raise ValueError(f"no incidents in the base year {first_year}")
     return totals.get(last_year, 0) / first
-
-
-def incident_growth(store: SEVStore, first_year: int, last_year: int) -> float:
-    """Total SEV growth factor between two years (9.4x in the paper)."""
-    return growth_from_totals(
-        SEVQuery(store).count_by_year(), first_year, last_year
-    )

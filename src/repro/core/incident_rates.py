@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.fleet.population import FleetModel
-from repro.incidents.query import SEVQuery
-from repro.incidents.store import SEVStore
 from repro.topology.devices import DeviceType
 
 
@@ -54,9 +52,10 @@ def rates_from_counts(
 ) -> IncidentRateSeries:
     """The Figure 3 math over already-tallied per-year/type counts.
 
-    Shared by the SQL path (:func:`incident_rates`) and the fold
-    states of :mod:`repro.runtime`: any path that produces the same
-    counts produces the same rates.
+    :class:`repro.runtime.analyses.IncidentRatesAnalysis` runs it over
+    its fold state; any path that produces the same counts (a
+    :class:`~repro.incidents.query.SEVQuery` GROUP BY included)
+    produces the same rates.
     """
     rates: Dict[int, Dict[DeviceType, float]] = {}
     for year in sorted(counts):
@@ -74,8 +73,3 @@ def rates_from_counts(
             )
         rates[year] = per_type
     return IncidentRateSeries(rates=rates)
-
-
-def incident_rates(store: SEVStore, fleet: FleetModel) -> IncidentRateSeries:
-    """Compute Figure 3 from the SEV database and fleet populations."""
-    return rates_from_counts(SEVQuery(store).count_by_year_and_type(), fleet)

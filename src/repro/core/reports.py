@@ -2,8 +2,9 @@
 
 Bundles every analysis into one structured object and renders it as a
 text document — the terminal version of the paper's evaluation
-sections.  Used by the CLI's ``report full`` and by downstream users
-who want all artifacts from one call.
+sections.  :func:`repro.runtime.run_intra_report` and
+:func:`repro.runtime.run_backbone_report` assemble them from one
+executor run.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from repro.core.incident_rates import IncidentRateSeries
 from repro.core.root_causes import RootCauseBreakdown
 from repro.core.severity import SeverityByDevice, SeverityRateSeries
 from repro.core.switch_reliability import SwitchReliability
-from repro.fleet.population import FleetModel
 from repro.incidents.sev import RootCause, Severity
-from repro.incidents.store import SEVStore
 from repro.topology.devices import DeviceType
 from repro.viz.tables import format_table
 
@@ -127,35 +126,3 @@ class BackboneStudyReport:
 
             sections.append(duration_table(self.durations))
         return "\n\n".join(sections)
-
-
-def intra_study_report(
-    store: SEVStore,
-    fleet: FleetModel,
-    year: Optional[int] = None,
-    cache=None,
-) -> IntraStudyReport:
-    """Run every intra data center analysis over one corpus.
-
-    Composition and execution live in :mod:`repro.runtime`; ``cache``
-    is an optional :class:`repro.runtime.ResultCache` for
-    fingerprint-keyed reuse.
-    """
-    # Imported lazily: repro.runtime folds with these report dataclasses.
-    from repro.runtime import RunContext, run_intra_report
-
-    if not store.years():
-        raise ValueError("the SEV corpus is empty")
-    context = RunContext(store=store, fleet=fleet, year=year)
-    return run_intra_report(context, cache=cache)
-
-
-def backbone_study_report(monitor, topology, window_h: float
-                          ) -> BackboneStudyReport:
-    """Run every backbone analysis over one ticket corpus."""
-    from repro.runtime import RunContext, run_backbone_report
-
-    context = RunContext(
-        tickets=monitor.tickets, topology=topology, window_h=window_h
-    )
-    return run_backbone_report(context)

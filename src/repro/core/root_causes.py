@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.incidents.query import SEVQuery
 from repro.incidents.sev import RootCause
-from repro.incidents.store import SEVStore
 from repro.topology.devices import DeviceType
 
 
@@ -62,13 +60,6 @@ class RootCauseBreakdown:
         return max(determined, key=lambda c: (determined[c], c.value))
 
 
-def root_cause_breakdown(
-    store: SEVStore, year: Optional[int] = None
-) -> RootCauseBreakdown:
-    """Compute Table 2 from the SEV database."""
-    return RootCauseBreakdown(counts=SEVQuery(store).count_by_root_cause(year))
-
-
 def device_fractions_from_counts(
     raw: Dict[RootCause, Dict[DeviceType, int]],
 ) -> Dict[RootCause, Dict[DeviceType, float]]:
@@ -80,16 +71,3 @@ def device_fractions_from_counts(
             continue
         fractions[cause] = {t: n / total for t, n in per_type.items()}
     return fractions
-
-
-def root_causes_by_device(
-    store: SEVStore,
-) -> Dict[RootCause, Dict[DeviceType, float]]:
-    """Figure 2: per root cause, the fraction of incidents by device type.
-
-    Each root-cause row is normalized across device types, matching
-    the figure's stacked-fraction rendering.
-    """
-    return device_fractions_from_counts(
-        SEVQuery(store).count_by_root_cause_and_type()
-    )

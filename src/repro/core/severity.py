@@ -67,13 +67,6 @@ class SeverityByDevice:
         return cluster, fabric
 
 
-def severity_by_device(store: SEVStore, year: int = 2017) -> SeverityByDevice:
-    """Compute Figure 4 for a year."""
-    return SeverityByDevice(
-        counts=SEVQuery(store).count_by_severity_and_type(year), year=year
-    )
-
-
 @dataclass(frozen=True)
 class SeverityRateSeries:
     """Figure 5: SEVs per device per year, by severity level."""
@@ -101,8 +94,8 @@ def severity_rates_from_counts(
 ) -> SeverityRateSeries:
     """The Figure 5 math over already-tallied per-year severity counts.
 
-    Shared by the SQL path (:func:`severity_rates_over_time`) and the
-    streaming fold path (:mod:`repro.runtime`).
+    :class:`repro.runtime.analyses.SeverityOverTimeAnalysis` runs it
+    over its fold state, in batch and over a live stream alike.
     """
     rates: Dict[int, Dict[Severity, float]] = {}
     for year, per_sev in per_year.items():
@@ -115,15 +108,6 @@ def severity_rates_from_counts(
             severity: n / total_devices for severity, n in per_sev.items()
         }
     return SeverityRateSeries(rates=rates)
-
-
-def severity_rates_over_time(
-    store: SEVStore, fleet: FleetModel
-) -> SeverityRateSeries:
-    """Compute Figure 5: yearly SEV counts normalized by fleet size."""
-    return severity_rates_from_counts(
-        SEVQuery(store).count_by_year_and_severity(), fleet
-    )
 
 
 def sevs_per_employee(

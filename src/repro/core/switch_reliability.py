@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -83,14 +83,16 @@ class SwitchReliability:
 def switch_reliability_from_counts(
     per_year: Dict[int, Dict[DeviceType, int]],
     fleet: FleetModel,
-    p75_lookup: Callable[[int, DeviceType], Optional[float]],
+    p75_lookup: Callable[[int, DeviceType], float],
 ) -> SwitchReliability:
     """The Figures 12/13 math over already-tallied counts.
 
-    ``p75_lookup`` supplies the p75 resolution time for one
-    (year, device type) cell, or None when the cell has no samples —
-    exact order statistics on the SQL path, sketch quantiles on the
-    streaming path (:mod:`repro.runtime`).
+    ``p75_lookup`` supplies the p75 resolution time of one (year,
+    device type) cell of ``per_year``;
+    :class:`repro.runtime.analyses.SwitchReliabilityAnalysis` answers
+    it from its mergeable quantile sketches.  MTBI follows the paper's
+    device-hours convention: the type's population-hours in the year
+    over its incident count.
     """
     mtbi: Dict[int, Dict[DeviceType, float]] = {}
     p75_irt: Dict[int, Dict[DeviceType, float]] = {}
@@ -106,30 +108,8 @@ def switch_reliability_from_counts(
             mtbi[year][device_type] = mtbi_device_hours(
                 population, incidents, HOURS_PER_YEAR
             )
-            irt = p75_lookup(year, device_type)
-            if irt is not None:
-                p75_irt[year][device_type] = irt
+            p75_irt[year][device_type] = p75_lookup(year, device_type)
     return SwitchReliability(mtbi_h=mtbi, p75_irt_h=p75_irt)
-
-
-def switch_reliability(store: SEVStore, fleet: FleetModel) -> SwitchReliability:
-    """Compute Figures 12 and 13 from the SEV database.
-
-    MTBI follows the paper's device-hours convention: the type's
-    population-hours in the year divided by its incident count.
-    p75IRT is the 75th percentile of incident resolution times, which
-    engineers document through to prevention (not just repair).
-    """
-    query = SEVQuery(store)
-    durations = query.durations_by_cell()
-
-    def exact_p75(year: int, device_type: DeviceType) -> Optional[float]:
-        cell = durations.get((year, device_type))
-        return p75(cell) if cell else None
-
-    return switch_reliability_from_counts(
-        query.count_by_year_and_type(), fleet, exact_p75
-    )
 
 
 def irt_vs_fleet_size(

@@ -1,8 +1,10 @@
 """SQL query layer over the SEV store.
 
 Section 4.2: "We use SQL queries to analyze the SEV report dataset for
-our study."  Each method here is one such query; the analysis modules
-in :mod:`repro.core` compose them into the paper's tables and figures.
+our study."  Each method here is one such query.  The runtime's fold
+states (:mod:`repro.runtime.states`) run the counting queries on every
+SQLite shard, and the :mod:`repro.core` finalizers turn the counts
+into the paper's tables and figures.
 """
 
 from __future__ import annotations
@@ -184,24 +186,6 @@ class SEVQuery:
                 (year, device_type.value),
             )
         ]
-
-    def durations_by_cell(
-        self,
-    ) -> Dict[Tuple[int, DeviceType], List[float]]:
-        """Resolution times for every (year, device type) cell, sorted.
-
-        One corpus scan instead of one :meth:`durations` query per
-        cell — the fan-in the batch switch-reliability analysis rides
-        on.  Cells come back sorted by duration, like ``durations``.
-        """
-        out: Dict[Tuple[int, DeviceType], List[float]] = {}
-        for year, t, duration in self._conn.execute(
-            "SELECT opened_year, device_type, duration_h FROM sevs "
-            "WHERE device_type IS NOT NULL "
-            "ORDER BY opened_year, device_type, duration_h"
-        ):
-            out.setdefault((year, DeviceType(t)), []).append(duration)
-        return out
 
     def repeat_offenders(self, min_incidents: int = 2) -> List[Tuple[str, int]]:
         """Devices implicated in multiple SEVs, most-incident first.

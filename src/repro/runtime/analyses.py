@@ -2,8 +2,8 @@
 
 One :class:`~repro.runtime.analysis.Analysis` per artifact of
 :mod:`repro.core`.  Each corpus analysis pairs a mergeable fold state
-(:mod:`repro.runtime.states`) with the pure finalizer math extracted
-into the core modules (``rates_from_counts`` and friends) — so SQL
+(:mod:`repro.runtime.states`) with the pure finalizer math of the
+core modules (``rates_from_counts`` and friends) — so SQL
 pushdown, column batches and the per-row reference fold run the *same*
 math over the same counts and can only differ in how the counts were
 gathered.
@@ -24,7 +24,7 @@ over a live feed with the same ``finalize``.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple
 
 from repro.backbone.monitor import failures_from_link_outages
 from repro.core.backbone_reliability import (
@@ -72,6 +72,8 @@ __all__ = [
     "SeverityByDeviceAnalysis",
     "SeverityOverTimeAnalysis",
     "SwitchReliabilityAnalysis",
+    "TicketCorpusSize",
+    "TicketCorpusSizeAnalysis",
     "VendorScorecardAnalysis",
     "backbone_report_analyses",
     "intra_report_analyses",
@@ -248,36 +250,6 @@ class DesignComparisonAnalysis(_DelegatingSQL, Analysis):
         )
 
 
-class _SwitchState:
-    """Composite fold state: year/type counts plus duration sketches.
-
-    Empty by default; :func:`repro.stream.finalize_analyses` builds one
-    over the stream's own counts and sketches.
-    """
-
-    def __init__(self, counts: Optional[YearTypeCounts] = None,
-                 irt: Optional[DurationSketches] = None) -> None:
-        self.counts = counts if counts is not None else YearTypeCounts()
-        self.irt = irt if irt is not None else DurationSketches()
-
-    def fold(self, report) -> None:
-        self.counts.fold(report)
-        self.irt.fold(report)
-
-    def fold_batch(self, batch) -> None:
-        self.counts.fold_batch(batch)
-        self.irt.fold_batch(batch)
-
-    def fold_sql(self, store) -> None:
-        self.counts.fold_sql(store)
-        self.irt.fold_sql(store)
-
-    def merge(self, other: "_SwitchState") -> "_SwitchState":
-        self.counts.merge(other.counts)
-        self.irt.merge(other.irt)
-        return self
-
-
 class SwitchReliabilityAnalysis(_DelegatingSQL, Analysis):
     """Figures 12/13: MTBI and p75IRT per year and device type.
 
@@ -287,22 +259,27 @@ class SwitchReliabilityAnalysis(_DelegatingSQL, Analysis):
     same sketches from one duration fetch (``fold_sql``) rather than
     taking exact percentiles, so SQL, column batches and the per-row
     fold stay bit-exact at every corpus scale, not just while the
-    sketches are exact.
+    sketches are exact.  A sketch holds one sample per typed report,
+    so each cell's MTBI incident count is its sketch's ``n``.
     """
 
     name = "switch_reliability"
-    state_key = "switch"
-    state_type = _SwitchState
+    state_key = "durations"
+    state_type = DurationSketches
 
-    def finalize(self, state: _SwitchState, context: RunContext):
-        def sketch_p75(year: int, device_type: DeviceType) -> Optional[float]:
-            sketch = state.irt.by_year_type.get(year, {}).get(device_type)
-            if sketch is None or sketch.n == 0:
-                return None
-            return sketch.p75()
+    def finalize(self, state: DurationSketches, context: RunContext):
+        cells = state.by_year_type
+        counts = {
+            year: {device_type: sketch.n
+                   for device_type, sketch in per_type.items()}
+            for year, per_type in cells.items()
+        }
+
+        def sketch_p75(year: int, device_type: DeviceType) -> float:
+            return cells[year][device_type].p75()
 
         return switch_reliability_from_counts(
-            state.counts.counts, context.fleet, sketch_p75
+            counts, context.fleet, sketch_p75
         )
 
 
@@ -384,6 +361,39 @@ class VendorScorecardAnalysis(_TicketAnalysis):
         return scorecards_from_outages(state.sorted_by_vendor(), window)
 
 
+class TicketCorpusSize(NamedTuple):
+    """How many tickets a backbone corpus holds, and the size of the
+    topology they were filed against."""
+
+    tickets: int
+    edges: int
+    links: int
+
+
+class TicketCorpusSizeAnalysis(_TicketAnalysis):
+    """The corpus line of ``report backbone``.
+
+    The ticket count is the folded one (``OutageTallies.tickets``): a
+    generated or stored corpus holds only completed tickets, so it
+    equals ``len(context.tickets)``.  The edge and link counts come
+    from the topology, which ``finalize`` reads only on a cache miss —
+    so a warm cached run prints the line without building the corpus.
+    """
+
+    name = "ticket_corpus_size"
+
+    def finalize(self, state: OutageTallies, context: RunContext):
+        topology = context.topology
+        if topology is None:
+            raise ValueError(
+                "ticket_corpus_size needs a topology in the context"
+            )
+        return TicketCorpusSize(
+            tickets=state.tickets, edges=len(topology.edges),
+            links=len(topology.links),
+        )
+
+
 class RepairDurationAnalysis(_Delegating, Analysis):
     """Repair-duration percentiles, overall and by ticket type."""
 
@@ -414,6 +424,7 @@ _ANALYSES = (
     ContinentTableAnalysis,
     VendorScorecardAnalysis,
     RepairDurationAnalysis,
+    TicketCorpusSizeAnalysis,
 )
 
 

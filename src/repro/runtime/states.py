@@ -276,17 +276,18 @@ class CauseTallies(CauseCounts):
 
 
 class DurationSketches:
-    """Resolution-time sketches per (year, device type) and per year.
+    """Resolution-time sketches per (year, device type).
 
-    Typed reports only, mirroring the SQL ``durations`` query the
-    batch p75IRT is computed from.  Sketches are exact while a cell is
-    below the sample budget, so small corpora stream bit-identical
-    percentiles; past the budget the error is bounded by the bin width.
+    Typed reports only, one sample per report, so a cell's sketch
+    ``n`` is that cell's incident count (the Figure 12 numerator) and
+    its quantiles are the Figure 13 p75IRT.  Sketches are exact while a
+    cell is below the sample budget, so small corpora stream
+    bit-identical percentiles; past the budget the error is bounded by
+    the bin width.
     """
 
     def __init__(self) -> None:
         self.by_year_type: Dict[int, Dict[DeviceType, QuantileSketch]] = {}
-        self.by_year: Dict[int, QuantileSketch] = {}
 
     def fold(self, report: SEVReport) -> None:
         device_type = report.device_type
@@ -297,21 +298,14 @@ class DurationSketches:
         if device_type not in cell:
             cell[device_type] = QuantileSketch()
         cell[device_type].add(report.duration_h)
-        if year not in self.by_year:
-            self.by_year[year] = QuantileSketch()
-        self.by_year[year].add(report.duration_h)
 
-    def _extend_cells(self, blocks: Dict, year_blocks: Dict) -> None:
+    def _extend_cells(self, blocks: Dict) -> None:
         """Feed grouped duration blocks into the (lazily made) sketches."""
         for (year, device_type), block in blocks.items():
             cell = self.by_year_type.setdefault(year, {})
             if device_type not in cell:
                 cell[device_type] = QuantileSketch()
             cell[device_type].extend(block)
-        for year, block in year_blocks.items():
-            if year not in self.by_year:
-                self.by_year[year] = QuantileSketch()
-            self.by_year[year].extend(block)
 
     def fold_batch(self, batch) -> None:
         """Group the typed durations once, then feed blocks.
@@ -327,17 +321,11 @@ class DurationSketches:
             if device_type is None:
                 continue
             blocks.setdefault((year, device_type), []).append(duration)
-        # The per-year blocks are the typed blocks re-keyed — same
-        # multiset per year, one less append per row.
-        year_blocks: Dict = {}
-        for (year, _), block in blocks.items():
-            year_blocks.setdefault(year, []).extend(block)
-        self._extend_cells(blocks, year_blocks)
+        self._extend_cells(blocks)
 
     def fold_sql(self, store) -> None:
         """One column fetch of the typed durations, grouped in SQL order."""
         blocks: Dict = {}
-        year_blocks: Dict = {}
         for year, device_type, duration in store.connection.execute(
             "SELECT opened_year, device_type, duration_h FROM sevs "
             "WHERE device_type IS NOT NULL "
@@ -345,8 +333,7 @@ class DurationSketches:
         ):
             key = (year, DeviceType(device_type))
             blocks.setdefault(key, []).append(duration)
-            year_blocks.setdefault(year, []).append(duration)
-        self._extend_cells(blocks, year_blocks)
+        self._extend_cells(blocks)
 
     def merge(self, other: "DurationSketches") -> "DurationSketches":
         for year, per_type in other.by_year_type.items():
@@ -358,11 +345,6 @@ class DurationSketches:
                     cell[device_type] = QuantileSketch.from_dict(
                         sketch.to_dict()
                     )
-        for year, sketch in other.by_year.items():
-            if year in self.by_year:
-                self.by_year[year].merge(sketch)
-            else:
-                self.by_year[year] = QuantileSketch.from_dict(sketch.to_dict())
         return self
 
 

@@ -81,9 +81,9 @@ class _TieredStore:
     """Shared machinery of the two domain stores.
 
     Subclasses define the partition key, the interchange row codec,
-    the global sort key, and the hot-tier container; everything else —
-    manifest bookkeeping, tier moves, retention, recovery, the fault
-    site — lives here.
+    the global sort key, and (SEVs only) a hot-tier container other
+    than JSONL; everything else — manifest bookkeeping, tier moves,
+    retention, recovery, the fault site — lives here.
     """
 
     domain: str = ""
@@ -181,12 +181,6 @@ class _TieredStore:
     def _sort_key(self, record) -> tuple:
         raise NotImplementedError
 
-    def _read_hot(self, path: Path) -> List:
-        raise NotImplementedError
-
-    def _write_hot(self, path: Path, records: List) -> None:
-        raise NotImplementedError
-
     # -- partition files ---------------------------------------------
 
     def _partition_name(self, key: PartitionKey, tier: str) -> str:
@@ -220,6 +214,12 @@ class _TieredStore:
                     json.dumps(self._record_row(record), sort_keys=True)
                     + "\n"
                 )
+
+    # The hot tier defaults to the same JSONL codec (``open_text``
+    # compresses only ``.gz`` paths); SEV stores override it with
+    # SQLite shards.
+    _read_hot = _read_cold
+    _write_hot = _write_cold
 
     def _read_file(self, path: Path, tier: str) -> List:
         return self._read_hot(path) if tier == "hot" \
@@ -600,9 +600,8 @@ class PartitionedTicketStore(_TieredStore):
 
     Tickets have no SQL query layer — every consumer folds them in
     memory — so the hot tier is plain JSONL in the interchange schema
-    and the cold tier its gzip twin.  ``completed()`` and
-    ``to_database()`` keep the :class:`TicketDatabase` surface working
-    for the corpus runtime and the backbone monitor.
+    and the cold tier its gzip twin.  ``completed()`` keeps the
+    :class:`TicketDatabase` surface the corpus runtime reads.
     """
 
     domain = "ticket"
@@ -629,39 +628,6 @@ class PartitionedTicketStore(_TieredStore):
     def _sort_key(self, ticket) -> tuple:
         return (ticket.started_at_h, ticket.ticket_id)
 
-    def _read_hot(self, path: Path) -> List:
-        records = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(self._row_record(json.loads(line)))
-        records.sort(key=self._sort_key)
-        return records
-
-    def _write_hot(self, path: Path, records: List) -> None:
-        ordered = sorted(records, key=self._sort_key)
-        with open(path, "w", encoding="utf-8") as handle:
-            for ticket in ordered:
-                handle.write(
-                    json.dumps(self._record_row(ticket), sort_keys=True)
-                    + "\n"
-                )
-
     def completed(self) -> List:
         """Every (completed) ticket, in global (start, id) order."""
         return list(self.records())
-
-    def to_database(self):
-        """Materialize a :class:`TicketDatabase`, ticket ids preserved.
-
-        The backbone monitor's per-link interval queries want the
-        in-memory database; ids must survive the round trip so report
-        digests (which sort on them) cannot shift.
-        """
-        from repro.backbone.tickets import TicketDatabase
-
-        db = TicketDatabase()
-        for ticket in self.records():
-            db.add_ticket(ticket)
-        return db

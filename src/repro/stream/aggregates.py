@@ -34,7 +34,6 @@ import json
 from typing import Any, Dict, Iterable, Sequence
 
 from repro.incidents.sev import RootCause, Severity, SEVReport
-from repro.runtime.analyses import _SwitchState
 from repro.runtime.analysis import Analysis, RunContext
 from repro.runtime.states import (
     CauseTallies,
@@ -157,9 +156,13 @@ class StreamAggregates:
                     self.durations.by_year_type.items()
                 )
             },
+            # Each year's per-type sketches merged: exact, because a
+            # sketch is determined by the multiset of its values.
             "irt_by_year": {
-                str(year): sketch.to_dict()
-                for year, sketch in sorted(self.durations.by_year.items())
+                str(year): _merged(per_type.values()).to_dict()
+                for year, per_type in sorted(
+                    self.durations.by_year_type.items()
+                )
             },
         }
 
@@ -205,10 +208,6 @@ class StreamAggregates:
             }
             for year, per_type in state["irt"].items()
         }
-        agg.durations.by_year = {
-            int(year): QuantileSketch.from_dict(payload)
-            for year, payload in state["irt_by_year"].items()
-        }
         return agg
 
     def digest(self) -> str:
@@ -220,6 +219,13 @@ class StreamAggregates:
         if not isinstance(other, StreamAggregates):
             return NotImplemented
         return self.to_state() == other.to_state()
+
+
+def _merged(sketches: Iterable[QuantileSketch]) -> QuantileSketch:
+    merged = QuantileSketch()
+    for sketch in sketches:
+        merged.merge(sketch)
+    return merged
 
 
 def finalize_analyses(
@@ -244,7 +250,7 @@ def finalize_analyses(
         "causes": aggregates.causes,
         "year_type": aggregates.year_type,
         "severity": aggregates.severity,
-        "switch": _SwitchState(aggregates.year_type, aggregates.durations),
+        "durations": aggregates.durations,
     }
     results: Dict[str, Any] = {}
     for analysis in analyses:

@@ -13,7 +13,6 @@ from typing import List
 
 from repro import paperdata
 from repro.backbone.monitor import BackboneMonitor
-from repro.core import backbone_reliability
 from repro.incidents.sev import RootCause, Severity
 from repro.simulation.backbone_sim import BackboneSimulator
 from repro.simulation.generator import IntraSimulator
@@ -51,11 +50,11 @@ class Check:
 def run_verification(seed: int = 1, backbone_seed: int = 7) -> List[Check]:
     """Generate fresh corpora and evaluate every anchor.
 
-    The intra anchors are read off one :class:`repro.runtime` report —
-    every analysis answered by one executor run — so ``verify`` also
-    exercises the unified execution layer end to end.
+    The anchors of each study are read off one :class:`repro.runtime`
+    report — every analysis answered by one executor run — so
+    ``verify`` also exercises the unified execution layer end to end.
     """
-    from repro.runtime import RunContext, run_intra_report
+    from repro.runtime import RunContext, run_backbone_report, run_intra_report
 
     checks: List[Check] = []
 
@@ -126,8 +125,10 @@ def run_verification(seed: int = 1, backbone_seed: int = 7) -> List[Check]:
     corpus = BackboneSimulator(
         paper_backbone_scenario(seed=backbone_seed)
     ).run()
-    monitor = BackboneMonitor(corpus.topology, corpus.tickets)
-    rel = backbone_reliability(monitor, corpus.window_h)
+    rel = run_backbone_report(RunContext(
+        tickets=corpus.tickets, topology=corpus.topology,
+        window_h=corpus.window_h, corpus_seed=backbone_seed,
+    )).reliability
     checks.append(Check(
         "Fig 15", "edge MTBF p50 (h)", paperdata.EDGE_MTBF_P50_H,
         rel.edge_mtbf.p50, 0.15,
@@ -406,7 +407,8 @@ def runtime_equivalence_checks(seed: int = 1,
 
     Six invariants, all exact at this scale: the plan (SQL over the
     monolithic store) reproduces the per-row reference fold bit for
-    bit and agrees with the paper's SQL queries in :mod:`repro.core`;
+    bit and agrees with the :mod:`repro.core` finalizers over the
+    paper's SQL queries (:class:`~repro.incidents.query.SEVQuery`);
     the store's rows framed as column batches reproduce it too, folded
     serially and as shards on the shared worker pool; a cached re-run
     returns the identical report without touching the corpus; and the
@@ -414,11 +416,12 @@ def runtime_equivalence_checks(seed: int = 1,
     how a result was gathered is not part of its key.
     """
     from repro.core import (
-        incident_rates,
-        root_cause_breakdown,
-        severity_by_device,
-        severity_rates_over_time,
+        RootCauseBreakdown,
+        SeverityByDevice,
+        rates_from_counts,
+        severity_rates_from_counts,
     )
+    from repro.incidents.query import SEVQuery
     from repro.runtime import (
         Executor,
         ResultCache,
@@ -438,13 +441,19 @@ def runtime_equivalence_checks(seed: int = 1,
     reference = intra_report_from(
         reference_fold(intra_report_analyses(), context)
     )
+    query = SEVQuery(store)
     core_sql = (
-        planned.root_causes == root_cause_breakdown(store)
-        and planned.rates == incident_rates(store, scenario.fleet)
-        and planned.severity
-        == severity_by_device(store, planned.last_year)
-        and planned.severity_over_time
-        == severity_rates_over_time(store, scenario.fleet)
+        planned.root_causes
+        == RootCauseBreakdown(query.count_by_root_cause())
+        and planned.rates
+        == rates_from_counts(query.count_by_year_and_type(), scenario.fleet)
+        and planned.severity == SeverityByDevice(
+            query.count_by_severity_and_type(planned.last_year),
+            planned.last_year,
+        )
+        and planned.severity_over_time == severity_rates_from_counts(
+            query.count_by_year_and_severity(), scenario.fleet
+        )
     )
 
     def batched(jobs: int):
@@ -481,11 +490,15 @@ def backbone_runtime_checks(backbone_seed: int = 7) -> List[Check]:
     The domain-generic runtime must answer the section 6 artifacts
     identically however it executes: the serial column-batch plan and
     its pooled shards both reproduce the per-row reference fold, the
-    monitor's own queries agree with the plan, and a cached re-run
-    returns the identical report bit for bit.
+    :mod:`repro.core` finalizers over the monitor's own outage views
+    agree with the plan, and a cached re-run returns the identical
+    report bit for bit.
     """
-    from repro.backbone.scorecards import vendor_scorecards
-    from repro.core import continent_table
+    from repro.backbone.scorecards import scorecards_from_outages
+    from repro.core import (
+        continent_rows_from_failures,
+        reliability_from_outages,
+    )
     from repro.runtime import (
         Executor,
         ResultCache,
@@ -513,11 +526,14 @@ def backbone_runtime_checks(backbone_seed: int = 7) -> List[Check]:
     pooled = backbone_report_from(
         Executor(jobs=2, batch_size=256).run(analyses(), context), window
     )
+    failures = monitor.failures_by_edge()
+    outages = monitor.outages_by_vendor()
     monitor_queries = (
-        planned.reliability == backbone_reliability(monitor, window)
+        planned.reliability
+        == reliability_from_outages(failures, outages, window)
         and planned.continents
-        == continent_table(monitor, corpus.topology, window)
-        and planned.vendors == vendor_scorecards(monitor, window)
+        == continent_rows_from_failures(failures, corpus.topology, window)
+        and planned.vendors == scorecards_from_outages(outages, window)
     )
     cache = ResultCache()
     first = run_backbone_report(context, cache=cache)

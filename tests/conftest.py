@@ -9,9 +9,10 @@ from __future__ import annotations
 import pytest
 
 from repro.backbone.monitor import BackboneMonitor
-from repro.core.backbone_reliability import backbone_reliability
+from repro.core.backbone_reliability import reliability_from_outages
 from repro.fleet.employees import paper_employees
 from repro.fleet.population import paper_fleet
+from repro.runtime import RunContext, run_intra_report
 from repro.simulation.backbone_sim import BackboneSimulator
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_backbone_scenario, paper_scenario
@@ -34,6 +35,17 @@ def paper_store():
 
 
 @pytest.fixture(scope="session")
+def paper_context(paper_store, fleet):
+    return RunContext(store=paper_store, fleet=fleet)
+
+
+@pytest.fixture(scope="session")
+def paper_report(paper_context):
+    """Every intra artifact of the calibrated corpus, one executor run."""
+    return run_intra_report(paper_context)
+
+
+@pytest.fixture(scope="session")
 def backbone_corpus():
     """The calibrated eighteen-month backbone corpus."""
     return BackboneSimulator(paper_backbone_scenario()).run()
@@ -46,4 +58,8 @@ def backbone_monitor(backbone_corpus):
 
 @pytest.fixture(scope="session")
 def reliability(backbone_corpus, backbone_monitor):
-    return backbone_reliability(backbone_monitor, backbone_corpus.window_h)
+    return reliability_from_outages(
+        backbone_monitor.failures_by_edge(),
+        backbone_monitor.outages_by_vendor(),
+        backbone_corpus.window_h,
+    )

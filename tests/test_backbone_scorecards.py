@@ -5,8 +5,8 @@ import pytest
 from repro.backbone.monitor import BackboneMonitor
 from repro.backbone.scorecards import (
     grade_distribution,
+    scorecards_from_outages,
     shortlist,
-    vendor_scorecards,
 )
 from repro.backbone.tickets import TicketDatabase
 from repro.topology.backbone import (
@@ -20,7 +20,8 @@ WINDOW = 10_000.0
 
 
 @pytest.fixture()
-def monitor():
+def outages():
+    """The monitor's per-vendor outage view of a three-vendor corpus."""
     topo = BackboneTopology()
     for i in range(3):
         topo.add_edge_node(EdgeNode(f"e{i}", Continent.EUROPE))
@@ -39,69 +40,69 @@ def monitor():
     for i in range(80):
         start = 10.0 + i * 100.0
         db.add_completed("l-bad", "bad", start, start + 24.0)
-    return BackboneMonitor(topo, db)
+    return BackboneMonitor(topo, db).outages_by_vendor()
 
 
 class TestScorecards:
-    def test_grades_ordered_by_reliability(self, monitor):
-        cards = vendor_scorecards(monitor, WINDOW)
+    def test_grades_ordered_by_reliability(self, outages):
+        cards = scorecards_from_outages(outages, WINDOW)
         assert cards["good"].grade == "A"
         assert cards["mid"].grade in ("B", "C")
         assert cards["bad"].grade in ("D", "F")
 
-    def test_mtbf_mttr_values(self, monitor):
-        cards = vendor_scorecards(monitor, WINDOW)
+    def test_mtbf_mttr_values(self, outages):
+        cards = scorecards_from_outages(outages, WINDOW)
         assert cards["good"].mtbf_h == pytest.approx(7000.0)
         assert cards["mid"].mttr_h == pytest.approx(12.0)
         assert cards["bad"].tickets == 80
 
-    def test_availability(self, monitor):
-        cards = vendor_scorecards(monitor, WINDOW)
+    def test_availability(self, outages):
+        cards = scorecards_from_outages(outages, WINDOW)
         assert cards["good"].availability > cards["bad"].availability
         assert 0 < cards["bad"].availability < 1
 
-    def test_min_tickets_filter(self, monitor):
-        cards = vendor_scorecards(monitor, WINDOW, min_tickets=5)
+    def test_min_tickets_filter(self, outages):
+        cards = scorecards_from_outages(outages, WINDOW, min_tickets=5)
         assert "good" not in cards
         assert "bad" in cards
 
-    def test_window_validation(self, monitor):
+    def test_window_validation(self, outages):
         with pytest.raises(ValueError):
-            vendor_scorecards(monitor, 0.0)
+            scorecards_from_outages(outages, 0.0)
 
 
 class TestShortlist:
-    def test_ranked_by_availability(self, monitor):
-        cards = vendor_scorecards(monitor, WINDOW)
+    def test_ranked_by_availability(self, outages):
+        cards = scorecards_from_outages(outages, WINDOW)
         ranked = shortlist(cards, k=3)
         assert [c.vendor for c in ranked] == ["good", "mid", "bad"]
 
-    def test_k_truncates(self, monitor):
-        cards = vendor_scorecards(monitor, WINDOW)
+    def test_k_truncates(self, outages):
+        cards = scorecards_from_outages(outages, WINDOW)
         assert len(shortlist(cards, k=1)) == 1
 
-    def test_mttr_ceiling_excludes_slow_repairers(self, monitor):
+    def test_mttr_ceiling_excludes_slow_repairers(self, outages):
         # The remote-island policy: MTTR matters more than MTBF.
-        cards = vendor_scorecards(monitor, WINDOW)
+        cards = scorecards_from_outages(outages, WINDOW)
         ranked = shortlist(cards, k=5, max_mttr_h=13.0)
         assert {c.vendor for c in ranked} == {"good", "mid"}
 
-    def test_k_validation(self, monitor):
+    def test_k_validation(self, outages):
         with pytest.raises(ValueError):
-            shortlist(vendor_scorecards(monitor, WINDOW), k=0)
+            shortlist(scorecards_from_outages(outages, WINDOW), k=0)
 
 
 class TestGradeDistribution:
-    def test_counts(self, monitor):
-        cards = vendor_scorecards(monitor, WINDOW)
+    def test_counts(self, outages):
+        cards = scorecards_from_outages(outages, WINDOW)
         dist = grade_distribution(cards)
         assert sum(dist.values()) == 3
 
 
 class TestOnPaperCorpus:
     def test_fleet_scorecards(self, backbone_monitor, backbone_corpus):
-        cards = vendor_scorecards(backbone_monitor,
-                                  backbone_corpus.window_h)
+        cards = scorecards_from_outages(backbone_monitor.outages_by_vendor(),
+                                        backbone_corpus.window_h)
         assert len(cards) > 100
         # The flaky vendor bottoms out the grades.
         assert cards["vendor-flaky"].grade == "F"

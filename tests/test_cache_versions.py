@@ -52,6 +52,7 @@ PINNED_ANALYSIS_VERSIONS = {
     "survivability_connectivity": 1,
     "survivability_summary": 1,
     "switch_reliability": 1,
+    "ticket_corpus_size": 1,
     "vendor_scorecards": 1,
 }
 

@@ -69,7 +69,7 @@ class TestReport:
         assert "Repair durations" in out
 
     @pytest.mark.parametrize("study, analyses",
-                             [("backbone", 4), ("intra", 9)])
+                             [("backbone", 5), ("intra", 9)])
     def test_backbone_cache_reuses_analyses(self, tmp_path, capsys,
                                             study, analyses):
         args = ["report", study, "--seed", "4",

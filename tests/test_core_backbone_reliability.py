@@ -3,10 +3,18 @@
 import pytest
 
 from repro.core.backbone_reliability import (
-    backbone_reliability,
-    continent_table,
+    continent_rows_from_failures,
+    reliability_from_outages,
 )
 from repro.topology.backbone import Continent
+
+
+@pytest.fixture(scope="module")
+def table4(backbone_monitor, backbone_corpus):
+    return continent_rows_from_failures(
+        backbone_monitor.failures_by_edge(), backbone_corpus.topology,
+        backbone_corpus.window_h,
+    )
 
 
 class TestFigure15EdgeMTBF:
@@ -76,32 +84,16 @@ class TestFigure18VendorMTTR:
 
 
 class TestTable4:
-    def test_all_continents_present(self, backbone_monitor, backbone_corpus):
-        rows = continent_table(
-            backbone_monitor, backbone_corpus.topology,
-            backbone_corpus.window_h,
-        )
-        assert {r.continent for r in rows} == set(Continent)
+    def test_all_continents_present(self, table4):
+        assert {r.continent for r in table4} == set(Continent)
 
-    def test_shares(self, backbone_monitor, backbone_corpus):
-        rows = {
-            r.continent: r
-            for r in continent_table(
-                backbone_monitor, backbone_corpus.topology,
-                backbone_corpus.window_h,
-            )
-        }
+    def test_shares(self, table4):
+        rows = {r.continent: r for r in table4}
         assert rows[Continent.NORTH_AMERICA].share == pytest.approx(0.37)
         assert rows[Continent.AUSTRALIA].share == pytest.approx(0.02)
 
-    def test_africa_most_reliable(self, backbone_monitor, backbone_corpus):
-        rows = {
-            r.continent: r
-            for r in continent_table(
-                backbone_monitor, backbone_corpus.topology,
-                backbone_corpus.window_h,
-            )
-        }
+    def test_africa_most_reliable(self, table4):
+        rows = {r.continent: r for r in table4}
         # Table 4: Africa's MTBF (5400 h) is the outlier high.
         others = [
             r.mtbf_h for c, r in rows.items()
@@ -109,14 +101,8 @@ class TestTable4:
         ]
         assert rows[Continent.AFRICA].mtbf_h > max(others)
 
-    def test_australia_fastest_recovery(self, backbone_monitor, backbone_corpus):
-        rows = {
-            r.continent: r
-            for r in continent_table(
-                backbone_monitor, backbone_corpus.topology,
-                backbone_corpus.window_h,
-            )
-        }
+    def test_australia_fastest_recovery(self, table4):
+        rows = {r.continent: r for r in table4}
         # Table 4: Australian edges recover in ~2 hours, the fastest.
         others = [
             r.mttr_h for c, r in rows.items()
@@ -124,13 +110,10 @@ class TestTable4:
         ]
         assert rows[Continent.AUSTRALIA].mttr_h < min(others)
 
-    def test_all_recover_within_days(self, backbone_monitor, backbone_corpus):
+    def test_all_recover_within_days(self, table4):
         # Across continents, edges recover within ~1 day on average
         # (the outlier edge stretches its continent somewhat).
-        for row in continent_table(
-            backbone_monitor, backbone_corpus.topology,
-            backbone_corpus.window_h,
-        ):
+        for row in table4:
             assert row.mttr_h is None or row.mttr_h < 72
 
 
@@ -141,8 +124,14 @@ class TestValidation:
 
         empty = BackboneMonitor(backbone_corpus.topology, TicketDatabase())
         with pytest.raises(ValueError):
-            backbone_reliability(empty, backbone_corpus.window_h)
+            reliability_from_outages(
+                empty.failures_by_edge(), empty.outages_by_vendor(),
+                backbone_corpus.window_h,
+            )
 
     def test_bad_window_rejected(self, backbone_monitor):
         with pytest.raises(ValueError):
-            backbone_reliability(backbone_monitor, 0.0)
+            reliability_from_outages(
+                backbone_monitor.failures_by_edge(),
+                backbone_monitor.outages_by_vendor(), 0.0,
+            )

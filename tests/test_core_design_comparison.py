@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.core.design_comparison import (
-    design_comparison,
-    population_breakdown,
-)
+from repro.core.design_comparison import population_breakdown
 from repro.topology.devices import DeviceType, NetworkDesign
 
 
 @pytest.fixture(scope="module")
-def comparison(paper_store, fleet):
-    return design_comparison(paper_store, fleet)
+def comparison(paper_report):
+    return paper_report.designs
 
 
 class TestFigure9:

@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.core.distribution import incident_distribution, incident_growth
+from repro.core.distribution import growth_from_totals
+from repro.incidents.query import SEVQuery
 from repro.incidents.store import SEVStore
+from repro.runtime import Executor, RunContext
+from repro.runtime.analyses import DistributionAnalysis
 from repro.topology.devices import DeviceType
 
 
 @pytest.fixture(scope="module")
-def dist(paper_store):
-    return incident_distribution(paper_store)
+def dist(paper_report):
+    return paper_report.distribution
 
 
 class TestFigure7:
@@ -59,17 +62,24 @@ class TestFigure8:
         series = [dist.count(y, DeviceType.RSW) for y in dist.years]
         assert series[-1] > series[0] * 5
 
-    def test_growth_factor(self, paper_store):
-        # Total SEVs grew 9.4x from 2011 to 2017.
-        growth = incident_growth(paper_store, 2011, 2017)
+    def test_growth_factor(self, paper_store, paper_report):
+        # Total SEVs grew 9.4x from 2011 to 2017: the report's growth
+        # spans the corpus years, the finalizer takes any two.
+        growth = growth_from_totals(
+            SEVQuery(paper_store).count_by_year(), 2011, 2017
+        )
         assert growth == pytest.approx(9.4, abs=0.1)
+        assert paper_report.growth == growth
 
     def test_growth_with_empty_base_year(self):
         with SEVStore() as store:
             with pytest.raises(ValueError):
-                incident_growth(store, 2011, 2017)
+                growth_from_totals(SEVQuery(store).count_by_year(), 2011, 2017)
 
-    def test_missing_baseline_year_raises(self, paper_store):
-        empty_base = incident_distribution(paper_store, baseline_year=1999)
+    def test_missing_baseline_year_raises(self, paper_store, fleet):
+        empty_base = Executor().run(
+            [DistributionAnalysis()],
+            RunContext(store=paper_store, fleet=fleet, baseline_year=1999),
+        )["distribution"]
         with pytest.raises(ValueError):
             empty_base.normalized(2017, DeviceType.CORE)

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.core.incident_rates import incident_rates
 from repro.fleet.population import FleetModel, FleetSnapshot
 from repro.incidents.sev import SEVReport, Severity, hours_of_year
 from repro.incidents.store import SEVStore
+from repro.runtime import Executor, RunContext
+from repro.runtime.analyses import IncidentRatesAnalysis
 from repro.topology.devices import DeviceType
 
 
 @pytest.fixture(scope="module")
-def rates(paper_store, fleet):
-    return incident_rates(paper_store, fleet)
+def rates(paper_report):
+    return paper_report.rates
 
 
 class TestPaperFindings:
@@ -72,6 +73,8 @@ class TestMechanics:
             ))
         fleet = FleetModel()
         fleet.add_snapshot(FleetSnapshot(2011, {DeviceType.CORE: 10}))
-        result = incident_rates(store, fleet)
+        result = Executor().run(
+            [IncidentRatesAnalysis()], RunContext(store=store, fleet=fleet)
+        )["incident_rates"]
         assert result.rate(2011, DeviceType.CORE) == pytest.approx(0.5)
         store.close()

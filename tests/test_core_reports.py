@@ -2,24 +2,28 @@
 
 import pytest
 
-from repro.core.reports import (
-    backbone_study_report,
-    intra_study_report,
-)
 from repro.incidents.store import SEVStore
+from repro.runtime import RunContext, run_backbone_report, run_intra_report
 from repro.topology.devices import DeviceType
 
 
-class TestIntraStudyReport:
-    def test_composes_all_analyses(self, paper_store, fleet):
-        report = intra_study_report(paper_store, fleet)
-        assert report.last_year == 2017
-        assert report.growth == pytest.approx(9.4, abs=0.2)
-        assert report.root_causes.total_attributions > 2000
-        assert report.rates.rate(2013, DeviceType.CSA) > 1.0
+@pytest.fixture(scope="module")
+def backbone_report(backbone_corpus):
+    return run_backbone_report(RunContext(
+        tickets=backbone_corpus.tickets, topology=backbone_corpus.topology,
+        window_h=backbone_corpus.window_h,
+    ))
 
-    def test_render_contains_artifacts(self, paper_store, fleet):
-        text = intra_study_report(paper_store, fleet).render()
+
+class TestIntraStudyReport:
+    def test_composes_all_analyses(self, paper_report):
+        assert paper_report.last_year == 2017
+        assert paper_report.growth == pytest.approx(9.4, abs=0.2)
+        assert paper_report.root_causes.total_attributions > 2000
+        assert paper_report.rates.rate(2013, DeviceType.CSA) > 1.0
+
+    def test_render_contains_artifacts(self, paper_report):
+        text = paper_report.render()
         assert "Table 2" in text
         assert "Figure 4" in text
         assert "Figures 3/7/12" in text
@@ -27,13 +31,17 @@ class TestIntraStudyReport:
         assert "maintenance" in text
 
     def test_explicit_year(self, paper_store, fleet):
-        report = intra_study_report(paper_store, fleet, year=2015)
+        report = run_intra_report(
+            RunContext(store=paper_store, fleet=fleet, year=2015)
+        )
         assert report.last_year == 2015
 
     def test_pre_fabric_year_renders(self, paper_store, fleet):
         # 2013 has no fabric incidents at all; the report must still
         # render (fabric/cluster ratio is simply 0%).
-        report = intra_study_report(paper_store, fleet, year=2013)
+        report = run_intra_report(
+            RunContext(store=paper_store, fleet=fleet, year=2013)
+        )
         text = report.render()
         assert "2013" in text
         assert "fabric/cluster 2013: 0%" in text
@@ -41,23 +49,16 @@ class TestIntraStudyReport:
     def test_empty_store_rejected(self, fleet):
         with SEVStore() as empty:
             with pytest.raises(ValueError, match="empty"):
-                intra_study_report(empty, fleet)
+                run_intra_report(RunContext(store=empty, fleet=fleet))
 
 
 class TestBackboneStudyReport:
-    def test_composes(self, backbone_monitor, backbone_corpus):
-        report = backbone_study_report(
-            backbone_monitor, backbone_corpus.topology,
-            backbone_corpus.window_h,
-        )
-        assert report.reliability.edge_mtbf.p50 > 1000
-        assert len(report.continents) == 6
+    def test_composes(self, backbone_report):
+        assert backbone_report.reliability.edge_mtbf.p50 > 1000
+        assert len(backbone_report.continents) == 6
 
-    def test_render(self, backbone_monitor, backbone_corpus):
-        text = backbone_study_report(
-            backbone_monitor, backbone_corpus.topology,
-            backbone_corpus.window_h,
-        ).render()
+    def test_render(self, backbone_report):
+        text = backbone_report.render()
         assert "Figures 15-18" in text
         assert "Table 4" in text
         assert "north_america" in text

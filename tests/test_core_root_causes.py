@@ -2,19 +2,27 @@
 
 import pytest
 
-from repro.core.root_causes import (
-    RootCauseBreakdown,
-    root_cause_breakdown,
-    root_causes_by_device,
-)
+from repro.core.root_causes import RootCauseBreakdown
+from repro.incidents.query import SEVQuery
 from repro.incidents.sev import RootCause, SEVReport, Severity
 from repro.incidents.store import SEVStore
+from repro.runtime import Executor, RunContext
+from repro.runtime.analyses import (
+    RootCausesAnalysis,
+    RootCausesByDeviceAnalysis,
+)
 from repro.topology.devices import DeviceType
 
 
+def table2(store):
+    return Executor().run(
+        [RootCausesAnalysis()], RunContext(store=store)
+    )["root_causes"]
+
+
 class TestBreakdownOnCorpus:
-    def test_table2_distribution(self, paper_store):
-        dist = root_cause_breakdown(paper_store).distribution()
+    def test_table2_distribution(self, paper_report):
+        dist = paper_report.root_causes.distribution()
         # Table 2, within sampling/rounding tolerance.
         assert dist[RootCause.MAINTENANCE] == pytest.approx(0.17, abs=0.02)
         assert dist[RootCause.HARDWARE] == pytest.approx(0.13, abs=0.02)
@@ -24,30 +32,38 @@ class TestBreakdownOnCorpus:
         assert dist[RootCause.CAPACITY] == pytest.approx(0.05, abs=0.02)
         assert dist[RootCause.UNDETERMINED] == pytest.approx(0.29, abs=0.02)
 
-    def test_maintenance_dominates_determined(self, paper_store):
-        breakdown = root_cause_breakdown(paper_store)
+    def test_maintenance_dominates_determined(self, paper_report):
+        breakdown = paper_report.root_causes
         assert breakdown.dominant_determined_cause is RootCause.MAINTENANCE
 
-    def test_human_errors_double_hardware(self, paper_store):
+    def test_human_errors_double_hardware(self, paper_report):
         # Section 5.1: bugs + misconfiguration occur at nearly double
         # the hardware rate.
-        ratio = root_cause_breakdown(paper_store).human_to_hardware_ratio
+        ratio = paper_report.root_causes.human_to_hardware_ratio
         assert ratio == pytest.approx(2.0, abs=0.25)
 
-    def test_yearly_filter(self, paper_store):
-        full = root_cause_breakdown(paper_store)
-        y2017 = root_cause_breakdown(paper_store, year=2017)
+    def test_yearly_filter(self, paper_store, paper_report):
+        # Table 2 of one year: no analysis asks it, so the finalizer
+        # runs over the year's SQL count.
+        full = paper_report.root_causes
+        y2017 = RootCauseBreakdown(
+            SEVQuery(paper_store).count_by_root_cause(2017)
+        )
         assert y2017.total_attributions < full.total_attributions
 
 
 class TestFigure2(object):
-    def test_rows_normalized(self, paper_store):
-        fractions = root_causes_by_device(paper_store)
+    @pytest.fixture(scope="class")
+    def fractions(self, paper_context):
+        return Executor().run(
+            [RootCausesByDeviceAnalysis()], paper_context
+        )["root_causes_by_device"]
+
+    def test_rows_normalized(self, fractions):
         for cause, per_type in fractions.items():
             assert sum(per_type.values()) == pytest.approx(1.0)
 
-    def test_major_causes_cover_all_types(self, paper_store):
-        fractions = root_causes_by_device(paper_store)
+    def test_major_causes_cover_all_types(self, fractions):
         # Major categories have relatively even representation across
         # device types (section 5.1).
         for cause in (RootCause.MAINTENANCE, RootCause.UNDETERMINED):
@@ -57,7 +73,7 @@ class TestFigure2(object):
 class TestEdgeCases:
     def test_empty_store(self):
         with SEVStore() as store:
-            breakdown = root_cause_breakdown(store)
+            breakdown = table2(store)
             assert breakdown.total_attributions == 0
             assert breakdown.fraction(RootCause.BUG) == 0.0
             with pytest.raises(ValueError):
@@ -71,7 +87,7 @@ class TestEdgeCases:
                 resolved_at_h=2.0,
                 root_causes=(RootCause.BUG, RootCause.MAINTENANCE),
             ))
-            breakdown = root_cause_breakdown(store)
+            breakdown = table2(store)
             assert breakdown.total_attributions == 2
 
     def test_human_ratio_degenerate_cases(self):

@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.core.severity import (
-    severity_by_device,
-    severity_rates_over_time,
-    sevs_per_employee,
-    switches_vs_employees,
-)
+from repro.core.severity import sevs_per_employee, switches_vs_employees
 from repro.incidents.sev import Severity
+from repro.runtime import Executor, RunContext
+from repro.runtime.analyses import SeverityByDeviceAnalysis
 from repro.topology.devices import DeviceType
 
 
 @pytest.fixture(scope="module")
-def fig4(paper_store):
-    return severity_by_device(paper_store, year=2017)
+def fig4(paper_report):
+    assert paper_report.severity.year == 2017
+    return paper_report.severity
 
 
 class TestFigure4:
@@ -57,28 +55,31 @@ class TestFigure4:
             )
             assert row == pytest.approx(1.0)
 
-    def test_absent_device_mix_is_zero(self, paper_store):
-        fig = severity_by_device(paper_store, year=2011)
+    def test_absent_device_mix_is_zero(self, paper_store, fleet):
+        fig = Executor().run(
+            [SeverityByDeviceAnalysis()],
+            RunContext(store=paper_store, fleet=fleet, year=2011),
+        )["severity_by_device"]
         assert fig.device_mix(DeviceType.FSW) == {
             s: 0.0 for s in Severity
         }
 
 
 class TestFigure5:
-    def test_inflection_at_fabric_deployment(self, paper_store, fleet):
-        series = severity_rates_over_time(paper_store, fleet)
+    def test_inflection_at_fabric_deployment(self, paper_report):
+        series = paper_report.severity_over_time
         assert series.inflection_year(Severity.SEV3) == 2015
 
-    def test_sev3_dominates_every_year(self, paper_store, fleet):
-        series = severity_rates_over_time(paper_store, fleet)
+    def test_sev3_dominates_every_year(self, paper_report):
+        series = paper_report.severity_over_time
         for year in series.years:
             assert series.rate(year, Severity.SEV3) > series.rate(
                 year, Severity.SEV1
             )
 
-    def test_rates_are_small(self, paper_store, fleet):
+    def test_rates_are_small(self, paper_report):
         # Per-device rates are in the 1e-3 range (Figure 5's axis).
-        series = severity_rates_over_time(paper_store, fleet)
+        series = paper_report.severity_over_time
         for year in series.years:
             total = sum(series.rate(year, s) for s in Severity)
             assert 1e-4 < total < 1e-2

@@ -7,14 +7,13 @@ import pytest
 from repro.core.switch_reliability import (
     irt_fleet_correlation,
     irt_vs_fleet_size,
-    switch_reliability,
 )
 from repro.topology.devices import DeviceType, NetworkDesign
 
 
 @pytest.fixture(scope="module")
-def reliability_intra(paper_store, fleet):
-    return switch_reliability(paper_store, fleet)
+def reliability_intra(paper_report):
+    return paper_report.switches
 
 
 class TestFigure12:

@@ -11,12 +11,13 @@ impact assessed over the topology.
 
 import pytest
 
-from repro.core.root_causes import root_cause_breakdown
 from repro.incidents.query import SEVQuery
 from repro.incidents.sev import RootCause, Severity
 from repro.incidents.store import SEVStore
 from repro.incidents.workflow import SEVAuthoringWorkflow, SEVDraft
 from repro.remediation.engine import RemediationEngine
+from repro.runtime import Executor, RunContext
+from repro.runtime.analyses import RootCausesAnalysis
 from repro.services.catalog import reference_catalog
 from repro.services.impact import ImpactModel
 from repro.services.placement import place_uniform
@@ -86,7 +87,9 @@ def test_firmware_crash_to_sev_to_analysis(network):
     # 6. The analysis pipeline sees the incident with the right shape.
     query = SEVQuery(store)
     assert query.count_by_type()[DeviceType.FSW] == 1
-    breakdown = root_cause_breakdown(store)
+    breakdown = Executor().run(
+        [RootCausesAnalysis()], RunContext(store=store)
+    )["root_causes"]
     assert breakdown.counts[RootCause.BUG] == 1
     assert store.get(report.sev_id).device_type is DeviceType.FSW
 

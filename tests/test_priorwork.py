@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.root_causes import root_cause_breakdown
 from repro.incidents.sev import RootCause
 from repro.priorwork import (
     PRIOR_STUDIES,
@@ -30,31 +29,31 @@ class TestPriorStudyData:
 
 
 class TestComparison:
-    def test_rows_cover_both_studies(self, paper_store):
-        dist = root_cause_breakdown(paper_store).distribution()
+    def test_rows_cover_both_studies(self, paper_report):
+        dist = paper_report.root_causes.distribution()
         rows = compare_root_causes(dist)
         studies = {r.study for r in rows}
         assert studies == {s.name for s in PRIOR_STUDIES}
         assert len(rows) == 6
 
-    def test_facebook_sits_between_on_configuration(self, paper_store):
+    def test_facebook_sits_between_on_configuration(self, paper_report):
         # The paper's conclusion: the review-and-canary practice keeps
         # configuration's share above Turner's but far below Wu's.
-        dist = root_cause_breakdown(paper_store).distribution()
+        dist = paper_report.root_causes.distribution()
         assert configuration_between_prior_studies(dist)
 
-    def test_undetermined_matches_wu_not_turner(self, paper_store):
+    def test_undetermined_matches_wu_not_turner(self, paper_report):
         # "Wu et al. noted a similar fraction of unknown issues (23%)
         # while Turner et al. had a smaller set (5%)."
-        dist = root_cause_breakdown(paper_store).distribution()
+        dist = paper_report.root_causes.distribution()
         ours = dist[RootCause.UNDETERMINED]
         assert abs(ours - WU_ET_AL.undetermined_share) < abs(
             ours - TURNER_ET_AL.undetermined_share
         )
 
-    def test_hardware_within_seven_points(self, paper_store):
+    def test_hardware_within_seven_points(self, paper_report):
         # "Prior studies ... observe incident rates within 7% of us."
-        dist = root_cause_breakdown(paper_store).distribution()
+        dist = paper_report.root_causes.distribution()
         ours = dist[RootCause.HARDWARE]
         for study in PRIOR_STUDIES:
             assert abs(ours - study.hardware_share) <= 0.07

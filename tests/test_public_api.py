@@ -43,11 +43,33 @@ class TestPublicSurface:
 
     def test_quickstart_from_docstring(self):
         # The module docstring's quickstart must actually run.
-        store = repro.IntraSimulator(
-            repro.paper_scenario(scale=0.05)
-        ).run()
-        table2 = repro.root_cause_breakdown(store)
-        assert sum(table2.distribution().values()) > 0.99
+        report = repro.run_intra_report(repro.build_intra_context(scale=0.05))
+        assert sum(report.root_causes.distribution().values()) > 0.99
+        assert report.switches.mtbi(2017, repro.DeviceType.RSW) > 0
+
+    def test_core_functions_take_no_store_or_monitor(self):
+        # repro.core holds result types and the pure math the runtime's
+        # analyses run, not a second way to compute their artifacts:
+        # only the helpers for questions no analysis asks (SEVs per
+        # employee, Figure 14) read a SEV store or a backbone monitor.
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.core
+
+        readers = set()
+        for info in pkgutil.iter_modules(repro.core.__path__):
+            module = importlib.import_module(f"repro.core.{info.name}")
+            for name, obj in vars(module).items():
+                if (inspect.isfunction(obj) and not name.startswith("_")
+                        and obj.__module__ == module.__name__):
+                    params = inspect.signature(obj).parameters
+                    if {"store", "monitor"} & set(params):
+                        readers.add(name)
+        assert readers <= {
+            "irt_fleet_correlation", "irt_vs_fleet_size", "sevs_per_employee",
+        }, sorted(readers)
 
     def test_analyses_never_import_paperdata(self):
         # The reproduction contract: repro.core recovers the numbers

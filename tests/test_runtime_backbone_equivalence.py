@@ -2,9 +2,10 @@
 
 The domain-generic counterpart of ``test_runtime_equivalence``: for
 any backbone corpus, the executor's plan (column batches — "batch"),
-the per-row reference fold ("stream"), and the monitor's own queries,
-and column batches sharded over the worker pool ("sharded") must
-produce the same :class:`~repro.core.reports.BackboneStudyReport` —
+the per-row reference fold ("stream"), the :mod:`repro.core`
+finalizers over the monitor's own outage views, and column batches
+sharded over the worker pool ("sharded") must produce the same
+:class:`~repro.core.reports.BackboneStudyReport` —
 identical outage intervals, MTBF/MTTR percentiles, scorecards, and
 repair-duration summaries, bit for bit.  Cache hits must return the
 stored result unchanged, and ticket fingerprints must never collide
@@ -14,8 +15,8 @@ with SEV ones.
 import pytest
 
 from repro.backbone.monitor import BackboneMonitor
-from repro.backbone.scorecards import vendor_scorecards
-from repro.core import backbone_reliability, continent_table
+from repro.backbone.scorecards import scorecards_from_outages
+from repro.core import continent_rows_from_failures, reliability_from_outages
 from repro.runtime import (
     Executor,
     ResultCache,
@@ -73,13 +74,17 @@ class TestBackendsAgree:
     def test_monitor_queries_equal_plan(self, context, batch_report):
         monitor = BackboneMonitor(context.topology, context.tickets)
         window = context.window_h
-        assert batch_report.reliability == backbone_reliability(
-            monitor, window
+        failures = monitor.failures_by_edge()
+        outages = monitor.outages_by_vendor()
+        assert batch_report.reliability == reliability_from_outages(
+            failures, outages, window
         )
-        assert batch_report.continents == continent_table(
-            monitor, context.topology, window
+        assert batch_report.continents == continent_rows_from_failures(
+            failures, context.topology, window
         )
-        assert batch_report.vendors == vendor_scorecards(monitor, window)
+        assert batch_report.vendors == scorecards_from_outages(
+            outages, window
+        )
 
     @pytest.mark.parametrize("jobs", [1, 3, 7])
     def test_sharded_equals_batch_for_any_worker_count(

@@ -2,7 +2,19 @@
 
 import pytest
 
+from repro.core import (
+    DesignComparison,
+    IncidentDistribution,
+    RootCauseBreakdown,
+    SeverityByDevice,
+    design_counts_from_type_counts,
+    growth_from_totals,
+    rates_from_counts,
+    severity_rates_from_counts,
+    switch_reliability_from_counts,
+)
 from repro.fleet.population import paper_fleet
+from repro.incidents.query import SEVQuery
 from repro.incidents.sev import RootCause
 from repro.incidents.store import SEVStore
 from repro.runtime import (
@@ -25,6 +37,7 @@ from repro.runtime.analyses import (
 )
 from repro.simulation.generator import IntraSimulator, iter_scenario_reports
 from repro.simulation.scenarios import paper_scenario
+from repro.stats.mttr import p75
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +87,10 @@ PATHS = {
 class TestBackends:
     @pytest.mark.parametrize("backend", ["batch", "stream", "sharded"])
     def test_root_causes_match_sql(self, backend, context, store):
-        from repro.core import root_cause_breakdown
-
         result = PATHS[backend](
             [RootCausesAnalysis()], context
         )["root_causes"]
-        assert result.counts == root_cause_breakdown(store).counts
+        assert result.counts == SEVQuery(store).count_by_root_cause()
 
     def test_explicit_source_overrides_store(self, scenario, context):
         # Feeding the records directly must match reading the store.
@@ -214,7 +225,7 @@ class TestRegistry:
     def test_names_are_unique_and_match_keys(self):
         reg = registry()
         assert all(name == analysis.name for name, analysis in reg.items())
-        assert len(reg) == 15
+        assert len(reg) == 16
 
     def test_every_entry_is_an_analysis(self):
         assert all(isinstance(a, Analysis) for a in registry().values())
@@ -233,11 +244,30 @@ class TestRegistry:
 
 class TestRunIntraReport:
     def test_matches_core_entry_point(self, context, store):
-        from repro.core import intra_study_report
-
-        via_runtime = run_intra_report(context)
-        via_core = intra_study_report(store, context.fleet)
-        assert via_runtime == via_core
+        # Every artifact equals its repro.core finalizer over the SQL
+        # query layer's counts; at this scale every sketch is exact.
+        report = run_intra_report(context)
+        query, fleet, year = SEVQuery(store), context.fleet, report.last_year
+        per_type = query.count_by_year_and_type()
+        totals = query.count_by_year()
+        assert report.root_causes == RootCauseBreakdown(
+            query.count_by_root_cause()
+        )
+        assert report.rates == rates_from_counts(per_type, fleet)
+        assert report.severity == SeverityByDevice(
+            query.count_by_severity_and_type(year), year
+        )
+        assert report.severity_over_time == severity_rates_from_counts(
+            query.count_by_year_and_severity(), fleet
+        )
+        assert report.distribution == IncidentDistribution(per_type, year)
+        assert report.designs == DesignComparison(
+            design_counts_from_type_counts(per_type), year, fleet
+        )
+        assert report.switches == switch_reliability_from_counts(
+            per_type, fleet, lambda y, t: p75(query.durations(y, t))
+        )
+        assert report.growth == growth_from_totals(totals, min(totals), year)
 
     def test_render_smoke(self, context):
         text = run_intra_report(context).render()

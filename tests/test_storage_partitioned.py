@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.backbone.tickets import TicketDatabase
 from repro.runtime.cache import corpus_fingerprint, ticket_fingerprint
 from repro.simulation.backbone_sim import BackboneSimulator
 from repro.simulation.generator import IntraSimulator
@@ -167,12 +166,6 @@ class TestPartitionedTicketStore:
     def test_ticket_fingerprint_stable(self, ticket_store, corpus):
         assert ticket_fingerprint(ticket_store, 7) \
             == ticket_fingerprint(corpus.tickets, 7)
-
-    def test_to_database_preserves_ids(self, ticket_store, corpus):
-        db = ticket_store.to_database()
-        assert isinstance(db, TicketDatabase)
-        assert sorted(t.ticket_id for t in db.completed()) \
-            == sorted(t.ticket_id for t in corpus.tickets.completed())
 
     def test_tiering_round_trip(self, ticket_store):
         before = [t.ticket_id for t in ticket_store.completed()]

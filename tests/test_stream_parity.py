@@ -16,8 +16,8 @@ import itertools
 
 import pytest
 
-from repro.core.switch_reliability import switch_reliability
 from repro.faultline.oracle import report_digest
+from repro.incidents.query import SEVQuery
 from repro.incidents.store import SEVStore
 from repro.runtime import (
     Executor,
@@ -145,10 +145,23 @@ class TestPercentileParity:
                 )
 
     def test_per_type_p75_within_two_percent(self, corpus, reports):
-        # Against repro.core's SQL path, which takes exact percentiles.
+        # Against the SQL query layer's per-cell durations, taking
+        # exact percentiles of every cell the fleet has a population
+        # for (the cells Figure 13 plots).
         scenario, _, store = corpus
         streamed, _ = reports
-        exact = switch_reliability(store, scenario.fleet).p75_irt_h
+        query, fleet = SEVQuery(store), scenario.fleet
+        exact = {
+            year: {
+                device_type: percentile(
+                    query.durations(year, device_type), 0.75
+                )
+                for device_type in per_type
+                if fleet.count(year, device_type)
+            }
+            for year, per_type in query.count_by_year_and_type().items()
+            if year in fleet.snapshots
+        }
         assert streamed.switches.p75_irt_h.keys() == exact.keys()
         for year, per_type in exact.items():
             assert streamed.switches.p75_irt_h[year].keys() == per_type.keys()

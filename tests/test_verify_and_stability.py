@@ -7,7 +7,8 @@ anchors are re-checked under different randomness.
 import pytest
 
 from repro.backbone.monitor import BackboneMonitor
-from repro.core import backbone_reliability, root_cause_breakdown
+from repro.core import RootCauseBreakdown, reliability_from_outages
+from repro.incidents.query import SEVQuery
 from repro.incidents.sev import RootCause
 from repro.simulation.backbone_sim import BackboneSimulator
 from repro.simulation.generator import IntraSimulator
@@ -53,7 +54,9 @@ class TestSeedStability:
     @pytest.mark.parametrize("seed", [11, 23])
     def test_intra_anchors_hold_across_seeds(self, seed):
         store = IntraSimulator(paper_scenario(seed=seed)).run()
-        dist = root_cause_breakdown(store).distribution()
+        dist = RootCauseBreakdown(
+            SEVQuery(store).count_by_root_cause()
+        ).distribution()
         # The calibrated allocation is largest-remainder exact, so the
         # mix is seed-independent up to interleave rounding.
         assert dist[RootCause.MAINTENANCE] == pytest.approx(0.17, abs=0.02)
@@ -65,7 +68,10 @@ class TestSeedStability:
             paper_backbone_scenario(seed=seed)
         ).run(via_emails=False)
         monitor = BackboneMonitor(corpus.topology, corpus.tickets)
-        rel = backbone_reliability(monitor, corpus.window_h)
+        rel = reliability_from_outages(
+            monitor.failures_by_edge(), monitor.outages_by_vendor(),
+            corpus.window_h,
+        )
         assert rel.edge_mtbf.p50 == pytest.approx(1710, rel=0.2)
         assert rel.edge_mttr.p50 == pytest.approx(10, rel=0.45)
         model = rel.edge_mtbf_model()
