@@ -60,6 +60,8 @@ def test_query_indexes(benchmark, emit):
     store.create_indexes()
     assert _time_queries(query) > 0  # rebuilt store still answers
 
+    if benchmark.disabled:  # wall times: written from timed runs only
+        return
     emit("query_indexes", format_table(
         ["Configuration", f"Seconds ({ROUNDS} rounds)", "Speedup"],
         [

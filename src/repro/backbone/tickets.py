@@ -169,24 +169,6 @@ class TicketDatabase:
         self._tickets.append(ticket)
         return ticket
 
-    def add_ticket(self, ticket: RepairTicket) -> RepairTicket:
-        """Insert a completed ticket, preserving its original id.
-
-        The re-materialization path (a partitioned store, an import
-        that must round-trip) — unlike :meth:`add_completed`, the
-        caller owns the id, so digests that sort on ticket ids cannot
-        shift across a store round trip.
-        """
-        if ticket.open:
-            raise ValueError(
-                f"ticket {ticket.ticket_id!r} is still open; "
-                "only completed tickets can be added directly"
-            )
-        self.provenance = None
-        self._tickets.append(ticket)
-        self._seq += 1
-        return ticket
-
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:

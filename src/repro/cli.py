@@ -616,6 +616,13 @@ def _export(dataset: str, path: str, seed: Optional[int],
     print(f"wrote {count} {dataset} to {path}")
 
 
+class _ReportList(list):
+    """A list the authoring workflow publishes into (it needs only
+    ``len()`` and ``insert_many``)."""
+
+    insert_many = list.extend
+
+
 def _store(args) -> int:
     """The ``store init|compact|status`` operator surface."""
     import json
@@ -624,12 +631,15 @@ def _store(args) -> int:
         if args.dataset == "sevs":
             from repro.storage import PartitionedSEVStore
 
-            scenario = paper_scenario(seed=args.seed, scale=args.scale)
-            mono = IntraSimulator(scenario).run()
+            # Generated into a list, each row is written once: into
+            # its partition shard.
+            reports = _ReportList()
+            IntraSimulator(paper_scenario(seed=args.seed,
+                                          scale=args.scale)).run(reports)
             store = PartitionedSEVStore.init(args.dir, meta={
                 "dataset": "sevs", "seed": args.seed, "scale": args.scale,
             })
-            count = store.ingest(mono.all_reports())
+            count = store.ingest(reports)
         else:
             from repro.storage import PartitionedTicketStore
 

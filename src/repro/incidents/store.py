@@ -53,8 +53,9 @@ def _write_with_retry(attempt: Callable[[], _T]) -> _T:
             delay *= 2
     raise AssertionError("unreachable")  # pragma: no cover
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS sevs (
+#: The tables, created in one transaction when a store opens.
+_TABLES = (
+    """CREATE TABLE IF NOT EXISTS sevs (
     sev_id        TEXT PRIMARY KEY,
     severity      INTEGER NOT NULL CHECK (severity BETWEEN 1 AND 3),
     device_name   TEXT NOT NULL,
@@ -67,13 +68,13 @@ CREATE TABLE IF NOT EXISTS sevs (
     description   TEXT NOT NULL DEFAULT '',
     service_impact TEXT NOT NULL DEFAULT '',
     reviewed      INTEGER NOT NULL DEFAULT 1
-);
-CREATE TABLE IF NOT EXISTS sev_root_causes (
+)""",
+    """CREATE TABLE IF NOT EXISTS sev_root_causes (
     sev_id     TEXT NOT NULL REFERENCES sevs(sev_id) ON DELETE CASCADE,
     root_cause TEXT NOT NULL,
     PRIMARY KEY (sev_id, root_cause)
-);
-"""
+)""",
+)
 
 #: The query-layer indexes, by name.  ``idx_sevs_year_type`` is a
 #: covering index for the hot aggregation path — every per-year,
@@ -96,6 +97,21 @@ _INDEXES = {
         "CREATE INDEX IF NOT EXISTS idx_rc_cause "
         "ON sev_root_causes(root_cause)",
 }
+_DROP_INDEXES = tuple(f"DROP INDEX IF EXISTS {name}" for name in _INDEXES)
+
+
+def _run_in_one_transaction(conn: sqlite3.Connection,
+                            statements: Iterable[str]) -> None:
+    """Run schema statements as one write transaction.
+
+    ``sqlite3`` commits each DDL statement on its own when no
+    transaction is open; an explicit ``BEGIN`` makes the batch one
+    commit, and a failure rolls all of it back.
+    """
+    with conn:
+        conn.execute("BEGIN")
+        for statement in statements:
+            conn.execute(statement)
 
 
 def ensure_region_column(conn: sqlite3.Connection) -> bool:
@@ -150,7 +166,10 @@ class SEVStore:
             path, check_same_thread=check_same_thread
         )
         self._conn.execute("PRAGMA foreign_keys = ON")
-        self._conn.executescript(_SCHEMA)
+        # Tables, then the legacy migration, then the indexes (one of
+        # which needs the migrated ``region`` column): a fresh file
+        # takes two commits.
+        _run_in_one_transaction(self._conn, _TABLES)
         ensure_region_column(self._conn)
         self.create_indexes()
         #: The provenance key of a freshly generated corpus
@@ -167,21 +186,16 @@ class SEVStore:
         return list(_INDEXES)
 
     def create_indexes(self) -> None:
-        """(Re)create every query-layer index; idempotent."""
-        with self._conn:
-            for statement in _INDEXES.values():
-                self._conn.execute(statement)
+        """(Re)create every query-layer index in one transaction."""
+        _run_in_one_transaction(self._conn, _INDEXES.values())
 
     def drop_indexes(self) -> None:
-        """Drop every query-layer index.
+        """Drop every query-layer index in one transaction.
 
-        Bulk loads are faster without index maintenance; call
-        :meth:`create_indexes` afterwards to rebuild.  Also how the
-        index micro-benchmark measures the unindexed baseline.
+        How the index micro-benchmark measures the unindexed baseline;
+        call :meth:`create_indexes` afterwards to rebuild.
         """
-        with self._conn:
-            for name in _INDEXES:
-                self._conn.execute(f"DROP INDEX IF EXISTS {name}")
+        _run_in_one_transaction(self._conn, _DROP_INDEXES)
 
     # -- lifecycle ---------------------------------------------------
 
@@ -290,27 +304,25 @@ class SEVStore:
     ) -> int:
         """Ingest-tuned fast path for loading a whole corpus.
 
-        Drops the query-layer indexes (no per-row index maintenance),
-        relaxes the durability PRAGMAs for the duration of the load
-        (``synchronous=OFF``, in-memory journal), streams the reports
-        through ``executemany`` in ``batch_size`` chunks inside one
-        transaction, then restores the PRAGMAs and rebuilds the
-        indexes.  Equivalent to :meth:`insert_many` row for row; the
-        only difference is speed.
+        One write transaction drops the query-layer indexes (no per-row
+        index maintenance), streams the reports through
+        ``executemany`` in ``batch_size`` chunks and rebuilds the
+        indexes; the journal is kept in memory for the duration and
+        the one commit syncs as the store's ``synchronous`` setting
+        says.  Equivalent to :meth:`insert_many` row for row; the only
+        difference is speed.
 
-        Failure-safe: a mid-load error rolls back every row of the
-        batch, and the indexes and PRAGMAs are restored either way, so
-        the store stays fully usable.  ``default_region`` as in
+        Failure-safe: a mid-load error rolls back the whole
+        transaction, so the rows, the index drop and the rebuild
+        vanish together and the store is left exactly as it was.  The
+        journal mode is restored either way.  ``default_region`` as in
         :meth:`insert_many`.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.provenance = None
         conn = self._conn
-        (synchronous,) = conn.execute("PRAGMA synchronous").fetchone()
         (journal_mode,) = conn.execute("PRAGMA journal_mode").fetchone()
-        self.drop_indexes()
-        conn.execute("PRAGMA synchronous = OFF")
         conn.execute("PRAGMA journal_mode = MEMORY")
         count = 0
 
@@ -325,6 +337,9 @@ class SEVStore:
 
         try:
             with conn:  # one transaction; rolls back on error
+                conn.execute("BEGIN")
+                for statement in _DROP_INDEXES:
+                    conn.execute(statement)
                 sev_rows: List[tuple] = []
                 cause_rows: List[tuple] = []
                 for report in reports:
@@ -337,10 +352,10 @@ class SEVStore:
                         cause_rows.clear()
                 if sev_rows:
                     flush(sev_rows, cause_rows)
+                for statement in _INDEXES.values():
+                    conn.execute(statement)
         finally:
             conn.execute(f"PRAGMA journal_mode = {journal_mode}")
-            conn.execute(f"PRAGMA synchronous = {int(synchronous)}")
-            self.create_indexes()
         return count
 
     # -- reads -------------------------------------------------------

@@ -28,12 +28,16 @@ matches the manifest before publishing.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import heapq
 import json
+import os
 import re
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.faultline import hooks
 from repro.faultline.plan import PartitionLost
@@ -75,6 +79,24 @@ def _digest_rows(rows: List[dict]) -> str:
     """Tier-independent partition digest over sorted canonical rows."""
     payload = "\n".join(json.dumps(row, sort_keys=True) for row in rows)
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _publish(path: Path, write: Callable[[Path], object]) -> None:
+    """Write a partition file as ``<name>.tmp``, then rename it to ``path``.
+
+    A write that fails leaves the old file, which the manifest still
+    describes, in place; the rename is atomic.  A stale ``.tmp`` from
+    a crashed write is deleted first (``recover`` skips ``.tmp``
+    files), and so is the ``.tmp`` of a write that fails.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.unlink(missing_ok=True)
+    try:
+        write(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 class _TieredStore:
@@ -204,20 +226,30 @@ class _TieredStore:
         records.sort(key=self._sort_key)
         return records
 
-    def _write_cold(self, path: Path, records: List) -> None:
-        from repro.io.compression import open_text
+    def _write_cold(self, path: Path, records: List) -> str:
+        """Write records as sorted JSONL; returns the partition digest.
+
+        A ``.gz`` path is gzip-compressed.  The digest hashes the exact
+        lines written (:func:`_digest_rows` of the same rows), so no
+        caller encodes the rows a second time.  The file is published
+        by rename (:func:`_publish`).
+        """
+        from repro.io.compression import is_gzip_path
 
         ordered = sorted(records, key=self._sort_key)
-        with open_text(path, "w") as handle:
-            for record in ordered:
-                handle.write(
-                    json.dumps(self._record_row(record), sort_keys=True)
-                    + "\n"
-                )
+        payload = "\n".join(
+            json.dumps(self._record_row(record), sort_keys=True)
+            for record in ordered
+        ).encode()
+        data = payload + b"\n" if ordered else b""
+        if is_gzip_path(path):
+            data = gzip.compress(data)
+        _publish(path, lambda tmp: tmp.write_bytes(data))
+        return hashlib.sha256(payload).hexdigest()
 
-    # The hot tier defaults to the same JSONL codec (``open_text``
-    # compresses only ``.gz`` paths); SEV stores override it with
-    # SQLite shards.
+    # The hot tier defaults to the same JSONL codec (only ``.gz``
+    # paths are compressed); SEV stores override it with SQLite
+    # shards.  Every writer returns the digest of the rows it wrote.
     _read_hot = _read_cold
     _write_hot = _write_cold
 
@@ -262,36 +294,38 @@ class _TieredStore:
         """Route records to their ``(year, region)`` partitions.
 
         Appends to existing partitions (a cold target is promoted
-        first — the hot tier is the only writable one), recomputes
-        each touched partition's row count and digest from disk, and
-        publishes the manifest once at the end.  Returns how many
-        records landed.
+        first — the hot tier is the only writable one): each touched
+        partition is read, merged with its new records and rewritten,
+        and its row count and digest come from the rows the writer
+        wrote.  Every file is published by rename, so a write
+        that fails leaves that partition's old file in place.  The
+        manifest is published once at the end, or after the last
+        partition written when one fails, so it always describes the
+        files on disk.  Returns how many records landed.
         """
         groups: Dict[PartitionKey, List] = {}
         count = 0
         for record in records:
             groups.setdefault(self.partition_key(record), []).append(record)
             count += 1
-        for key in sorted(groups):
-            entry = self.manifest.get(key)
-            if entry is not None and entry.tier == "cold":
-                entry = self._move_tier(entry, "hot", save=False)
-            existing: List = []
-            if entry is not None:
-                existing = self._read_file(
-                    self.root / entry.path, entry.tier
-                )
-            merged = sorted(
-                existing + groups[key], key=self._sort_key
-            )
-            path = self.root / self._partition_name(key, "hot")
-            self._write_hot(path, merged)
-            rows = self._sorted_rows(merged)
-            self.manifest.upsert(PartitionEntry(
-                year=key[0], region=key[1], rows=len(rows),
-                digest=_digest_rows(rows), tier="hot", path=path.name,
-            ))
-        self.manifest.save(self.root)
+        try:
+            for key in sorted(groups):
+                entry = self.manifest.get(key)
+                if entry is not None and entry.tier == "cold":
+                    entry = self._move_tier(entry, "hot", save=False)
+                merged = groups[key]
+                if entry is not None:
+                    merged = self._read_file(
+                        self.root / entry.path, entry.tier
+                    ) + merged
+                path = self.root / self._partition_name(key, "hot")
+                digest = self._write_hot(path, merged)
+                self.manifest.upsert(PartitionEntry(
+                    year=key[0], region=key[1], rows=len(merged),
+                    digest=digest, tier="hot", path=path.name,
+                ))
+        finally:
+            self.manifest.save(self.root)
         return count
 
     # ``insert_many`` / ``bulk_load`` aliases keep the monolithic
@@ -325,7 +359,7 @@ class _TieredStore:
         path = self.root / self._partition_name(key, tier)
         with hooks.suppressed("storage.shard"):
             if tier == "hot":
-                self._write_hot(path, sorted(records, key=self._sort_key))
+                self._write_hot(path, records)
             else:
                 self._write_cold(path, records)
         self.manifest.upsert(PartitionEntry(
@@ -342,11 +376,9 @@ class _TieredStore:
         records = self._read_partition(entry)
         new_path = self.root / self._partition_name(entry.key, tier)
         if tier == "hot":
-            self._write_hot(new_path, records)
+            digest = self._write_hot(new_path, records)
         else:
-            self._write_cold(new_path, records)
-        rows = self._sorted_rows(records)
-        digest = _digest_rows(rows)
+            digest = self._write_cold(new_path, records)
         if digest != entry.digest:
             new_path.unlink()
             raise StorageError(
@@ -395,11 +427,15 @@ class _TieredStore:
             return []
         threshold = max(years) - keep_hot_years + 1
         demoted = []
-        for entry in self.manifest.partitions():
-            if entry.tier == "hot" and entry.year < threshold:
-                self._move_tier(entry, "cold", save=False)
-                demoted.append(entry.key)
-        self.manifest.save(self.root)
+        try:
+            for entry in self.manifest.partitions():
+                if entry.tier == "hot" and entry.year < threshold:
+                    self._move_tier(entry, "cold", save=False)
+                    demoted.append(entry.key)
+        finally:
+            # Published even when a move fails: the moves before it
+            # already deleted their hot files.
+            self.manifest.save(self.root)
         return demoted
 
     def apply_retention(self, min_year: int) -> List[PartitionKey]:
@@ -545,13 +581,24 @@ class PartitionedSEVStore(_TieredStore):
         with SEVStore(str(path)) as shard:
             return list(shard.all_reports())
 
-    def _write_hot(self, path: Path, records: List) -> None:
+    def _write_hot(self, path: Path, records: List) -> str:
+        """Build a SQLite shard in three commits; returns its digest.
+
+        The shard is built as ``<name>.tmp`` (two schema commits on
+        open, then :meth:`SEVStore.bulk_load`'s one synced commit) and
+        published by rename, so a failed load leaves the old shard in
+        place.
+        """
         from repro.incidents.store import SEVStore
 
-        if path.exists():
-            path.unlink()
-        with SEVStore(str(path)) as shard:
-            shard.bulk_load(records)
+        ordered = sorted(records, key=self._sort_key)
+
+        def build(tmp: Path) -> None:
+            with SEVStore(str(tmp)) as shard:
+                shard.bulk_load(ordered)
+
+        _publish(path, build)
+        return _digest_rows([self._record_row(r) for r in ordered])
 
     def all_reports(self) -> Iterator:
         """The monolithic store's scan API, answered off the manifest."""

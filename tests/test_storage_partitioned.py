@@ -1,12 +1,20 @@
 """Tests for the tiered, partitioned stores (repro.storage.partitioned)."""
 
+import dataclasses
+import json
+import re
+import sqlite3
+
 import pytest
 
+from repro.faultline import hooks
+from repro.faultline.plan import FaultPlan, FaultSpec
 from repro.runtime.cache import corpus_fingerprint, ticket_fingerprint
 from repro.simulation.backbone_sim import BackboneSimulator
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_backbone_scenario, paper_scenario
 from repro.storage import (
+    Manifest,
     ManifestError,
     PartitionedSEVStore,
     PartitionedTicketStore,
@@ -25,6 +33,28 @@ def sev_store(tmp_path, mono_store):
                                      meta={"seed": 5, "scale": 0.1})
     store.ingest(mono_store.all_reports())
     return store
+
+
+@pytest.fixture(scope="module")
+def ticket_corpus():
+    return BackboneSimulator(paper_backbone_scenario(seed=7)).run()
+
+
+@pytest.fixture()
+def ticket_store(tmp_path, ticket_corpus):
+    store = PartitionedTicketStore.init(tmp_path / "tickets",
+                                        meta={"seed": 7})
+    store.ingest(ticket_corpus.tickets.completed())
+    return store
+
+
+def _sqlite_commits(path):
+    """The SQLite file change counter: header bytes 24-27, big-endian.
+
+    Every committed write transaction bumps it by one.
+    """
+    with open(path, "rb") as handle:
+        return int.from_bytes(handle.read(28)[24:28], "big")
 
 
 class TestPartitionedSEVStore:
@@ -147,16 +177,9 @@ class TestRecovery:
 
 
 class TestPartitionedTicketStore:
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        return BackboneSimulator(paper_backbone_scenario(seed=7)).run()
-
     @pytest.fixture()
-    def ticket_store(self, tmp_path, corpus):
-        store = PartitionedTicketStore.init(tmp_path / "tickets",
-                                            meta={"seed": 7})
-        store.ingest(corpus.tickets.completed())
-        return store
+    def corpus(self, ticket_corpus):
+        return ticket_corpus
 
     def test_completed_matches_database_rows(self, ticket_store, corpus):
         stored = {t.ticket_id for t in ticket_store.completed()}
@@ -172,3 +195,112 @@ class TestPartitionedTicketStore:
         ticket_store.compact(keep_hot_years=1)
         assert [t.ticket_id for t in ticket_store.completed()] == before
         assert ticket_store.verify() == {}
+
+
+class TestSafeRewrites:
+    """A partition file is replaced only by a complete, checked one."""
+
+    @staticmethod
+    def _domain(request, domain):
+        store = request.getfixturevalue(f"{domain}_store")
+        key = store.partition_keys()[0]
+        extra = dataclasses.replace(
+            store.partition_records(key)[0],
+            **{"sev_id" if domain == "sev" else "ticket_id": "zz-extra"},
+        )
+        return store, key, extra
+
+    @pytest.mark.parametrize("domain", ["sev", "ticket"])
+    def test_failed_append_keeps_the_old_partition(self, request,
+                                                   monkeypatch, domain):
+        store, _, extra = self._domain(request, domain)
+        before = list(store.records())
+        if domain == "sev":
+            with hooks.injected(FaultPlan(
+                    1, [FaultSpec("store.insert", probability=1.0)])):
+                with pytest.raises(sqlite3.OperationalError):
+                    store.ingest([extra])
+        else:
+            encode = PartitionedTicketStore._record_row
+            calls = []
+
+            def encode_once(self, record):
+                calls.append(record)
+                if len(calls) > 1:
+                    raise RuntimeError("encoder died mid-partition")
+                return encode(self, record)
+
+            monkeypatch.setattr(PartitionedTicketStore, "_record_row",
+                                encode_once)
+            with pytest.raises(RuntimeError, match="mid-partition"):
+                store.ingest([extra])
+            monkeypatch.undo()
+        assert store.verify() == {}
+        assert list(store.records()) == before
+        assert not list(store.root.glob("*.tmp"))
+        reopened = type(store).open(store.root)
+        assert reopened.verify() == {}
+        assert list(reopened.records()) == before
+
+    def test_stale_tmp_is_replaced(self, sev_store):
+        key = sev_store.partition_keys()[0]
+        path = sev_store.root / sev_store.manifest.get(key).path
+        stale = path.with_name(path.name + ".tmp")
+        stale.write_bytes(b"a crashed write left this behind")
+        records = sev_store.partition_records(key)
+        sev_store.ingest([dataclasses.replace(records[0], sev_id="zz-x")])
+        assert not stale.exists()
+        assert sev_store.manifest.get(key).rows == len(records) + 1
+        assert sev_store.verify() == {}
+
+    @pytest.mark.parametrize("domain", ["sev", "ticket"])
+    def test_lossy_move_is_refused(self, request, domain):
+        store, key, _ = self._domain(request, domain)
+        entry = store.manifest.get(key)
+        path = store.root / entry.path
+        if domain == "sev":
+            with sqlite3.connect(path) as conn:
+                conn.execute("UPDATE sevs SET description = 'tampered' "
+                             "WHERE rowid = 1")
+            conn.close()
+        else:
+            lines = path.read_text().splitlines()
+            row = json.loads(lines[0])
+            row["vendor"] = "tampered"
+            lines[0] = json.dumps(row, sort_keys=True)
+            path.write_text("\n".join(lines) + "\n")
+        tampered = path.read_bytes()
+        for move in (lambda: store.demote(key),
+                     lambda: store.compact(keep_hot_years=1)):
+            with pytest.raises(StorageError, match=re.escape(
+                    f"partition {key!r} would change its digest")):
+                move()
+            assert store.manifest.get(key) == entry
+            assert Manifest.load(store.root).get(key) == entry
+            assert path.read_bytes() == tampered
+            assert not list(store.root.glob("*.jsonl.gz"))
+            assert not list(store.root.glob("*.tmp"))
+
+    def test_failed_compact_publishes_the_moves_it_made(self, sev_store):
+        keys = sev_store.partition_keys()
+        newest = max(sev_store.years())
+        victim = [k for k in keys if k[0] < newest][-1]
+        path = sev_store.root / sev_store.manifest.get(victim).path
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE sevs SET description = 'tampered'")
+        conn.close()
+        with pytest.raises(StorageError, match="lossy"):
+            sev_store.compact(keep_hot_years=1)
+        reopened = PartitionedSEVStore.open(sev_store.root)
+        assert reopened.verify() == {victim: "content digest mismatch"}
+        assert reopened.manifest.get(keys[0]).tier == "cold"
+
+
+class TestShardCommits:
+    def test_fresh_shard_takes_three_commits(self, tmp_path, mono_store):
+        # Tables, indexes, then one bulk load that drops, loads and
+        # rebuilds the indexes: three write transactions in all.
+        store = PartitionedSEVStore.init(tmp_path / "sev")
+        store.ingest(mono_store.all_reports())
+        for entry in store.manifest.partitions():
+            assert _sqlite_commits(store.root / entry.path) <= 3, entry.key
