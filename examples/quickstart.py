@@ -24,8 +24,8 @@ def main() -> None:
     print("Generating the seven-year intra data center SEV corpus...")
     context = build_intra_context()
     report = run_intra_report(context)
-    store = context.store
-    print(f"  {len(store)} SEV reports across {len(store.years())} years\n")
+    print(f"  {len(context.store)} SEV reports across "
+          f"{len(report.distribution.years)} years\n")
 
     table2 = report.root_causes
     print("Root causes (Table 2):")

@@ -616,26 +616,19 @@ def _export(dataset: str, path: str, seed: Optional[int],
     print(f"wrote {count} {dataset} to {path}")
 
 
-class _ReportList(list):
-    """A list the authoring workflow publishes into (it needs only
-    ``len()`` and ``insert_many``)."""
-
-    insert_many = list.extend
-
-
 def _store(args) -> int:
     """The ``store init|compact|status`` operator surface."""
     import json
 
     if args.store_command == "init":
         if args.dataset == "sevs":
+            from repro.incidents.memory import ReportSink
             from repro.storage import PartitionedSEVStore
 
-            # Generated into a list, each row is written once: into
+            # Generated into memory, each row is written once: into
             # its partition shard.
-            reports = _ReportList()
-            IntraSimulator(paper_scenario(seed=args.seed,
-                                          scale=args.scale)).run(reports)
+            reports = IntraSimulator(paper_scenario(
+                seed=args.seed, scale=args.scale)).run(ReportSink())
             store = PartitionedSEVStore.init(args.dir, meta={
                 "dataset": "sevs", "seed": args.seed, "scale": args.scale,
             })

@@ -61,7 +61,12 @@ class SEVDraft:
 
 
 class SEVAuthoringWorkflow:
-    """Drives drafts through review into a :class:`SEVStore`."""
+    """Drives drafts through review into a :class:`SEVStore`.
+
+    :meth:`publish_many` reads only the store's ``len()`` and
+    ``insert_many``, so it also publishes into an in-memory
+    :class:`~repro.incidents.memory.ReportSink`.
+    """
 
     def __init__(self, store: SEVStore, id_prefix: str = "sev") -> None:
         self._store = store

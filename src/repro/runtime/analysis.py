@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.fleet.population import FleetModel
-from repro.incidents.store import SEVStore
 
 __all__ = ["Analysis", "PendingCorpus", "RunContext"]
 
@@ -98,7 +97,11 @@ class RunContext:
     building it, and the first read of a field it fills builds it.
     """
 
-    store: Optional[SEVStore] = _Generated("sev")
+    #: Intra record source: a :class:`~repro.incidents.store.SEVStore`,
+    #: a partitioned SEV store, or the read-only
+    #: :class:`~repro.incidents.memory.GeneratedReports` of a
+    #: generated corpus.
+    store: Any = _Generated("sev")
     fleet: Optional[FleetModel] = None
     year: Optional[int] = None
     baseline_year: Optional[int] = None
@@ -264,8 +267,9 @@ class Analysis:
     def fold_sql(self, store, state) -> None:
         """SQL pushdown: absorb one SQLite shard into ``state``.
 
-        ``store`` is a monolithic-schema :class:`SEVStore` (possibly
-        one hot shard of a partitioned store); the implementation runs
+        ``store`` is a monolithic-schema
+        :class:`~repro.incidents.store.SEVStore` (possibly one hot
+        shard of a partitioned store); the implementation runs
         GROUP BY queries and adds their tallies to the mergeable
         state.  Must be fold-equivalent over the shard's rows.  The
         executor folds every SQLite shard this way, so a SEV analysis

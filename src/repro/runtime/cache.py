@@ -84,7 +84,9 @@ def provenance_fingerprint(domain: str, scenario: str) -> str:
     corpus.  A corpus written to after generation must not keep this
     key (:class:`~repro.incidents.store.SEVStore` and
     :class:`~repro.backbone.tickets.TicketDatabase` drop their
-    ``provenance`` on every write).
+    ``provenance`` on every write, and
+    :class:`~repro.incidents.memory.GeneratedReports` cannot be
+    written to).
     """
     payload = (
         f"domain={domain};provenance={scenario}"

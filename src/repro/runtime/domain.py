@@ -19,7 +19,8 @@ plan asks of a record source:
     the corpus as :class:`~repro.runtime.columns.ColumnBatch` chunks.
 
 Three concrete domains ship: :class:`SEVCorpus` over
-:class:`~repro.incidents.store.SEVStore` (or its partitioned twin),
+:class:`~repro.incidents.store.SEVStore` (or its partitioned twin, or
+a generated corpus held in memory),
 :class:`TicketCorpus` over
 :class:`~repro.backbone.tickets.TicketDatabase`, and
 :class:`TrialCorpus` over generated survivability trials.  An
@@ -30,9 +31,10 @@ corpus from the :class:`~repro.runtime.analysis.RunContext`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from repro.backbone.tickets import TicketDatabase
+from repro.incidents.memory import GeneratedReports
 from repro.incidents.store import SEVStore
 from repro.runtime.cache import (
     corpus_fingerprint,
@@ -100,11 +102,18 @@ class Corpus:
 
 
 class SEVCorpus(Corpus):
-    """The intra data center SEV corpus (sections 4-5)."""
+    """The intra data center SEV corpus (sections 4-5).
+
+    ``store`` is a :class:`~repro.incidents.store.SEVStore`, a
+    partitioned SEV store, or the
+    :class:`~repro.incidents.memory.GeneratedReports` a generated
+    context holds.
+    """
 
     domain = "sev"
 
-    def __init__(self, store: SEVStore, seed: Optional[int] = None,
+    def __init__(self, store: Union[SEVStore, GeneratedReports],
+                 seed: Optional[int] = None,
                  scenario: Optional[str] = None) -> None:
         super().__init__(seed, scenario)
         self.store = store
@@ -124,11 +133,16 @@ class SEVCorpus(Corpus):
 
         A hot partition *is* a monolithic-schema SQLite file; it is
         opened for its turn and closed once the consumer moves on.
-        Cold partitions come as record lists.
+        Cold partitions come as record lists.  A generated corpus held
+        in memory has no SQL substrate: ``None``.
         """
+        if isinstance(self.store, GeneratedReports):
+            return None
         if not getattr(self.store, "is_partitioned", False):
-            yield "store", self.store
-            return
+            return [("store", self.store)]
+        return self._partition_shards()
+
+    def _partition_shards(self):
         for kind, payload in self.store.shard_stores():
             if kind != "store":
                 yield kind, payload

@@ -6,12 +6,14 @@ chosen per analysis from what the corpus offers:
 
 SQL
     every analysis runs its ``fold_sql`` GROUP BY queries on each
-    SQLite shard the corpus has — a monolithic SEV store is one shard,
-    a tiered store's hot partitions are the others — and adds the
-    tallies to its mergeable state.
+    SQLite shard the corpus has — a stored, imported or served
+    monolithic SEV store is one shard, a tiered store's hot
+    partitions are the others — and adds the tallies to its mergeable
+    state.
 column batches
-    everything else — cold partitions, repair tickets, survivability
-    trials, an explicit ``source`` iterable — folds
+    everything else — cold partitions, a generated SEV corpus held in
+    memory, repair tickets, survivability trials, an explicit
+    ``source`` iterable — folds
     :class:`~repro.runtime.columns.ColumnBatch` chunks array-at-a-time
     (``Analysis.fold_batch``).  A batch whose columnar fold raises
     (the ``runtime.fold`` fault site, or an analysis without a
@@ -217,8 +219,9 @@ class Executor:
         """Fold one domain group: SQL on SQLite shards, batches elsewhere.
 
         Every analysis takes ``fold_sql`` on each SQLite shard the
-        corpus has.  Shards without SQL (cold partitions, ticket and
-        trial corpora, an explicit source) fold as column batches.
+        corpus has.  Shards without SQL (cold partitions, generated SEV
+        corpora, ticket and trial corpora, an explicit source) fold as
+        column batches.
         """
         from repro.runtime.columns import (
             COLUMN_BATCH_ROWS,
@@ -550,26 +553,34 @@ def run_backbone_report(
 # pending until first read (RunContext.pending), keyed by provenance.
 
 
-def generated_intra_context(scenario,
-                            check_same_thread: bool = True) -> RunContext:
+def generated_intra_context(scenario, store=None) -> RunContext:
     """The context of the SEV corpus ``scenario`` generates, built on
     first read.
 
     The corpus' cache key is its provenance
     (:func:`~repro.runtime.cache.provenance_fingerprint` over the
     scenario's spec digest), so an executor run whose every analysis
-    hits the cache never generates it.  ``check_same_thread=False``
-    builds a store a threaded server can query from handler threads.
+    hits the cache never generates it.  By default the reports are
+    published into memory and held as read-only
+    :class:`~repro.incidents.memory.GeneratedReports`, which the plan
+    folds as column batches.  ``store`` (a
+    :class:`~repro.incidents.store.SEVStore`) takes the reports
+    instead, as ``IntraSimulator.run(store=)`` does, and the plan
+    folds it with ``fold_sql``.  Only ``repro serve`` passes one: its
+    served corpus takes outside writes, and its report and grid jobs
+    share the interpreter with request threads, to which SQLite's C
+    calls release the interpreter lock.
     """
-    from repro.incidents.store import SEVStore
+    from repro.incidents.memory import GeneratedReports, ReportSink
     from repro.simulation.generator import IntraSimulator
 
     provenance = provenance_fingerprint("sev", scenario.spec_digest)
 
     def build() -> Dict[str, Any]:
-        store = IntraSimulator(scenario).run(
-            store=SEVStore(check_same_thread=check_same_thread)
-        )
+        if store is None:
+            reports = IntraSimulator(scenario).run(store=ReportSink())
+            return {"store": GeneratedReports(reports, provenance)}
+        IntraSimulator(scenario).run(store=store)
         store.provenance = provenance
         return {"store": store}
 
@@ -607,15 +618,16 @@ def generated_backbone_context(scenario) -> RunContext:
 def build_intra_context(
     seed: Optional[int] = None,
     scale: float = 1.0,
-    check_same_thread: bool = True,
     store_dir: Optional[Union[str, Path]] = None,
+    store=None,
 ) -> RunContext:
     """The intra study's context: a generated corpus or a stored one.
 
     Without ``store_dir`` the context holds the paper scenario of
     ``seed`` (its default seed when None) and ``scale`` as a pending
-    corpus (:func:`generated_intra_context`), generated into a fresh
-    SEV store on first read.  With ``store_dir`` the context reads a
+    corpus (:func:`generated_intra_context`), generated on first read
+    into memory, or into ``store`` when one is given.  With
+    ``store_dir`` the context reads a
     tiered partitioned SEV store (:mod:`repro.storage`) instead, and
     the seed and scale its manifest recorded at ``store init`` time
     override the arguments: they pick the fleet model and the
@@ -623,19 +635,21 @@ def build_intra_context(
     """
     from repro.simulation.scenarios import paper_scenario
 
-    store = None
     if store_dir is not None:
+        if store is not None:
+            raise ValueError("store= takes a generated corpus, and "
+                             "store_dir names a stored one")
         from repro.storage import PartitionedSEVStore
 
-        store = PartitionedSEVStore.open(store_dir)
-        seed = store.manifest.meta.get("seed", seed)
-        scale = store.manifest.meta.get("scale", scale)
+        stored = PartitionedSEVStore.open(store_dir)
+        seed = stored.manifest.meta.get("seed", seed)
+        scale = stored.manifest.meta.get("scale", scale)
     scenario = (paper_scenario(scale=scale) if seed is None
                 else paper_scenario(seed=seed, scale=scale))
-    if store is None:
-        return generated_intra_context(scenario, check_same_thread)
+    if store_dir is None:
+        return generated_intra_context(scenario, store=store)
     return RunContext(
-        store=store, fleet=scenario.fleet, corpus_seed=scenario.seed,
+        store=stored, fleet=scenario.fleet, corpus_seed=scenario.seed,
         scenario_digest=scenario.spec_digest,
     )
 

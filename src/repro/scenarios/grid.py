@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.scenarios.spec import (
     ScenarioError,
@@ -187,11 +187,16 @@ class GridRunner:
     honor it; ``cache`` (optional) keys
     whole cells on their spec digest and code versions — a repeated
     sweep costs zero corpus passes, and the same cache also serves the
-    per-analysis entries inside each cell.
+    per-analysis entries inside each cell.  ``sev_store`` (optional)
+    makes the empty SEV store an intra cell generates into, as
+    ``store=`` does for
+    :func:`~repro.runtime.generated_intra_context`; by default a
+    cell's reports fold in memory.
     """
 
     jobs: int = 1
     cache: Optional[Any] = None
+    sev_store: Optional[Callable[[], Any]] = None
     #: Counters over this runner's lifetime.
     cell_hits: int = field(default=0, init=False)
     cell_misses: int = field(default=0, init=False)
@@ -257,12 +262,15 @@ class GridRunner:
         from repro.topology.devices import DeviceType, NetworkDesign
 
         scenario = spec.materialize()
-        context = generated_intra_context(scenario)
-        with context.store as store:
-            report = run_intra_report(
-                context, jobs=self.jobs, cache=self.cache,
-            )
-            rows = len(store)
+        store = None if self.sev_store is None else self.sev_store()
+        context = generated_intra_context(scenario, store=store)
+        try:
+            report = run_intra_report(context, jobs=self.jobs,
+                                      cache=self.cache)
+            rows = len(context.store)
+        finally:
+            if store is not None:
+                store.close()
         last = report.last_year
         fabric = sum(
             report.designs.count(year, NetworkDesign.FABRIC)

@@ -30,7 +30,11 @@ feed: :func:`~repro.runtime.build_intra_context` and
 :func:`~repro.runtime.build_backbone_context` in
 :mod:`repro.runtime.executor`, and
 :func:`~repro.survivability.build_survivability_context` in
-:mod:`repro.survivability.analysis`.  They are re-exported here.
+:mod:`repro.survivability.analysis`.  They are re-exported here.  A
+generated intra corpus goes into memory for the CLI and into a SEV
+store (``store=``) for the service, whose served corpus takes ingests
+and whose report and grid jobs fold with SQLite beside the request
+threads; both digest alike.
 
 Entry point: ``python -m repro serve --port 8351``.
 """

@@ -125,9 +125,15 @@ class ServeState:
             fleet = paper_scenario(seed=seed, scale=scale).fleet
             self.intra_context = RunContext(store=store, fleet=fleet)
         else:
+            # A generated corpus goes into a thread-shared SEV store:
+            # ingests rely on its ``sev_id`` primary key and CHECK
+            # constraints.
+            from repro.incidents.store import SEVStore
+
             self.intra_context = build_intra_context(
-                seed=seed, scale=scale, check_same_thread=False,
-                store_dir=store_dir,
+                seed=seed, scale=scale, store_dir=store_dir,
+                store=(SEVStore(check_same_thread=False)
+                       if store_dir is None else None),
             )
             if store_dir is not None:
                 # A stored corpus is the one its manifest recorded.

@@ -103,6 +103,7 @@ def execute_job(kind: str, params: dict) -> str:
     same artifact bytes, which is what makes kill/resume safe and
     per-seed artifact digests a verify anchor.
     """
+    from repro.incidents.store import SEVStore
     from repro.runtime import build_backbone_context, build_intra_context
     from repro.serve.payloads import (
         backbone_report_payload,
@@ -122,8 +123,14 @@ def execute_job(kind: str, params: dict) -> str:
             context = build_survivability_context(seed=seed)
             payload = survivability_report_payload(context)
         elif study == "intra":
-            scale = float(params.get("scale", 1.0))
-            context = build_intra_context(seed=seed, scale=scale)
+            # Into a SEV store, folded by SQLite's C calls: a job
+            # shares the interpreter with the server's request threads,
+            # and those calls release the interpreter lock while they
+            # run, where a fold of the reports in Python would hold it.
+            context = build_intra_context(
+                seed=seed, scale=float(params.get("scale", 1.0)),
+                store=SEVStore(),
+            )
             with context.store:
                 payload = intra_report_payload(context)
         else:
@@ -159,7 +166,8 @@ def execute_job(kind: str, params: dict) -> str:
                 'grid jobs need params.axes: {"knob.path": [values, ...]}'
             )
         grid = GridSpec(base=base, axes=axes)
-        runner = GridRunner()
+        # Intra cells go into SEV stores too, like a report job's.
+        runner = GridRunner(sev_store=SEVStore)
         return canonical_json(runner.run(grid))
     raise ValueError(f"unknown job kind {kind!r}; expected one of {JOB_KINDS}")
 

@@ -3,7 +3,10 @@
 Turns an :class:`~repro.simulation.scenarios.IntraScenario` into a
 seven-year SEV corpus by way of the same substrates the production
 pipeline uses: incidents are authored through the SEV workflow into
-the SQLite store, and (in engine-coupled mode) raw device issues pass
+the store the caller passes (a SQLite
+:class:`~repro.incidents.store.SEVStore`, or the in-memory
+:class:`~repro.incidents.memory.ReportSink` a generated corpus is
+folded from), and (in engine-coupled mode) raw device issues pass
 through the automated remediation engine first, with only the
 escalations becoming SEVs — exactly the filtering described in
 section 4.1.
@@ -123,7 +126,11 @@ class IntraSimulator:
         Every (year, type) cell of the scenario becomes exactly that
         many SEVs, with severities and root causes apportioned by
         largest remainder so the published mixes are met exactly up to
-        integer rounding.
+        integer rounding.  The reports are published into ``store``
+        (a fresh in-memory :class:`SEVStore` when None; the workflow
+        reads only its ``len()`` and ``insert_many``, so a
+        :class:`~repro.incidents.memory.ReportSink` serves too), which
+        is returned.
         """
         # ``is None``, not truthiness: an empty caller-built store
         # (e.g. a thread-shared one from repro.serve) has len() == 0

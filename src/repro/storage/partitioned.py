@@ -214,25 +214,31 @@ class _TieredStore:
         ordered = sorted(records, key=self._sort_key)
         return [self._record_row(r) for r in ordered]
 
-    def _read_cold(self, path: Path) -> List:
+    def _read_cold(self, path: Path) -> Tuple[List, str]:
+        """A JSONL partition's records in sort order, and the digest
+        of the lines read.
+
+        The writer wrote the sorted canonical rows one per line, so an
+        intact file's lines digest to its manifest digest; readers
+        that need only the records drop the digest.
+        """
         from repro.io.compression import open_text
 
-        records = []
         with open_text(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(self._row_record(json.loads(line)))
+            lines = [line for line in map(str.strip, handle) if line]
+        records = [self._row_record(json.loads(line)) for line in lines]
         records.sort(key=self._sort_key)
-        return records
+        return records, hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
-    def _write_cold(self, path: Path, records: List) -> str:
+    def _write_cold(self, path: Path, records: List,
+                    check: Optional[Callable[[str], None]] = None) -> str:
         """Write records as sorted JSONL; returns the partition digest.
 
         A ``.gz`` path is gzip-compressed.  The digest hashes the exact
         lines written (:func:`_digest_rows` of the same rows), so no
-        caller encodes the rows a second time.  The file is published
-        by rename (:func:`_publish`).
+        caller encodes the rows a second time.  ``check`` sees the
+        digest before anything is written and refuses the write by
+        raising.  The file is published by rename (:func:`_publish`).
         """
         from repro.io.compression import is_gzip_path
 
@@ -241,21 +247,26 @@ class _TieredStore:
             json.dumps(self._record_row(record), sort_keys=True)
             for record in ordered
         ).encode()
+        digest = hashlib.sha256(payload).hexdigest()
+        if check is not None:
+            check(digest)
         data = payload + b"\n" if ordered else b""
         if is_gzip_path(path):
             data = gzip.compress(data)
         _publish(path, lambda tmp: tmp.write_bytes(data))
-        return hashlib.sha256(payload).hexdigest()
+        return digest
 
     # The hot tier defaults to the same JSONL codec (only ``.gz``
     # paths are compressed); SEV stores override it with SQLite
     # shards.  Every writer returns the digest of the rows it wrote.
-    _read_hot = _read_cold
+    def _read_hot(self, path: Path) -> List:
+        return self._read_cold(path)[0]
+
     _write_hot = _write_cold
 
     def _read_file(self, path: Path, tier: str) -> List:
         return self._read_hot(path) if tier == "hot" \
-            else self._read_cold(path)
+            else self._read_cold(path)[0]
 
     def _check_partition(self, entry: PartitionEntry) -> Path:
         """The partition's file path, after the fault-site gauntlet.
@@ -293,15 +304,17 @@ class _TieredStore:
     def ingest(self, records: Iterable) -> int:
         """Route records to their ``(year, region)`` partitions.
 
-        Appends to existing partitions (a cold target is promoted
-        first — the hot tier is the only writable one): each touched
-        partition is read, merged with its new records and rewritten,
-        and its row count and digest come from the rows the writer
-        wrote.  Every file is published by rename, so a write
-        that fails leaves that partition's old file in place.  The
-        manifest is published once at the end, or after the last
-        partition written when one fails, so it always describes the
-        files on disk.  Returns how many records landed.
+        Appends to existing partitions: each touched partition is
+        read, merged with its new records and written once, on the hot
+        tier (the only writable one), and its row count and digest
+        come from the rows the writer wrote.  A cold target is read
+        once and refused, like a lossy tier move, when its rows do not
+        digest to its manifest entry; its file goes once the merged
+        shard is in place.  Every file is published by rename,
+        so a write that fails leaves that partition's old file in
+        place.  The manifest is published once at the end, or after
+        the last partition written when one fails, so it always
+        describes the files on disk.  Returns how many records landed.
         """
         groups: Dict[PartitionKey, List] = {}
         count = 0
@@ -311,15 +324,23 @@ class _TieredStore:
         try:
             for key in sorted(groups):
                 entry = self.manifest.get(key)
-                if entry is not None and entry.tier == "cold":
-                    entry = self._move_tier(entry, "hot", save=False)
                 merged = groups[key]
-                if entry is not None:
-                    merged = self._read_file(
-                        self.root / entry.path, entry.tier
-                    ) + merged
+                if entry is not None and entry.tier == "cold":
+                    stored, digest = self._read_cold(
+                        self._check_partition(entry))
+                    if digest != entry.digest:
+                        # Lines that differ from the writer's bytes
+                        # but hold the same rows are intact, as
+                        # verify() and promote() see them.
+                        digest = _digest_rows(self._sorted_rows(stored))
+                    self._refuse_lossy(entry, digest)
+                    merged = stored + merged
+                elif entry is not None:
+                    merged = self._read_hot(self.root / entry.path) + merged
                 path = self.root / self._partition_name(key, "hot")
                 digest = self._write_hot(path, merged)
+                if entry is not None and entry.path != path.name:
+                    (self.root / entry.path).unlink()
                 self.manifest.upsert(PartitionEntry(
                     year=key[0], region=key[1], rows=len(merged),
                     digest=digest, tier="hot", path=path.name,
@@ -341,29 +362,28 @@ class _TieredStore:
 
         Filters ``source`` down to the records belonging to ``key``,
         rewrites the partition on its manifest tier, and — when the
-        manifest still remembers the partition — refuses to publish a
-        digest mismatch: a restore must reproduce exactly the rows the
-        manifest attests to, or fail loudly.
+        manifest still remembers the partition — refuses a digest
+        mismatch before the file is written: a restore must reproduce
+        exactly the rows the manifest attests to, or fail loudly.
         """
         entry = self.manifest.get(key)
         tier = entry.tier if entry is not None else "hot"
         records = [r for r in source if self.partition_key(r) == key]
-        rows = self._sorted_rows(records)
-        digest = _digest_rows(rows)
-        if entry is not None and digest != entry.digest:
-            raise StorageError(
-                f"restore of partition {key} produced digest "
-                f"{digest[:12]}, manifest expects {entry.digest[:12]}; "
-                "wrong source corpus?"
-            )
+
+        def refuse_wrong_source(digest: str) -> None:
+            if entry is not None and digest != entry.digest:
+                raise StorageError(
+                    f"restore of partition {key} produced digest "
+                    f"{digest[:12]}, manifest expects "
+                    f"{entry.digest[:12]}; wrong source corpus?"
+                )
+
         path = self.root / self._partition_name(key, tier)
         with hooks.suppressed("storage.shard"):
-            if tier == "hot":
-                self._write_hot(path, records)
-            else:
-                self._write_cold(path, records)
+            digest = self._writer(tier)(path, records,
+                                        check=refuse_wrong_source)
         self.manifest.upsert(PartitionEntry(
-            year=key[0], region=key[1], rows=len(rows), digest=digest,
+            year=key[0], region=key[1], rows=len(records), digest=digest,
             tier=tier, path=path.name,
         ))
         self.manifest.save(self.root)
@@ -371,21 +391,27 @@ class _TieredStore:
 
     # -- tiering -----------------------------------------------------
 
-    def _move_tier(self, entry: PartitionEntry, tier: str,
-                   save: bool = True) -> PartitionEntry:
-        records = self._read_partition(entry)
-        new_path = self.root / self._partition_name(entry.key, tier)
-        if tier == "hot":
-            digest = self._write_hot(new_path, records)
-        else:
-            digest = self._write_cold(new_path, records)
+    def _writer(self, tier: str) -> Callable[..., str]:
+        return self._write_hot if tier == "hot" else self._write_cold
+
+    @staticmethod
+    def _refuse_lossy(entry: PartitionEntry, digest: str) -> None:
+        """Raise unless ``digest`` is the partition's manifest digest."""
         if digest != entry.digest:
-            new_path.unlink()
             raise StorageError(
                 f"tier move of partition {entry.key} would change its "
                 f"digest ({entry.digest[:12]} -> {digest[:12]}); "
                 "refusing to publish a lossy move"
             )
+
+    def _move_tier(self, entry: PartitionEntry, tier: str,
+                   save: bool = True) -> PartitionEntry:
+        records = self._read_partition(entry)
+        new_path = self.root / self._partition_name(entry.key, tier)
+        self._writer(tier)(
+            new_path, records,
+            check=lambda digest: self._refuse_lossy(entry, digest),
+        )
         old_path = self.root / entry.path
         if old_path != new_path and old_path.exists():
             old_path.unlink()
@@ -581,24 +607,29 @@ class PartitionedSEVStore(_TieredStore):
         with SEVStore(str(path)) as shard:
             return list(shard.all_reports())
 
-    def _write_hot(self, path: Path, records: List) -> str:
+    def _write_hot(self, path: Path, records: List,
+                   check: Optional[Callable[[str], None]] = None) -> str:
         """Build a SQLite shard in three commits; returns its digest.
 
-        The shard is built as ``<name>.tmp`` (two schema commits on
-        open, then :meth:`SEVStore.bulk_load`'s one synced commit) and
-        published by rename, so a failed load leaves the old shard in
-        place.
+        ``check`` sees the digest before the shard is built and
+        refuses the write by raising.  The shard is built as
+        ``<name>.tmp`` (two schema commits on open, then
+        :meth:`SEVStore.bulk_load`'s one synced commit) and published
+        by rename, so a failed load leaves the old shard in place.
         """
         from repro.incidents.store import SEVStore
 
         ordered = sorted(records, key=self._sort_key)
+        digest = _digest_rows([self._record_row(r) for r in ordered])
+        if check is not None:
+            check(digest)
 
         def build(tmp: Path) -> None:
             with SEVStore(str(tmp)) as shard:
                 shard.bulk_load(ordered)
 
         _publish(path, build)
-        return _digest_rows([self._record_row(r) for r in ordered])
+        return digest
 
     def all_reports(self) -> Iterator:
         """The monolithic store's scan API, answered off the manifest."""
@@ -624,7 +655,7 @@ class PartitionedSEVStore(_TieredStore):
             if entry.tier == "hot":
                 yield "store", SEVStore(str(path))
             else:
-                yield "records", self._read_cold(path)
+                yield "records", self._read_cold(path)[0]
 
     def schema_hash(self) -> str:
         """The monolithic schema hash, by construction.

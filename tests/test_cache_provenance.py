@@ -5,6 +5,7 @@ and ``GENERATOR_VERSION``, all known before the corpus exists, and
 every result key also carries its analysis' ``version``.  So a warm
 ``report full --cache`` generates nothing, a version bump misses
 exactly what it should, and a corpus written to after generation
+(only the SEV store ``repro serve`` generates into takes writes)
 falls back to the row-based key.
 """
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.faultline.oracle import report_digest
+from repro.incidents import SEVStore
 from repro.runtime import (
     Executor,
     ResultCache,
@@ -179,7 +181,11 @@ class TestWritesDropProvenance:
 
     @pytest.mark.parametrize("write", ["insert", "insert_many", "bulk_load"])
     def test_a_write_drops_the_provenance_key(self, write):
-        context = build_intra_context(seed=5, scale=0.05)
+        # The one writable generated corpus: the SEV store repro serve
+        # generates into (the CLI's in-memory corpus has no writes).
+        context = build_intra_context(
+            seed=5, scale=0.05, store=SEVStore(check_same_thread=False),
+        )
         store = context.store
         provenance = context.fingerprint_for("sev")
         (event,) = new_events(1)

@@ -114,6 +114,25 @@ class TestTail:
         assert app.warmer.stats()["refolds"] == 0
 
 
+class TestServedCorpusKeepsSQLite:
+    """The served corpus stays a SEV store: its keys guard ingests."""
+
+    def test_a_served_sev_id_is_refused(self, app):
+        import sqlite3
+
+        _, before = app.handle("GET", "/reports/intra")
+        store = app.state.intra_context.store
+        rows = len(store)
+        ingested = app.state.events_ingested
+        served = next(store.all_reports())
+        with pytest.raises(sqlite3.IntegrityError):
+            app.state.ingest([*new_events(1), served])
+        assert len(store) == rows
+        assert app.state.events_ingested == ingested
+        _, after = app.handle("GET", "/reports/intra")
+        assert after["report_digest"] == before["report_digest"]
+
+
 class TestPayloadMemo:
     """Each study's payload is built once per corpus generation."""
 

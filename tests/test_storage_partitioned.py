@@ -1,6 +1,7 @@
 """Tests for the tiered, partitioned stores (repro.storage.partitioned)."""
 
 import dataclasses
+import gzip
 import json
 import re
 import sqlite3
@@ -169,9 +170,13 @@ class TestRecovery:
     def test_restore_refuses_wrong_source(self, sev_store, mono_store):
         key = sev_store.partition_keys()[0]
         other = IntraSimulator(paper_scenario(seed=6, scale=0.1)).run()
-        (sev_store.root / sev_store.manifest.get(key).path).unlink()
+        path = sev_store.root / sev_store.manifest.get(key).path
+        path.unlink()
         with pytest.raises(StorageError, match="digest"):
             sev_store.restore(key, other.all_reports())
+        # Refused before anything was written.
+        assert not path.exists()
+        assert not list(sev_store.root.glob("*.tmp"))
         assert sev_store.restore(key, mono_store.all_reports()) > 0
         assert sev_store.verify() == {}
 
@@ -294,6 +299,103 @@ class TestSafeRewrites:
         reopened = PartitionedSEVStore.open(sev_store.root)
         assert reopened.verify() == {victim: "content digest mismatch"}
         assert reopened.manifest.get(keys[0]).tier == "cold"
+
+
+class TestOneWritePerPartition:
+    """A partition is encoded and written once per ingest or restore."""
+
+    @pytest.fixture()
+    def five(self, tmp_path, mono_store):
+        """A store holding one 5-row partition, and those 5 reports."""
+        by_key = {}
+        for report in mono_store.all_reports():
+            by_key.setdefault(
+                (report.opened_year, report.region), []).append(report)
+        reports = next(group for group in by_key.values()
+                       if len(group) >= 5)[:5]
+        store = PartitionedSEVStore.init(tmp_path / "five")
+        store.ingest(reports)
+        (key,) = store.partition_keys()
+        return store, key, reports
+
+    @staticmethod
+    def _extra(reports):
+        return dataclasses.replace(reports[0], sev_id="zz-extra")
+
+    def test_ingest_into_cold_writes_the_shard_once(self, five,
+                                                    monkeypatch):
+        store, key, reports = five
+        store.demote(key)
+        write = PartitionedSEVStore._write_hot
+        calls = []
+
+        def spy(self, path, records, *args, **kwargs):
+            calls.append(len(records))
+            return write(self, path, records, *args, **kwargs)
+
+        monkeypatch.setattr(PartitionedSEVStore, "_write_hot", spy)
+        store.ingest([self._extra(reports)])
+        assert calls == [6]
+        entry = store.manifest.get(key)
+        assert (entry.tier, entry.rows) == ("hot", 6)
+        assert [p.name for p in store.root.iterdir()
+                if p.name != "manifest.json"] == [entry.path]
+        assert store.verify() == {}
+
+    def test_tampered_cold_file_refuses_the_ingest(self, five):
+        store, key, reports = five
+        cold = store.demote(key)
+        path = store.root / cold.path
+        lines = gzip.decompress(path.read_bytes()).decode().splitlines()
+        row = json.loads(lines[0])
+        row["description"] = "tampered"
+        lines[0] = json.dumps(row, sort_keys=True)
+        path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode()))
+        tampered = path.read_bytes()
+        with pytest.raises(StorageError, match="lossy"):
+            store.ingest([self._extra(reports)])
+        assert store.manifest.get(key) == cold
+        assert Manifest.load(store.root).get(key) == cold
+        assert path.read_bytes() == tampered
+        assert sorted(p.name for p in store.root.iterdir()) == sorted(
+            ["manifest.json", cold.path])
+
+    def test_intact_cold_file_in_other_bytes_takes_the_ingest(self, five):
+        # Same rows, other lines: verify() and promote() accept the
+        # file, and so does an ingest.
+        store, key, reports = five
+        cold = store.demote(key)
+        path = store.root / cold.path
+        lines = gzip.decompress(path.read_bytes()).decode().splitlines()
+        compact = [json.dumps(json.loads(line), separators=(",", ":"))
+                   for line in reversed(lines)]
+        path.write_bytes(gzip.compress(("\n".join(compact) + "\n").encode()))
+        assert store.verify() == {}
+        assert store.ingest([self._extra(reports)]) == 1
+        entry = store.manifest.get(key)
+        assert (entry.tier, entry.rows) == ("hot", 6)
+        assert store.verify() == {}
+
+    @pytest.mark.parametrize("tier", ["hot", "cold"])
+    def test_restore_encodes_each_row_once(self, five, monkeypatch, tier):
+        store, key, reports = five
+        if tier == "cold":
+            store.demote(key)
+        entry = store.manifest.get(key)
+        (store.root / entry.path).unlink()
+        encode = PartitionedSEVStore._record_row
+        calls = []
+
+        def counted(self, record):
+            calls.append(record.sev_id)
+            return encode(self, record)
+
+        monkeypatch.setattr(PartitionedSEVStore, "_record_row", counted)
+        assert store.restore(key, iter(reports)) == 5
+        assert len(calls) == 5
+        monkeypatch.undo()
+        assert store.manifest.get(key) == entry
+        assert store.verify() == {}
 
 
 class TestShardCommits:
