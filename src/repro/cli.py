@@ -580,39 +580,37 @@ def _print_cache_stats(cache) -> None:
           f"{stats['entries']} entries)")
 
 
+def _check_data_file(path: str) -> None:
+    """Exit with one line unless ``path`` has an interchange suffix."""
+    from repro.io import data_format
+
+    try:
+        data_format(path)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _export(dataset: str, path: str, seed: Optional[int],
             scale: float = 1.0) -> None:
-    from repro.io import (
-        export_sevs_csv, export_sevs_json, export_sevs_jsonl,
-        export_tickets_csv, export_tickets_json, export_tickets_jsonl,
-        strip_gz_suffix,
-    )
+    from repro.io import write_records
 
-    # ``.jsonl.gz`` dispatches like ``.jsonl``; the writer compresses
-    # transparently.
-    stem = strip_gz_suffix(path)
+    _check_data_file(path)
     if dataset == "sevs":
+        from repro.incidents.memory import ReportSink
+
         scenario = (paper_scenario(seed=seed, scale=scale)
                     if seed is not None else paper_scenario(scale=scale))
-        store = IntraSimulator(scenario).run()
-        if stem.endswith(".jsonl"):
-            writer = export_sevs_jsonl
-        elif stem.endswith(".json"):
-            writer = export_sevs_json
-        else:
-            writer = export_sevs_csv
-        count = writer(store, path)
+        # Generated into memory and written in a SEV store's scan
+        # order, (opened_at_h, sev_id).
+        records = sorted(
+            IntraSimulator(scenario).run(ReportSink()),
+            key=lambda r: (r.opened_at_h, r.sev_id),
+        )
     else:
         scenario = (paper_backbone_scenario(seed=seed) if seed is not None
                     else paper_backbone_scenario())
-        corpus = BackboneSimulator(scenario).run()
-        if stem.endswith(".jsonl"):
-            writer = export_tickets_jsonl
-        elif stem.endswith(".json"):
-            writer = export_tickets_json
-        else:
-            writer = export_tickets_csv
-        count = writer(corpus.tickets, path)
+        records = BackboneSimulator(scenario).run().tickets.completed()
+    count = write_records(records, path, dataset)
     print(f"wrote {count} {dataset} to {path}")
 
 
@@ -669,9 +667,8 @@ def _stream(seed: int, scale: float, jobs: int,
             store_dir: Optional[str] = None) -> None:
     import os
 
-    from repro.stream import (
-        StreamEngine, generate_aggregates, live_feed, replay_file,
-    )
+    from repro.io import read_records, sniff_dataset
+    from repro.stream import StreamEngine, generate_aggregates
     from repro.viz import stream_dashboard
 
     if store_dir is not None:
@@ -696,16 +693,13 @@ def _stream(seed: int, scale: float, jobs: int,
         return
 
     if replay is not None:
-        from repro.io import sniff_dataset
-
+        _check_data_file(replay)
         if sniff_dataset(replay) == "tickets":
-            from repro.stream import replay_tickets_file
-
             if checkpoint is not None:
                 print("(checkpointing is SEV-only; ignoring --checkpoint "
                       "for the ticket stream)")
             _stream_tickets(
-                replay_tickets_file(replay),
+                read_records(replay, "tickets"),
                 "ingested {count} tickets from " + replay,
             )
             return
@@ -734,7 +728,7 @@ def _stream(seed: int, scale: float, jobs: int,
                       f"({engine.events_ingested} events already ingested)")
         else:
             engine = StreamEngine(checkpoint_path=checkpoint)
-        consumed = engine.run(replay_file(replay))
+        consumed = engine.run(read_records(replay, "sevs"))
         print(f"ingested {consumed} new events from {replay}")
         aggregates = engine.aggregates
     else:
@@ -771,37 +765,31 @@ def _stream_tickets(source, banner: str) -> None:
 
 
 def _analyze(path: str) -> None:
-    from repro.io import (
-        import_sevs_csv, import_sevs_json, import_sevs_jsonl,
-        sniff_dataset, strip_gz_suffix,
-    )
+    from repro.io import read_records, sniff_dataset
 
-    if sniff_dataset(path) == "tickets":
-        _analyze_tickets(path)
+    _check_data_file(path)
+    dataset = sniff_dataset(path)
+    records = read_records(path, dataset)
+    if dataset == "tickets":
+        _analyze_tickets(records)
         return
-    stem = strip_gz_suffix(path)
-    if stem.endswith(".jsonl"):
-        reader = import_sevs_jsonl
-    elif stem.endswith(".json"):
-        reader = import_sevs_json
-    else:
-        reader = import_sevs_csv
+    from repro.incidents.store import SEVStore
     from repro.runtime import RunContext
 
-    _print_intra_tables(RunContext(store=reader(path), fleet=paper_fleet()))
+    # Imported SEVs keep their ids.
+    with SEVStore() as store:
+        store.bulk_load(records)
+        _print_intra_tables(RunContext(store=store, fleet=paper_fleet()))
 
 
-def _analyze_tickets(path: str) -> None:
+def _analyze_tickets(tickets) -> None:
     """Analyze an imported ticket corpus through the runtime.
 
     Without a topology there are no edge-level artifacts; the
     vendor scorecards and repair-duration percentiles cover what a
     standalone ticket export can support.
     """
-    from repro.io import (
-        import_tickets_csv, import_tickets_json, import_tickets_jsonl,
-        strip_gz_suffix,
-    )
+    from repro.backbone.tickets import TicketDatabase
     from repro.runtime import Executor, RunContext
     from repro.runtime.analyses import (
         RepairDurationAnalysis,
@@ -809,14 +797,18 @@ def _analyze_tickets(path: str) -> None:
     )
     from repro.viz import duration_table, scorecard_table
 
-    stem = strip_gz_suffix(path)
-    if stem.endswith(".jsonl"):
-        reader = import_tickets_jsonl
-    elif stem.endswith(".json"):
-        reader = import_tickets_json
-    else:
-        reader = import_tickets_csv
-    db = reader(path)
+    # Imported tickets are renumbered, as the database numbers every
+    # ticket it completes.
+    db = TicketDatabase()
+    for ticket in tickets:
+        db.add_completed(
+            link_id=ticket.link_id,
+            vendor=ticket.vendor,
+            started_at_h=ticket.started_at_h,
+            completed_at_h=ticket.completed_at_h,
+            ticket_type=ticket.ticket_type,
+            location=ticket.location,
+        )
     print(f"corpus: {len(db.completed())} completed tickets, "
           f"{len(db.links())} links, {len(db.vendors())} vendors\n")
     results = Executor().run(

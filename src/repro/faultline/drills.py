@@ -182,7 +182,7 @@ def _checkpoint_drill(seed: int, quick: bool,
 
 def _jsonl_drill(seed: int, quick: bool,
                  sites: Optional[Sequence[str]]) -> dict:
-    from repro.io import ReadErrors, export_sevs_jsonl, iter_sevs_jsonl
+    from repro.io import ReadErrors, read_records, write_records
     from repro.simulation.generator import IntraSimulator
     from repro.simulation.scenarios import paper_scenario
 
@@ -197,13 +197,14 @@ def _jsonl_drill(seed: int, quick: bool,
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chaos.jsonl"
         with IntraSimulator(scenario).run() as store:
-            total = export_sevs_jsonl(store, path)
+            total = write_records(store.all_reports(), path, "sevs")
 
         tolerant_plan = line_plan()
         errors = ReadErrors()
         with hooks.injected(tolerant_plan):
             survivors = sum(
-                1 for _ in iter_sevs_jsonl(path, strict=False, errors=errors)
+                1 for _ in read_records(path, "sevs", strict=False,
+                                        errors=errors)
             )
 
         # The identical plan must fire identically — and a strict read
@@ -212,7 +213,7 @@ def _jsonl_drill(seed: int, quick: bool,
         if tolerant_plan.fired():
             try:
                 with hooks.injected(line_plan()):
-                    for _ in iter_sevs_jsonl(path, strict=True):
+                    for _ in read_records(path, "sevs", strict=True):
                         pass
             except ValueError:
                 strict_raised = True

@@ -43,7 +43,8 @@ __all__ = [
 
 #: Every named injection point, with the layer it lives in.
 SITES = (
-    # repro.io JSONL readers: the line is torn before it is parsed.
+    # repro.io.read_records, the JSONL reader: the line is torn before
+    # it is parsed.
     "io.jsonl.line",
     # ResultCache.lookup: the on-disk pickle is torn before the read.
     "cache.lookup",

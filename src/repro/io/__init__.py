@@ -1,69 +1,47 @@
 """Dataset interchange.
 
-Export/import for the two corpora — SEV reports and fiber repair
-tickets — as CSV, JSON, and JSONL, so downstream users can analyze
-generated corpora with their own tools or load external incident
-datasets through the same pipeline.  The JSONL format and the
-``iter_sevs_*``/``iter_tickets_*`` streaming readers feed the online
+The two corpora — SEV reports and fiber repair tickets — enter and
+leave the pipeline as CSV, JSON, or JSONL files, so downstream users
+can analyze generated corpora with their own tools or load external
+incident datasets through the same pipeline.  One codec per record
+kind (:data:`SEV_CODEC`, :data:`TICKET_CODEC`) holds its row schema,
+one suffix rule (:func:`data_format`) picks the format, and one
+writer (:func:`write_records`) and one streaming reader
+(:func:`read_records`) serve both kinds; the reader feeds the online
 runtime (:mod:`repro.stream`) without materializing a corpus in
 memory.  :func:`sniff_dataset` tells the two corpora apart so the CLI
 can dispatch a file of either kind.
 """
 
+import json
 from pathlib import Path
 from typing import Union
 
+from repro.io.codec import (
+    CODECS,
+    SEV_CODEC,
+    TICKET_CODEC,
+    RecordCodec,
+    data_format,
+    read_records,
+    write_records,
+)
 from repro.io.compression import is_gzip_path, open_text, strip_gz_suffix
 from repro.io.errors import ReadErrors
-from repro.io.sev_io import (
-    export_sevs_csv,
-    export_sevs_json,
-    export_sevs_jsonl,
-    import_sevs_csv,
-    import_sevs_json,
-    import_sevs_jsonl,
-    iter_sevs_csv,
-    iter_sevs_json,
-    iter_sevs_jsonl,
-)
-from repro.io.ticket_io import (
-    TICKET_FIELDS,
-    export_tickets_csv,
-    export_tickets_json,
-    export_tickets_jsonl,
-    import_tickets_csv,
-    import_tickets_json,
-    import_tickets_jsonl,
-    iter_tickets_csv,
-    iter_tickets_json,
-    iter_tickets_jsonl,
-)
 
 __all__ = [
+    "CODECS",
     "ReadErrors",
-    "TICKET_FIELDS",
+    "RecordCodec",
+    "SEV_CODEC",
+    "TICKET_CODEC",
+    "data_format",
     "is_gzip_path",
     "open_text",
-    "strip_gz_suffix",
-    "export_sevs_csv",
-    "export_sevs_json",
-    "export_sevs_jsonl",
-    "export_tickets_csv",
-    "export_tickets_json",
-    "export_tickets_jsonl",
-    "import_sevs_csv",
-    "import_sevs_json",
-    "import_sevs_jsonl",
-    "import_tickets_csv",
-    "import_tickets_json",
-    "import_tickets_jsonl",
-    "iter_sevs_csv",
-    "iter_sevs_json",
-    "iter_sevs_jsonl",
-    "iter_tickets_csv",
-    "iter_tickets_json",
-    "iter_tickets_jsonl",
+    "read_records",
     "sniff_dataset",
+    "strip_gz_suffix",
+    "write_records",
 ]
 
 
@@ -73,22 +51,16 @@ def sniff_dataset(path: Union[str, Path]) -> str:
     Inspects the first record, not the file name: a CSV header naming
     ``sev_id`` or ``ticket_id``, a JSON document keyed ``sevs`` or
     ``tickets``, or a JSONL first line carrying either id field.
-    ``.jsonl.gz`` is sniffed like ``.jsonl`` (decompressed on the fly).
+    ``.jsonl.gz`` is sniffed like ``.jsonl`` (decompressed on the fly);
+    the suffix must pass :func:`data_format`.
 
     Every way a file can defeat the sniff — empty, nothing but blank
     lines, an unparseable (torn) first row — raises a plain
     :class:`ValueError` naming the file, never a raw decoder error.
     """
-    import json as _json
-
     path = Path(path)
-    suffix = Path(strip_gz_suffix(path)).suffix.lower()
-    if is_gzip_path(path) and suffix != ".jsonl":
-        raise ValueError(
-            f"unsupported dataset format {path.suffix!r} "
-            "(only .jsonl.gz is supported compressed)"
-        )
-    if suffix == ".csv":
+    fmt = data_format(path)
+    if fmt == "csv":
         with open(path, newline="") as handle:
             header = handle.readline()
         if not header.strip():
@@ -97,13 +69,13 @@ def sniff_dataset(path: Union[str, Path]) -> str:
             return "tickets"
         if "sev_id" in header:
             return "sevs"
-    elif suffix == ".json":
+    elif fmt == "json":
         text = path.read_text()
         if not text.strip():
             raise ValueError(f"{path}: empty dataset file")
         try:
-            payload = _json.loads(text)
-        except _json.JSONDecodeError as exc:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{path}: unreadable dataset (invalid JSON: {exc})"
             ) from exc
@@ -112,7 +84,7 @@ def sniff_dataset(path: Union[str, Path]) -> str:
                 return "tickets"
             if "sevs" in payload:
                 return "sevs"
-    elif suffix == ".jsonl":
+    else:
         saw_line = False
         with open_text(path) as handle:
             for line in handle:
@@ -121,8 +93,8 @@ def sniff_dataset(path: Union[str, Path]) -> str:
                     continue
                 saw_line = True
                 try:
-                    row = _json.loads(line)
-                except _json.JSONDecodeError as exc:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
                     raise ValueError(
                         f"{path}: unreadable dataset "
                         f"(invalid JSONL first row: {exc})"
@@ -135,9 +107,4 @@ def sniff_dataset(path: Union[str, Path]) -> str:
                 break
         if not saw_line:
             raise ValueError(f"{path}: empty dataset file")
-    else:
-        raise ValueError(
-            f"unsupported dataset format {suffix!r} "
-            "(expected .csv, .json, or .jsonl)"
-        )
     raise ValueError(f"{path}: neither a SEV nor a ticket export")

@@ -1,10 +1,11 @@
 """Transparent gzip support for line-oriented interchange files.
 
 The cold storage tier (:mod:`repro.storage`) keeps partitions as
-``.jsonl.gz``; the JSONL readers and writers in :mod:`repro.io` open
-every path through :func:`open_text`, so a compressed export behaves
-exactly like a plain one — ``analyze`` and ``stream --replay`` accept
-either without a flag.
+``.jsonl.gz``; the one JSONL reader and writer in :mod:`repro.io`
+open every path through :func:`open_text`, so a compressed export
+behaves exactly like a plain one — ``analyze`` and ``stream
+--replay`` accept either without a flag.  ``.jsonl.gz`` is the only
+compressed interchange suffix (:func:`repro.io.data_format`).
 
 Only the ``.gz`` suffix selects compression: the helpers never sniff
 file magic, so a mis-named file fails loudly in the JSON parser

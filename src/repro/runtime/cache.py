@@ -142,18 +142,18 @@ def ticket_fingerprint(tickets, seed: Optional[int] = None,
     key of stored and written-to ticket corpora only (a generated one
     is keyed by :func:`provenance_fingerprint`): completed-ticket
     count, scenario seed, the generating scenario's spec digest, and
-    a hash of the interchange schema (the exported field list plus
-    the ticket-type vocabulary, the ticket database's equivalent of a
+    a hash of the interchange schema (the ticket codec's field list
+    plus the ticket-type vocabulary, the ticket database's equivalent of a
     SQL schema).  The ``domain=ticket`` tag guarantees a ticket
     corpus and a SEV corpus of identical size and seed hash to
     different cache keys, and the scenario digest keeps two distinct
     backbone scenarios of identical size and seed apart.
     """
     from repro.backbone.tickets import TicketType
-    from repro.io.ticket_io import TICKET_FIELDS
+    from repro.io import TICKET_CODEC
 
     rows = len(tickets.completed())
-    schema = ";".join(TICKET_FIELDS) + "|" + ",".join(
+    schema = ";".join(TICKET_CODEC.fields) + "|" + ",".join(
         t.value for t in TicketType
     )
     schema_hash = hashlib.sha256(schema.encode()).hexdigest()

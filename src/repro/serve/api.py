@@ -116,12 +116,13 @@ class ServeState:
             # Serve an exported corpus: replay it into a thread-shared
             # store, modelled by the fleet of the given seed and scale.
             from repro.incidents.store import SEVStore
+            from repro.io import read_records
             from repro.runtime import RunContext
             from repro.simulation.scenarios import paper_scenario
-            from repro.stream.sources import replay_file
 
             store = SEVStore(check_same_thread=False)
-            self.events_ingested = store.insert_many(replay_file(corpus_path))
+            self.events_ingested = store.insert_many(
+                read_records(corpus_path, "sevs"))
             fleet = paper_scenario(seed=seed, scale=scale).fleet
             self.intra_context = RunContext(store=store, fleet=fleet)
         else:

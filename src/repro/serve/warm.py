@@ -93,7 +93,7 @@ class CacheWarmer:
         """Fold a SEV source into the served corpus, re-warming as it goes.
 
         ``source`` is any iterator of :class:`~repro.incidents.sev.SEVReport`
-        (e.g. :func:`repro.stream.sources.replay_file`).  Events are
+        (e.g. :func:`repro.io.read_records` over a SEV file).  Events are
         ingested in batches through :meth:`ServeState.ingest` — which
         inserts them into the served store and counts them — and the
         dirty counter re-folds the intra report at the configured

@@ -271,46 +271,64 @@ class IntraSimulator:
         device_type: DeviceType,
         times: List[float],
     ) -> None:
-        count = len(times)
-        if count == 0:
-            return
-        severities = interleave_categories(
-            largest_remainder_allocation(
-                count, self._scenario.severity_mix[device_type]
-            ),
-            self._rng,
-        )
-        causes = interleave_categories(
-            largest_remainder_allocation(
-                count, self._scenario.root_cause_mix
-            ),
-            self._rng,
-        )
-        mu = self._scenario.irt_mu(year)
-        drafts = []
-        for t, severity, cause in zip(times, severities, causes):
-            duration = math.exp(
-                self._rng.gauss(mu, self._scenario.irt_sigma)
+        drafts = [
+            SEVDraft(severity=severity, device_name=name, opened_at_h=t,
+                     resolved_at_h=end, root_causes=[cause],
+                     description=text, service_impact=_IMPACTS[severity])
+            for severity, cause, name, t, end, text in _draw_incidents(
+                self._rng, self._scenario, year, device_type, times
             )
-            # Cap pathological tail draws at a year: the paper notes
-            # occasional months-long recoveries, not multi-year ones.
-            duration = min(duration, HOURS_PER_YEAR)
-            drafts.append(SEVDraft(
-                severity=severity,
-                device_name=self._device_name(device_type, year),
-                opened_at_h=t,
-                resolved_at_h=t + duration,
-                root_causes=[cause],
-                description=self._rng.choice(_DESCRIPTIONS[cause]),
-                service_impact=_IMPACTS[severity],
-            ))
+        ]
         # One commit per (year, device type) cell.
-        workflow.publish_many(drafts)
+        if drafts:
+            workflow.publish_many(drafts)
 
     def _device_name(self, device_type: DeviceType, year: int) -> str:
         return _random_device_name(
             self._rng, device_type, year, self._scenario.fabric_year
         )
+
+
+def _draw_incidents(
+    rng: random.Random,
+    scenario: IntraScenario,
+    year: int,
+    device_type: DeviceType,
+    times: List[float],
+) -> Iterator[tuple]:
+    """The draws of one (year, device type) cell, one incident at a time.
+
+    Severities and root causes are apportioned by largest remainder
+    and interleaved; then each incident draws a lognormal duration, a
+    device name and a description, in that order.  Yields ``(severity,
+    cause, device name, opened at, resolved at, description)``; an
+    empty cell draws nothing.
+    """
+    if not times:
+        return
+    count = len(times)
+    severities = interleave_categories(
+        largest_remainder_allocation(
+            count, scenario.severity_mix[device_type]
+        ),
+        rng,
+    )
+    causes = interleave_categories(
+        largest_remainder_allocation(count, scenario.root_cause_mix),
+        rng,
+    )
+    mu = scenario.irt_mu(year)
+    for t, severity, cause in zip(times, severities, causes):
+        # Cap pathological tail draws at a year: the paper notes
+        # occasional months-long recoveries, not multi-year ones.
+        duration = min(
+            math.exp(rng.gauss(mu, scenario.irt_sigma)), HOURS_PER_YEAR
+        )
+        name = _random_device_name(
+            rng, device_type, year, scenario.fabric_year
+        )
+        yield (severity, cause, name, t, t + duration,
+               rng.choice(_DESCRIPTIONS[cause]))
 
 
 def _random_device_name(
@@ -373,37 +391,17 @@ def cell_reports(
     times = deterministic_times(
         count, start_h, start_h + HOURS_PER_YEAR, rng
     )
-    severities = interleave_categories(
-        largest_remainder_allocation(
-            count, scenario.severity_mix[device_type]
-        ),
-        rng,
-    )
-    causes = interleave_categories(
-        largest_remainder_allocation(count, scenario.root_cause_mix),
-        rng,
-    )
-    mu = scenario.irt_mu(year)
-    reports = []
-    for sequence, (t, severity, cause) in enumerate(
-        zip(times, severities, causes)
-    ):
-        duration = min(
-            math.exp(rng.gauss(mu, scenario.irt_sigma)), HOURS_PER_YEAR
-        )
-        reports.append(SEVReport(
+    return [
+        SEVReport(
             sev_id=f"strm-{year}-{device_type.value}-{sequence:05d}",
-            severity=severity,
-            device_name=_random_device_name(
-                rng, device_type, year, scenario.fabric_year
-            ),
-            opened_at_h=t,
-            resolved_at_h=t + duration,
-            root_causes=(cause,),
-            description=rng.choice(_DESCRIPTIONS[cause]),
+            severity=severity, device_name=name, opened_at_h=t,
+            resolved_at_h=end, root_causes=(cause,), description=text,
             service_impact=_IMPACTS[severity],
-        ))
-    return reports
+        )
+        for sequence, (severity, cause, name, t, end, text) in enumerate(
+            _draw_incidents(rng, scenario, year, device_type, times)
+        )
+    ]
 
 
 def scenario_cells(scenario: IntraScenario) -> List[tuple]:

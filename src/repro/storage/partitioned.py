@@ -9,7 +9,8 @@ each corpus into per-``(year, region)`` partitions behind a
   :class:`~repro.incidents.store.SEVStore`, so the SQL query layer
   works on any single shard), plain JSONL for tickets;
 * **cold tier** — gzip JSONL in the interchange schema of
-  :mod:`repro.io`, readable by every replay/import path.
+  :mod:`repro.io` (its record codecs), readable by ``analyze`` and
+  ``stream --replay``.
 
 Partition digests hash the *sorted canonical interchange rows*, never
 the container bytes, so a partition's digest is identical on either
@@ -41,6 +42,9 @@ from typing import (
 
 from repro.faultline import hooks
 from repro.faultline.plan import PartitionLost
+from repro.io import (
+    SEV_CODEC, TICKET_CODEC, RecordCodec, is_gzip_path, open_text,
+)
 from repro.storage.manifest import (
     MANIFEST_NAME,
     Manifest,
@@ -102,10 +106,11 @@ def _publish(path: Path, write: Callable[[Path], object]) -> None:
 class _TieredStore:
     """Shared machinery of the two domain stores.
 
-    Subclasses define the partition key, the interchange row codec,
-    the global sort key, and (SEVs only) a hot-tier container other
-    than JSONL; everything else — manifest bookkeeping, tier moves,
-    retention, recovery, the fault site — lives here.
+    Subclasses define the partition key, the interchange row codec
+    (a :class:`~repro.io.RecordCodec`), the global sort key, and (SEVs
+    only) a hot-tier container other than JSONL; everything else —
+    manifest bookkeeping, tier moves, retention, recovery, the fault
+    site — lives here.
     """
 
     domain: str = ""
@@ -114,6 +119,7 @@ class _TieredStore:
     is_partitioned = True
     #: Hot-tier file extension (cold is always ``.jsonl.gz``).
     hot_ext: str = ".jsonl"
+    codec: RecordCodec
 
     def __init__(self, root: PathLike, manifest: Manifest) -> None:
         self.root = Path(root)
@@ -195,10 +201,10 @@ class _TieredStore:
         raise NotImplementedError
 
     def _record_row(self, record) -> dict:
-        raise NotImplementedError
+        return self.codec.to_row(record)
 
     def _row_record(self, row: dict):
-        raise NotImplementedError
+        return self.codec.from_row(row)
 
     def _sort_key(self, record) -> tuple:
         raise NotImplementedError
@@ -222,8 +228,6 @@ class _TieredStore:
         intact file's lines digest to its manifest digest; readers
         that need only the records drop the digest.
         """
-        from repro.io.compression import open_text
-
         with open_text(path) as handle:
             lines = [line for line in map(str.strip, handle) if line]
         records = [self._row_record(json.loads(line)) for line in lines]
@@ -240,8 +244,6 @@ class _TieredStore:
         digest before anything is written and refuses the write by
         raising.  The file is published by rename (:func:`_publish`).
         """
-        from repro.io.compression import is_gzip_path
-
         ordered = sorted(records, key=self._sort_key)
         payload = "\n".join(
             json.dumps(self._record_row(record), sort_keys=True)
@@ -350,7 +352,9 @@ class _TieredStore:
         return count
 
     # ``insert_many`` / ``bulk_load`` aliases keep the monolithic
-    # store's write surface working (io importers, serve ingestion).
+    # store's write surface working: serve ingests into a served
+    # tiered store through ``insert_many``, and a loader written for
+    # ``SEVStore.bulk_load`` can fill a tiered store.
     def insert_many(self, records: Iterable) -> int:
         return self.ingest(records)
 
@@ -582,21 +586,12 @@ class PartitionedSEVStore(_TieredStore):
 
     domain = "sev"
     hot_ext = ".db"
+    codec = SEV_CODEC
 
     _schema_hash: Optional[str] = None
 
     def partition_key(self, report) -> PartitionKey:
         return (report.opened_year, report.region or NO_REGION)
-
-    def _record_row(self, report) -> dict:
-        from repro.io.sev_io import _report_row
-
-        return _report_row(report)
-
-    def _row_record(self, row: dict):
-        from repro.io.sev_io import _row_report
-
-        return _row_report(row)
 
     def _sort_key(self, report) -> tuple:
         return (report.opened_at_h, report.sev_id)
@@ -684,6 +679,7 @@ class PartitionedTicketStore(_TieredStore):
 
     domain = "ticket"
     hot_ext = ".jsonl"
+    codec = TICKET_CODEC
 
     def partition_key(self, ticket) -> PartitionKey:
         from repro.incidents.sev import year_of_hours
@@ -692,16 +688,6 @@ class PartitionedTicketStore(_TieredStore):
             year_of_hours(max(ticket.started_at_h, 0.0)),
             ticket.location or NO_REGION,
         )
-
-    def _record_row(self, ticket) -> dict:
-        from repro.io.ticket_io import _ticket_row
-
-        return _ticket_row(ticket)
-
-    def _row_record(self, row: dict):
-        from repro.io.ticket_io import _row_ticket
-
-        return _row_ticket(row)
 
     def _sort_key(self, ticket) -> tuple:
         return (ticket.started_at_h, ticket.ticket_id)

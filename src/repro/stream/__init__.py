@@ -6,8 +6,9 @@ the production pipeline the paper describes, where SEVs and vendor
 tickets stream in continuously and dashboards never wait for a batch
 job:
 
-* :mod:`~repro.stream.sources` — event feeds: the simulator as a live
-  producer, or replay of stored/exported corpora;
+* :mod:`~repro.stream.sources` — event feeds: the simulators as live
+  producers (a stored corpus replays through its own scan, an exported
+  one through :func:`repro.io.read_records`);
 * :mod:`~repro.stream.aggregates` — the single-pass, constant-memory
   fold state (the runtime's count tallies and resolution-time
   sketches), and :func:`finalize_analyses`, which answers the intra
@@ -46,14 +47,7 @@ from repro.stream.sharding import (
     resolve_jobs,
     shard_cells,
 )
-from repro.stream.sources import (
-    live_feed,
-    live_ticket_feed,
-    replay_file,
-    replay_store,
-    replay_tickets,
-    replay_tickets_file,
-)
+from repro.stream.sources import live_feed, live_ticket_feed
 
 __all__ = [
     "AUTO_SERIAL_THRESHOLD",
@@ -66,10 +60,6 @@ __all__ = [
     "live_feed",
     "live_ticket_feed",
     "load_checkpoint",
-    "replay_file",
-    "replay_store",
-    "replay_tickets",
-    "replay_tickets_file",
     "resolve_jobs",
     "save_checkpoint",
     "shard_cells",

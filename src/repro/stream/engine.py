@@ -1,7 +1,9 @@
 """The ingestion engine.
 
 :class:`StreamEngine` pulls SEV reports from any source iterator
-(:mod:`repro.stream.sources`), folds each one into its
+(a live feed of :mod:`repro.stream.sources`, a store's scan, or an
+exported file through :func:`repro.io.read_records`), folds each one
+into its
 :class:`~repro.stream.aggregates.StreamAggregates`, and optionally
 checkpoints the state every ``checkpoint_every`` events.  Resuming
 from a checkpoint re-attaches the saved aggregates and skips the
@@ -16,8 +18,7 @@ from typing import Iterable, Optional
 
 from repro.incidents.sev import SEVReport
 from repro.stream.aggregates import StreamAggregates
-from repro.stream.checkpoint import load_checkpoint, save_checkpoint
-from repro.stream.sources import PathLike
+from repro.stream.checkpoint import PathLike, load_checkpoint, save_checkpoint
 
 
 class StreamEngine:

@@ -1,74 +1,33 @@
-"""Event sources for the ingestion engine.
+"""Live event sources for the ingestion engine.
 
-Three ways SEV reports arrive, all exposed as plain iterators so the
-engine is agnostic to where the stream comes from:
+The simulators as online producers, exposed as plain iterators so
+the engine is agnostic to where the stream comes from:
 
-* :func:`live_feed` — the simulator as an online producer: the
-  calibrated scenario's SEVs, yielded in the order they open, exactly
-  as a subscriber tailing the production SEV database would see them;
-* :func:`replay_store` — re-stream an existing :class:`SEVStore`
-  corpus in chronological order;
-* :func:`replay_file` — re-stream an exported corpus (``.csv``,
-  ``.json``, or ``.jsonl``) through :mod:`repro.io` without loading
-  it into a store first.
+* :func:`live_feed` — the calibrated scenario's SEVs, yielded in the
+  order they open, exactly as a subscriber tailing the production SEV
+  database would see them;
+* :func:`live_ticket_feed` — the backbone simulator's completed
+  repair tickets, in start order.
 
-The ticket domain mirrors all three: :func:`live_ticket_feed` runs the
-backbone simulator as a producer of completed repair tickets,
-:func:`replay_tickets` re-streams a ticket database, and
-:func:`replay_tickets_file` re-streams a ticket export in any format
-:mod:`repro.io` emits.
+A stored corpus replays through its own scan
+(:meth:`~repro.incidents.store.SEVStore.all_reports`,
+:meth:`~repro.backbone.tickets.TicketDatabase.completed`, a
+partitioned store's ``records()``), and an exported one through
+:func:`repro.io.read_records`.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator
 
 from repro.incidents.sev import SEVReport
-from repro.incidents.store import SEVStore
 from repro.simulation.generator import iter_scenario_reports
 from repro.simulation.scenarios import IntraScenario
-
-PathLike = Union[str, Path]
 
 
 def live_feed(scenario: IntraScenario) -> Iterator[SEVReport]:
     """SEVs of a scenario as a chronological online feed."""
     return iter_scenario_reports(scenario)
-
-
-def replay_store(store: SEVStore) -> Iterator[SEVReport]:
-    """Re-stream a store's corpus in chronological order."""
-    return store.all_reports()
-
-
-def replay_file(path: PathLike, strict: bool = True,
-                errors=None) -> Iterator[SEVReport]:
-    """Re-stream an exported SEV corpus, dispatching on the suffix.
-
-    ``strict``/``errors`` apply to the JSONL format (the append-and-
-    tail feed, the one format that tears line-wise in practice): with
-    ``strict=False`` malformed lines are skipped and counted in the
-    :class:`~repro.io.errors.ReadErrors` instead of raising.
-    """
-    from repro.io import (
-        iter_sevs_csv, iter_sevs_json, iter_sevs_jsonl, strip_gz_suffix,
-    )
-
-    suffix = Path(strip_gz_suffix(path)).suffix.lower()
-    if suffix == ".jsonl":
-        return iter_sevs_jsonl(path, strict=strict, errors=errors)
-    if suffix == ".json":
-        return iter_sevs_json(path)
-    if suffix == ".csv":
-        return iter_sevs_csv(path)
-    raise ValueError(
-        f"cannot replay {path!s}: expected .csv, .json, .jsonl, "
-        "or .jsonl.gz"
-    )
-
-
-# -- ticket domain -----------------------------------------------------
 
 
 def live_ticket_feed(scenario) -> Iterator:
@@ -87,30 +46,3 @@ def live_ticket_feed(scenario) -> Iterator:
         key=lambda t: (t.started_at_h, t.ticket_id),
     )
     return iter(tickets)
-
-
-def replay_tickets(tickets) -> Iterator:
-    """Re-stream a ticket database's completed tickets."""
-    return iter(tickets.completed())
-
-
-def replay_tickets_file(path: PathLike) -> Iterator:
-    """Re-stream an exported ticket corpus, dispatching on the suffix."""
-    from repro.io import (
-        iter_tickets_csv,
-        iter_tickets_json,
-        iter_tickets_jsonl,
-        strip_gz_suffix,
-    )
-
-    suffix = Path(strip_gz_suffix(path)).suffix.lower()
-    if suffix == ".jsonl":
-        return iter_tickets_jsonl(path)
-    if suffix == ".json":
-        return iter_tickets_json(path)
-    if suffix == ".csv":
-        return iter_tickets_csv(path)
-    raise ValueError(
-        f"cannot replay {path!s}: expected .csv, .json, .jsonl, "
-        "or .jsonl.gz"
-    )

@@ -210,6 +210,44 @@ class TestExportAnalyze:
         )
 
 
+    @pytest.mark.parametrize("dataset", ["sevs", "tickets"])
+    @pytest.mark.parametrize("suffix", [".csv.gz", ".json.gz", ".txt"])
+    def test_unsupported_suffix_refused(self, tmp_path, dataset, suffix):
+        # Only what analyze and stream --replay read can be exported.
+        from repro.io import CODECS
+
+        path = tmp_path / f"{dataset}{suffix}"
+        message = (f"{path}: unsupported dataset format "
+                   "(expected .csv, .json, .jsonl or .jsonl.gz)")
+        with pytest.raises(SystemExit) as exc:
+            main(["export", dataset, str(path), "--seed", "4"])
+        assert exc.value.code == message
+        assert not path.exists()
+        # The uncompressed file an older export wrote under that name.
+        path.write_text(",".join(CODECS[dataset].fields) + "\n")
+        for argv in (["analyze", str(path)],
+                     ["stream", "--replay", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == message
+
+    def test_unsupported_suffix_exits_with_one_line(self, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = tmp_path / "sevs.csv.gz"
+        probe = subprocess.run(
+            [sys.executable, "-m", "repro", "export", "sevs", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert probe.returncode == 1
+        assert probe.stdout == ""
+        assert probe.stderr.splitlines() == [
+            f"{path}: unsupported dataset format "
+            "(expected .csv, .json, .jsonl or .jsonl.gz)"
+        ]
+        assert not path.exists()
+
+
 class TestStream:
     def test_generate_with_jobs(self, capsys):
         assert main(["stream", "--seed", "4", "--scale", "0.1",

@@ -1,4 +1,4 @@
-"""Adversarial inputs for sniff_dataset and the JSONL readers.
+"""Adversarial inputs for sniff_dataset and the JSONL reader.
 
 Satellite coverage: every way a data file can be damaged — empty,
 blank lines only, a torn final line, a wrong schema — must produce
@@ -14,14 +14,8 @@ import json
 import pytest
 
 from repro.faultline import FaultPlan, FaultSpec, hooks
-from repro.io import (
-    ReadErrors,
-    export_sevs_jsonl,
-    import_sevs_jsonl,
-    iter_sevs_jsonl,
-    iter_tickets_jsonl,
-    sniff_dataset,
-)
+from repro.incidents.store import SEVStore
+from repro.io import ReadErrors, read_records, sniff_dataset, write_records
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_scenario
 
@@ -34,7 +28,7 @@ def corpus():
 @pytest.fixture
 def jsonl(tmp_path, corpus):
     path = tmp_path / "sevs.jsonl"
-    total = export_sevs_jsonl(corpus, path)
+    total = write_records(corpus.all_reports(), path, "sevs")
     return path, total
 
 
@@ -100,7 +94,7 @@ class TestStrictReader:
         text = path.read_text().rstrip("\n")
         path.write_text(text[: len(text) - 20] + "\n")
         with pytest.raises(ValueError, match=rf"{path.name}:{total}:"):
-            list(iter_sevs_jsonl(path))
+            list(read_records(path, "sevs"))
 
     def test_wrong_schema_row_raises(self, tmp_path, jsonl):
         path, _ = jsonl
@@ -110,13 +104,13 @@ class TestStrictReader:
             + json.dumps({"user_id": 1}) + "\n"
         )
         with pytest.raises(ValueError, match="malformed JSONL row"):
-            list(iter_sevs_jsonl(bad))
+            list(read_records(bad, "sevs"))
 
     def test_tickets_reader_same_contract(self, tmp_path):
         bad = tmp_path / "tickets.jsonl"
         bad.write_text('{"ticket_id": ')
         with pytest.raises(ValueError, match="malformed JSONL row"):
-            list(iter_tickets_jsonl(bad))
+            list(read_records(bad, "tickets"))
 
 
 class TestTolerantReader:
@@ -125,7 +119,8 @@ class TestTolerantReader:
         text = path.read_text().rstrip("\n")
         path.write_text(text[: len(text) - 20] + "\n")
         errors = ReadErrors()
-        reports = list(iter_sevs_jsonl(path, strict=False, errors=errors))
+        reports = list(read_records(path, "sevs", strict=False,
+                                    errors=errors))
         assert len(reports) == total - 1
         assert errors.skipped == 1
         (line_no, reason) = errors.lines[0]
@@ -138,7 +133,8 @@ class TestTolerantReader:
         padded = tmp_path / "padded.jsonl"
         padded.write_text("\n" + path.read_text() + "\n\n")
         errors = ReadErrors()
-        reports = list(iter_sevs_jsonl(padded, strict=False, errors=errors))
+        reports = list(read_records(padded, "sevs", strict=False,
+                                    errors=errors))
         assert len(reports) == total
         assert errors.skipped == 0
         assert not errors
@@ -150,7 +146,8 @@ class TestTolerantReader:
         errors = ReadErrors()
         with hooks.injected(plan):
             survivors = sum(
-                1 for _ in iter_sevs_jsonl(path, strict=False, errors=errors)
+                1 for _ in read_records(path, "sevs", strict=False,
+                                        errors=errors)
             )
         assert plan.fired() > 0
         assert errors.skipped == plan.fired()
@@ -161,6 +158,8 @@ class TestTolerantReader:
         text = path.read_text().rstrip("\n")
         path.write_text(text[: len(text) - 20] + "\n")
         errors = ReadErrors()
-        store = import_sevs_jsonl(path, strict=False, errors=errors)
+        store = SEVStore()
+        store.bulk_load(read_records(path, "sevs", strict=False,
+                                     errors=errors))
         assert len(store) == total - 1
         assert errors.skipped == 1

@@ -8,16 +8,13 @@ from repro.backbone.tickets import TicketDatabase, TicketType
 from repro.incidents.sev import RootCause, SEVReport, Severity
 from repro.incidents.store import SEVStore
 from repro.io import (
-    export_sevs_jsonl,
-    export_tickets_jsonl,
-    import_sevs_jsonl,
-    import_tickets_jsonl,
     is_gzip_path,
     open_text,
+    read_records,
     sniff_dataset,
     strip_gz_suffix,
+    write_records,
 )
-from repro.stream.sources import replay_file, replay_tickets_file
 
 
 @pytest.fixture()
@@ -69,15 +66,16 @@ class TestHelpers:
 class TestSevRoundTrip:
     def test_export_import_gz(self, small_store, tmp_path):
         path = tmp_path / "sevs.jsonl.gz"
-        assert export_sevs_jsonl(small_store, path) == 2
+        assert write_records(small_store.all_reports(), path, "sevs") == 2
         # The bytes on disk really are compressed, not plain text.
         assert path.read_bytes()[:2] == b"\x1f\x8b"
-        with import_sevs_jsonl(path) as loaded:
+        with SEVStore() as loaded:
+            loaded.bulk_load(read_records(path, "sevs"))
             assert [r.sev_id for r in loaded.all_reports()] == ["s0", "s1"]
 
     def test_gz_equals_plain(self, small_store, tmp_path):
-        export_sevs_jsonl(small_store, tmp_path / "a.jsonl")
-        export_sevs_jsonl(small_store, tmp_path / "b.jsonl.gz")
+        for name in ("a.jsonl", "b.jsonl.gz"):
+            write_records(small_store.all_reports(), tmp_path / name, "sevs")
         plain = (tmp_path / "a.jsonl").read_text()
         with gzip.open(tmp_path / "b.jsonl.gz", "rt",
                        encoding="utf-8") as handle:
@@ -85,30 +83,34 @@ class TestSevRoundTrip:
 
     def test_replay_file_gz(self, small_store, tmp_path):
         path = tmp_path / "sevs.jsonl.gz"
-        export_sevs_jsonl(small_store, path)
-        assert [r.sev_id for r in replay_file(path)] == ["s0", "s1"]
+        write_records(small_store.all_reports(), path, "sevs")
+        assert [r.sev_id for r in read_records(path, "sevs")] \
+            == ["s0", "s1"]
 
 
 class TestTicketRoundTrip:
     def test_export_import_gz(self, small_db, tmp_path):
         path = tmp_path / "tickets.jsonl.gz"
-        assert export_tickets_jsonl(small_db, path) == 2
-        loaded = import_tickets_jsonl(path)
+        assert write_records(small_db.completed(), path, "tickets") == 2
+        assert path.read_bytes()[:2] == b"\x1f\x8b"
+        loaded = list(read_records(path, "tickets"))
         assert len(loaded) == 2
-        assert loaded.vendors() == ["v0", "v1"]
+        assert sorted({t.vendor for t in loaded}) == ["v0", "v1"]
 
     def test_replay_tickets_file_gz(self, small_db, tmp_path):
         path = tmp_path / "tickets.jsonl.gz"
-        export_tickets_jsonl(small_db, path)
+        write_records(small_db.completed(), path, "tickets")
         key = lambda t: (t.started_at_h, t.vendor, t.completed_at_h)
-        assert sorted(map(key, replay_tickets_file(path))) \
+        assert sorted(map(key, read_records(path, "tickets"))) \
             == sorted(map(key, small_db.completed()))
 
 
 class TestSniff:
     def test_sniffs_compressed_jsonl(self, small_store, small_db, tmp_path):
-        export_sevs_jsonl(small_store, tmp_path / "s.jsonl.gz")
-        export_tickets_jsonl(small_db, tmp_path / "t.jsonl.gz")
+        write_records(small_store.all_reports(), tmp_path / "s.jsonl.gz",
+                      "sevs")
+        write_records(small_db.completed(), tmp_path / "t.jsonl.gz",
+                      "tickets")
         assert sniff_dataset(tmp_path / "s.jsonl.gz") == "sevs"
         assert sniff_dataset(tmp_path / "t.jsonl.gz") == "tickets"
 
@@ -119,5 +121,6 @@ class TestSniff:
             sniff_dataset(path)
 
     def test_replay_rejects_unknown_gz_suffix(self, tmp_path):
-        with pytest.raises(ValueError, match="jsonl"):
-            replay_file(tmp_path / "s.txt.gz")
+        for dataset in ("sevs", "tickets"):
+            with pytest.raises(ValueError, match="jsonl"):
+                read_records(tmp_path / "s.txt.gz", dataset)

@@ -21,13 +21,11 @@ from repro.stream import (
     StreamEngine,
     live_feed,
     load_checkpoint,
-    replay_file,
-    replay_store,
     save_checkpoint,
     shard_cells,
 )
 from repro.incidents.store import SEVStore
-from repro.io import export_sevs_csv, export_sevs_json, export_sevs_jsonl
+from repro.io import read_records, write_records
 from repro.topology.devices import DeviceType
 
 
@@ -129,25 +127,24 @@ class TestSources:
         store = SEVStore()
         store.insert_many(reports)
         streamed = StreamAggregates()
-        streamed.ingest_many(replay_store(store))
+        streamed.ingest_many(store.all_reports())
         live = StreamAggregates()
         live.ingest_many(live_feed(scenario))
         assert streamed.digest() == live.digest()
 
-    @pytest.mark.parametrize("suffix,writer", [
-        (".csv", export_sevs_csv),
-        (".json", export_sevs_json),
-        (".jsonl", export_sevs_jsonl),
-    ])
-    def test_replay_file_formats(
-        self, scenario, reports, tmp_path, suffix, writer
+    @pytest.mark.parametrize("suffix", [".csv", ".json", ".jsonl",
+                                        ".jsonl.gz"])
+    def test_exported_file_replays_like_live(
+        self, scenario, reports, tmp_path, suffix
     ):
         store = SEVStore()
         store.insert_many(reports)
         path = tmp_path / f"sevs{suffix}"
-        assert writer(store, path) == len(reports)
+        assert write_records(store.all_reports(), path, "sevs") \
+            == len(reports)
         replayed = StreamAggregates()
-        assert replayed.ingest_many(replay_file(path)) == len(reports)
+        assert replayed.ingest_many(read_records(path, "sevs")) \
+            == len(reports)
         live = StreamAggregates()
         live.ingest_many(live_feed(scenario))
         assert replayed.digest() == live.digest()
@@ -156,7 +153,7 @@ class TestSources:
         path = tmp_path / "sevs.xml"
         path.write_text("<nope/>")
         with pytest.raises(ValueError, match="xml"):
-            list(replay_file(path))
+            list(read_records(path, "sevs"))
 
 
 class TestCellGeneration:
