@@ -4,16 +4,20 @@ Every paper artifact is declared once as an
 :class:`~repro.runtime.analysis.Analysis` (prepare / fold / merge /
 finalize / fold_batch, plus ``fold_sql`` for SEV analyses) and the
 :class:`~repro.runtime.executor.Executor` answers any set of them with
-one plan: SQL pushdown on every SQLite shard the corpus has, and
-array-at-a-time folds over :class:`~repro.runtime.columns.ColumnBatch`
-chunks everywhere else, fanned out over one shared process pool when
-``jobs > 1``.  :func:`~repro.runtime.executor.reference_fold` keeps the
-per-row fold as the oracle.  The runtime is domain-generic: a
+one plan: one loop over the corpus' shards, SQL pushdown on each
+SQLite shard and array-at-a-time folds over
+:class:`~repro.runtime.columns.ColumnBatch` chunks of every record
+shard, fanned out over one shared process pool when ``jobs > 1``.  One
+batch class frames all three record kinds: its columns are the
+record's fields.  :func:`~repro.runtime.executor.reference_fold` keeps
+the per-row fold as the oracle.  The runtime is domain-generic: a
 :class:`~repro.runtime.domain.Corpus` abstracts the record source, and
-both of the paper's datasets ship as corpora —
+the paper's datasets ship as corpora —
 :class:`~repro.runtime.domain.SEVCorpus` over the intra data center
-SEV store (sections 4-5) and :class:`~repro.runtime.domain.TicketCorpus`
-over the backbone repair-ticket database (section 6).  A
+SEV store (sections 4-5), :class:`~repro.runtime.domain.TicketCorpus`
+over the backbone repair-ticket database (section 6) and
+:class:`~repro.runtime.domain.TrialCorpus` over the survivability
+trials.  A
 content-addressed :class:`~repro.runtime.cache.ResultCache` keyed by
 domain-tagged corpus fingerprints and analysis versions makes repeat
 runs over unchanged corpora free; a generated corpus is keyed by its
@@ -34,13 +38,7 @@ from repro.runtime.cache import (
     ticket_fingerprint,
     trial_fingerprint,
 )
-from repro.runtime.columns import (
-    COLUMN_BATCH_ROWS,
-    ColumnBatch,
-    SEVColumnBatch,
-    TicketColumnBatch,
-    TrialColumnBatch,
-)
+from repro.runtime.columns import COLUMN_BATCH_ROWS, ColumnBatch
 from repro.runtime.domain import Corpus, SEVCorpus, TicketCorpus, TrialCorpus
 from repro.runtime.executor import (
     Executor,
@@ -79,13 +77,10 @@ __all__ = [
     "PendingCorpus",
     "ResultCache",
     "RunContext",
-    "SEVColumnBatch",
     "SEVCorpus",
     "SeverityTallies",
-    "TicketColumnBatch",
     "TicketCorpus",
     "TicketDurationSketches",
-    "TrialColumnBatch",
     "TrialCorpus",
     "YearTypeCounts",
     "shutdown_executor_pool",

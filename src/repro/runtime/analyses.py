@@ -88,10 +88,11 @@ class _Delegating:
     """Mixin: an analysis whose fold dialects delegate to its state.
 
     ``state_type`` names the mergeable state (every state in
-    :mod:`repro.runtime.states` speaks ``fold`` and ``fold_batch``);
-    ``prepare`` builds one, and records and whole
-    :class:`~repro.runtime.columns.ColumnBatch` chunks are handed to
-    it.
+    :mod:`repro.runtime.states` speaks ``fold`` and ``fold_batch``,
+    and the SEV states ``fold_sql``); ``prepare`` builds one, and
+    records, whole :class:`~repro.runtime.columns.ColumnBatch` chunks
+    and SQLite shards are handed to it.  Only a SEV corpus has SQLite
+    shards, so a ticket state is never asked for ``fold_sql``.
     """
 
     state_type: type
@@ -105,20 +106,11 @@ class _Delegating:
     def fold_batch(self, batch, state) -> None:
         state.fold_batch(batch)
 
-
-class _DelegatingSQL(_Delegating):
-    """Mixin: ...plus SQL pushdown, for states with ``fold_sql(store)``.
-
-    The state runs GROUP BY queries against one monolithic-schema
-    SQLite shard and adds the tallies, instead of folding rows in
-    Python.
-    """
-
     def fold_sql(self, store, state) -> None:
         state.fold_sql(store)
 
 
-class RootCausesAnalysis(_DelegatingSQL, Analysis):
+class RootCausesAnalysis(_Delegating, Analysis):
     """Table 2: root-cause counts and fractions over the whole study.
 
     Its own state, not Figure 2's: Table 2 needs no per-type join, so
@@ -132,7 +124,7 @@ class RootCausesAnalysis(_DelegatingSQL, Analysis):
         return RootCauseBreakdown(counts=dict(state.counts))
 
 
-class RootCausesByDeviceAnalysis(_DelegatingSQL, Analysis):
+class RootCausesByDeviceAnalysis(_Delegating, Analysis):
     """Figure 2: per root cause, incident fractions by device type."""
 
     name = "root_causes_by_device"
@@ -143,7 +135,7 @@ class RootCausesByDeviceAnalysis(_DelegatingSQL, Analysis):
         return device_fractions_from_counts(state.by_type)
 
 
-class IncidentRatesAnalysis(_DelegatingSQL, Analysis):
+class IncidentRatesAnalysis(_Delegating, Analysis):
     """Figure 3: per-year, per-type incident rates."""
 
     name = "incident_rates"
@@ -154,7 +146,7 @@ class IncidentRatesAnalysis(_DelegatingSQL, Analysis):
         return rates_from_counts(state.counts, context.fleet)
 
 
-class SeverityByDeviceAnalysis(_DelegatingSQL, Analysis):
+class SeverityByDeviceAnalysis(_Delegating, Analysis):
     """Figure 4: the severity-by-device cross-tabulation for the
     target year (explicit, or the newest year in the corpus)."""
 
@@ -169,7 +161,7 @@ class SeverityByDeviceAnalysis(_DelegatingSQL, Analysis):
         )
 
 
-class SeverityOverTimeAnalysis(_DelegatingSQL, Analysis):
+class SeverityOverTimeAnalysis(_Delegating, Analysis):
     """Figure 5: yearly SEV rates per device, by severity level."""
 
     name = "severity_over_time"
@@ -180,7 +172,7 @@ class SeverityOverTimeAnalysis(_DelegatingSQL, Analysis):
         return severity_rates_from_counts(state.by_year, context.fleet)
 
 
-class DistributionAnalysis(_DelegatingSQL, Analysis):
+class DistributionAnalysis(_Delegating, Analysis):
     """Figures 7/8: per-year incident counts by device type."""
 
     name = "distribution"
@@ -194,7 +186,7 @@ class DistributionAnalysis(_DelegatingSQL, Analysis):
         )
 
 
-class GrowthAnalysis(_DelegatingSQL, Analysis):
+class GrowthAnalysis(_Delegating, Analysis):
     """Figure 8's headline: total SEV growth from the first corpus
     year to the target year."""
 
@@ -218,7 +210,7 @@ class CorpusSize(NamedTuple):
     years: List[int]
 
 
-class CorpusSizeAnalysis(_DelegatingSQL, Analysis):
+class CorpusSizeAnalysis(_Delegating, Analysis):
     """The corpus line of ``report intra`` and ``analyze``.
 
     Read off the yearly totals, which count every SEV, so the values
@@ -235,7 +227,7 @@ class CorpusSizeAnalysis(_DelegatingSQL, Analysis):
         return CorpusSize(rows=sum(totals.values()), years=sorted(totals))
 
 
-class DesignComparisonAnalysis(_DelegatingSQL, Analysis):
+class DesignComparisonAnalysis(_Delegating, Analysis):
     """Figures 9/10: incidents aggregated by network design."""
 
     name = "design_comparison"
@@ -250,7 +242,7 @@ class DesignComparisonAnalysis(_DelegatingSQL, Analysis):
         )
 
 
-class SwitchReliabilityAnalysis(_DelegatingSQL, Analysis):
+class SwitchReliabilityAnalysis(_Delegating, Analysis):
     """Figures 12/13: MTBI and p75IRT per year and device type.
 
     Every path answers p75IRT from mergeable quantile sketches: exact

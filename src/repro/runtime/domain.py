@@ -13,10 +13,12 @@ plan asks of a record source:
     corpus carries until something writes to it, else the row-based
     fingerprint — or ``None`` when the corpus cannot be fingerprinted
     (then nothing is cached);
-``sql_shards()``
-    the SQLite shards ``fold_sql`` runs on, or ``None``;
-``column_batches(batch_size)``
-    the corpus as :class:`~repro.runtime.columns.ColumnBatch` chunks.
+``shards()``
+    the corpus as the plan reads it: ``("store", SEVStore)`` for each
+    SQLite shard (``fold_sql`` answers it) and ``("records",
+    iterable)`` for each shard without SQL (framed into
+    :class:`~repro.runtime.columns.ColumnBatch` chunks).  By default
+    the whole corpus is one record shard.
 
 Three concrete domains ship: :class:`SEVCorpus` over
 :class:`~repro.incidents.store.SEVStore` (or its partitioned twin, or
@@ -31,7 +33,7 @@ corpus from the :class:`~repro.runtime.analysis.RunContext`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Any, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.backbone.tickets import TicketDatabase
 from repro.incidents.memory import GeneratedReports
@@ -70,32 +72,13 @@ class Corpus:
         """Content hash for the result cache; ``None`` = uncacheable."""
         return None
 
-    def column_batches(self, batch_size: Optional[int] = None):
-        """The corpus as :class:`~repro.runtime.columns.ColumnBatch`
-        chunks — the plan's scan wherever SQL does not answer.
+    def shards(self) -> Iterator[Tuple[str, Any]]:
+        """Yield ``("store", SEVStore)`` or ``("records", iterable)``.
 
-        Frames :meth:`records` into batches.  (A corpus with SQLite
-        shards never needs it: the executor answers each SQLite shard
-        with ``fold_sql``.)
+        The consumer must not close a yielded store.  By default the
+        whole corpus is one record shard.
         """
-        from repro.runtime.columns import (
-            COLUMN_BATCH_ROWS,
-            batches_from_records,
-        )
-
-        return batches_from_records(
-            self.domain, self.records(), batch_size or COLUMN_BATCH_ROWS
-        )
-
-    def sql_shards(self):
-        """The SQLite shards ``fold_sql`` runs on, or ``None``.
-
-        Yields ``("store", SEVStore)`` per SQLite shard and
-        ``("records", list)`` per shard that has no SQL form; the
-        consumer must not close a yielded store.  ``None`` means the
-        corpus has no SQL substrate at all (fold column batches).
-        """
-        return None
+        yield "records", self.records()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} domain={self.domain!r}>"
@@ -128,29 +111,25 @@ class SEVCorpus(Corpus):
         return corpus_fingerprint(self.store, seed=self.seed,
                                   scenario=self.scenario)
 
-    def sql_shards(self):
-        """The monolithic store as one shard, or each tiered partition.
+    def shards(self) -> Iterator[Tuple[str, Any]]:
+        """A monolithic store as one SQLite shard, a tiered store as
+        one shard per partition, a generated corpus as one record shard.
 
         A hot partition *is* a monolithic-schema SQLite file; it is
         opened for its turn and closed once the consumer moves on.
-        Cold partitions come as record lists.  A generated corpus held
-        in memory has no SQL substrate: ``None``.
+        Cold partitions come as record lists.
         """
         if isinstance(self.store, GeneratedReports):
-            return None
-        if not getattr(self.store, "is_partitioned", False):
-            return [("store", self.store)]
-        return self._partition_shards()
-
-    def _partition_shards(self):
-        for kind, payload in self.store.shard_stores():
-            if kind != "store":
-                yield kind, payload
-                continue
-            try:
-                yield kind, payload
-            finally:
-                payload.close()
+            yield from super().shards()
+        elif not getattr(self.store, "is_partitioned", False):
+            yield "store", self.store
+        else:
+            for kind, payload in self.store.shard_stores():
+                try:
+                    yield kind, payload
+                finally:
+                    if kind == "store":
+                        payload.close()
 
 
 class TicketCorpus(Corpus):
@@ -180,8 +159,8 @@ class TrialCorpus(Corpus):
 
     Wraps a :class:`~repro.survivability.trials.TrialSet` (duck-typed:
     anything with ``records()``, ``__len__`` and ``knobs`` serves).
-    Trials are generated, never stored, so there is no SQL substrate:
-    the plan folds them as column batches.
+    Trials are generated, never stored, so the corpus is one record
+    shard: the plan folds it as column batches.
     """
 
     domain = "trial"

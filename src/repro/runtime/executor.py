@@ -1,24 +1,26 @@
 """One planned execution path over the analysis protocol.
 
 The :class:`Executor` answers a set of
-:class:`~repro.runtime.analysis.Analysis` questions with one plan,
-chosen per analysis from what the corpus offers:
+:class:`~repro.runtime.analysis.Analysis` questions with one plan: one
+loop over the shards the corpus yields
+(:meth:`~repro.runtime.domain.Corpus.shards`), each answered by what
+it is:
 
-SQL
-    every analysis runs its ``fold_sql`` GROUP BY queries on each
-    SQLite shard the corpus has — a stored, imported or served
-    monolithic SEV store is one shard, a tiered store's hot
-    partitions are the others — and adds the tallies to its mergeable
-    state.
-column batches
+a SQLite shard
+    every analysis runs its ``fold_sql`` GROUP BY queries on it — a
+    stored, imported or served monolithic SEV store is one shard, a
+    tiered store's hot partitions are the others — and adds the
+    tallies to its mergeable state.
+a record shard
     everything else — cold partitions, a generated SEV corpus held in
     memory, repair tickets, survivability trials, an explicit
-    ``source`` iterable — folds
-    :class:`~repro.runtime.columns.ColumnBatch` chunks array-at-a-time
-    (``Analysis.fold_batch``).  A batch whose columnar fold raises
-    (the ``runtime.fold`` fault site, or an analysis without a
-    ``fold_batch``) folds the batch's records through the per-row
-    ``fold`` instead, so the states are bit-identical by construction.
+    ``source`` iterable — is framed into
+    :class:`~repro.runtime.columns.ColumnBatch` chunks and folded
+    array-at-a-time (``Analysis.fold_batch``).  A batch whose columnar
+    fold raises (the ``runtime.fold`` fault site, or an analysis
+    without a ``fold_batch``) folds the batch's records through the
+    per-row ``fold`` instead, so the states are bit-identical by
+    construction.
 
 With ``jobs > 1`` the column batches pack into at most ``jobs``
 shards that fold in one shared worker-process pool; only the small
@@ -216,12 +218,13 @@ class Executor:
 
     def _fold(self, analyses: Sequence[Analysis], context: RunContext,
               domain: str, source: Optional[Iterable]) -> Dict[str, Any]:
-        """Fold one domain group: SQL on SQLite shards, batches elsewhere.
+        """Fold one domain group, one corpus shard at a time.
 
-        Every analysis takes ``fold_sql`` on each SQLite shard the
-        corpus has.  Shards without SQL (cold partitions, generated SEV
-        corpora, ticket and trial corpora, an explicit source) fold as
-        column batches.
+        Every analysis takes ``fold_sql`` on each SQLite shard.  A
+        record shard (a cold partition, a generated SEV corpus, ticket
+        and trial corpora, an explicit source) folds as column batches:
+        as they arrive at ``jobs == 1``, so a serial scan holds one
+        partition at a time, and in one pooled fold otherwise.
         """
         from repro.runtime.columns import (
             COLUMN_BATCH_ROWS,
@@ -230,29 +233,18 @@ class Executor:
 
         size = self.batch_size or COLUMN_BATCH_ROWS
         states, owners = _prepare(analyses, context)
-        if source is not None:
-            self._fold_batches(owners, states, context,
-                               batches_from_records(domain, source, size))
-            return states
-        corpus = _corpus(context, domain)
-        shards = corpus.sql_shards()
-        if shards is None:
-            self._fold_batches(owners, states, context,
-                               corpus.column_batches(self.batch_size))
-            return states
-        # Record shards' batches wait for one pooled fold when jobs > 1
-        # and fold as they arrive otherwise, so a serial scan holds one
-        # partition at a time.
+        shards = (_corpus(context, domain).shards() if source is None
+                  else [("records", source)])
         pending: list = []
         for kind, payload in shards:
             if kind == "store":
                 for key, owner in owners.items():
                     owner.fold_sql(payload, states[key])
             elif self.jobs > 1:
-                pending.extend(batches_from_records(domain, payload, size))
+                pending.extend(batches_from_records(payload, size))
             else:
                 self._fold_batches(owners, states, context,
-                                   batches_from_records(domain, payload, size))
+                                   batches_from_records(payload, size))
         if pending:
             self._fold_batches(owners, states, context, pending)
         return states
@@ -262,19 +254,17 @@ class Executor:
                       batches: Iterable) -> None:
         """Fold column batches into the owners' states.
 
-        Serial at ``jobs == 1``; otherwise (two or more batches) the
-        batches pack longest-first by row count into ``jobs`` shards
-        for the shared pool.
+        Serial at ``jobs == 1``; otherwise ``batches`` is a list, and
+        two or more pack longest-first by row count into ``jobs``
+        shards for the shared pool.
         """
-        if self.jobs > 1:
-            batches = list(batches)
-            if len(batches) > 1:
-                from repro.stream.sharding import shard_cells
+        if self.jobs > 1 and len(batches) > 1:
+            from repro.stream.sharding import shard_cells
 
-                shards = shard_cells(batches, self.jobs,
-                                     weights=[len(b) for b in batches])
-                self._fold_shards_parallel(owners, states, context, shards)
-                return
+            shards = shard_cells(batches, self.jobs,
+                                 weights=[len(b) for b in batches])
+            self._fold_shards_parallel(owners, states, context, shards)
+            return
         for batch in batches:
             self.columnar_fallbacks += _fold_batch_into(
                 owners, states, context, batch

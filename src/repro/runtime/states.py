@@ -26,10 +26,12 @@ Each state also speaks two faster dialects of the same math:
 ``fold_batch(batch)``
     absorb one :class:`~repro.runtime.columns.ColumnBatch` with
     array-at-a-time operations — ``Counter`` tallies over zipped
-    columns, sketches fed in blocks.  Every tally is a sum over the
-    batch's rows and every sketch is multiset-determined, so a
-    columnar fold reaches bit-identical finalized results to the
-    per-row reference fold;
+    columns, sketches fed in blocks.  A column has the name of the
+    record field or property it holds (``batch.opened_year``,
+    ``batch.device_type``), so a batch fold reads what the per-row
+    fold reads.  Every tally is a sum over the batch's rows and every
+    sketch is multiset-determined, so a columnar fold reaches
+    bit-identical finalized results to the per-row reference fold;
 ``fold_sql(store)`` (SEV states)
     absorb one monolithic-schema SQLite shard through GROUP BY
     queries — the pushdown the executor runs on every SQLite shard,
@@ -58,6 +60,9 @@ __all__ = [
     "YearTypeCounts",
 ]
 
+#: The Table 2 rule for a SEV without recorded causes.
+_UNDETERMINED = (RootCause.UNDETERMINED,)
+
 
 class YearTypeCounts:
     """Incident counts by year, typed and untyped.
@@ -82,10 +87,10 @@ class YearTypeCounts:
 
     def fold_batch(self, batch) -> None:
         """Absorb one SEV column batch: two Counter tallies."""
-        for year, n in Counter(batch.years).items():
+        for year, n in Counter(batch.opened_year).items():
             self.yearly_totals[year] = self.yearly_totals.get(year, 0) + n
         typed = Counter(
-            pair for pair in zip(batch.years, batch.device_types)
+            pair for pair in zip(batch.opened_year, batch.device_type)
             if pair[1] is not None
         )
         for (year, device_type), n in typed.items():
@@ -139,14 +144,14 @@ class SeverityTallies:
 
     def fold_batch(self, batch) -> None:
         for (year, severity), n in Counter(
-            zip(batch.years, batch.severities)
+            zip(batch.opened_year, batch.severity)
         ).items():
             per_sev = self.by_year.setdefault(year, {})
             per_sev[severity] = per_sev.get(severity, 0) + n
         typed = Counter(
             triple
             for triple in zip(
-                batch.years, batch.severities, batch.device_types
+                batch.opened_year, batch.severity, batch.device_type
             )
             if triple[2] is not None
         )
@@ -211,7 +216,8 @@ class CauseCounts:
 
     def fold_batch(self, batch) -> None:
         self._add(Counter(
-            cause for causes in batch.effective_causes() for cause in causes
+            cause for causes in batch.root_causes
+            for cause in causes or _UNDETERMINED
         ))
 
     def fold_sql(self, store) -> None:
@@ -254,10 +260,10 @@ class CauseTallies(CauseCounts):
         typed = Counter(
             (cause, device_type)
             for causes, device_type in zip(
-                batch.effective_causes(), batch.device_types
+                batch.root_causes, batch.device_type
             )
             if device_type is not None
-            for cause in causes
+            for cause in causes or _UNDETERMINED
         )
         for (cause, device_type), n in typed.items():
             per_type = self.by_type.setdefault(cause, {})
@@ -316,7 +322,7 @@ class DurationSketches:
         """
         blocks: Dict = {}
         for year, device_type, duration in zip(
-            batch.years, batch.device_types, batch.durations
+            batch.opened_year, batch.device_type, batch.duration_h
         ):
             if device_type is None:
                 continue
@@ -380,11 +386,11 @@ class OutageTallies:
         """Absorb one ticket column batch: intervals built in one pass."""
         intervals = [
             OutageInterval(start, end)
-            for start, end in zip(batch.started_at_hs, batch.completed_at_hs)
+            for start, end in zip(batch.started_at_h, batch.completed_at_h)
         ]
-        for link, interval in zip(batch.link_ids, intervals):
+        for link, interval in zip(batch.link_id, intervals):
             self.by_link.setdefault(link, []).append(interval)
-        for vendor, interval in zip(batch.vendors, intervals):
+        for vendor, interval in zip(batch.vendor, intervals):
             self.by_vendor.setdefault(vendor, []).append(interval)
         self.tickets += len(intervals)
         if intervals:
@@ -440,15 +446,15 @@ class TicketDurationSketches:
         self.tickets += 1
 
     def fold_batch(self, batch) -> None:
-        self.overall.extend(batch.durations)
+        self.overall.extend(batch.duration_h)
         blocks: Dict[TicketType, List[float]] = {}
-        for ticket_type, duration in zip(batch.ticket_types, batch.durations):
+        for ticket_type, duration in zip(batch.ticket_type, batch.duration_h):
             blocks.setdefault(ticket_type, []).append(duration)
         for ticket_type, block in blocks.items():
             if ticket_type not in self.by_type:
                 self.by_type[ticket_type] = QuantileSketch()
             self.by_type[ticket_type].extend(block)
-        self.tickets += len(batch.durations)
+        self.tickets += len(batch.duration_h)
 
     def merge(self, other: "TicketDurationSketches") -> "TicketDurationSketches":
         self.overall.merge(other.overall)

@@ -258,19 +258,25 @@ class GridRunner:
 
     def _execute_intra_cell(self, spec: ScenarioSpec) -> Dict[str, Any]:
         from repro.faultline.oracle import report_digest
-        from repro.runtime import generated_intra_context, run_intra_report
+        from repro.runtime import (
+            Executor, generated_intra_context, intra_report_analyses,
+            intra_report_from,
+        )
+        from repro.runtime.analyses import CorpusSizeAnalysis
         from repro.topology.devices import DeviceType, NetworkDesign
 
         scenario = spec.materialize()
         store = None if self.sev_store is None else self.sev_store()
         context = generated_intra_context(scenario, store=store)
         try:
-            report = run_intra_report(context, jobs=self.jobs,
-                                      cache=self.cache)
-            rows = len(context.store)
+            results = Executor(jobs=self.jobs, cache=self.cache).run(
+                intra_report_analyses() + [CorpusSizeAnalysis()], context
+            )
         finally:
             if store is not None:
                 store.close()
+        report = intra_report_from(results)
+        rows = results["corpus_size"].rows
         last = report.last_year
         fabric = sum(
             report.designs.count(year, NetworkDesign.FABRIC)

@@ -456,7 +456,9 @@ class ScenarioSpec:
         for ``kind="intra"`` and a
         :class:`~repro.simulation.scenarios.BackboneScenario` for
         ``kind="backbone"``; the result carries this spec's digest in
-        ``spec_digest`` so downstream fingerprints can key on it.
+        ``spec_digest`` so downstream fingerprints can key on it (an
+        intra scenario's leaves out the ``correlated`` block, which
+        only the survivability trials read).
         Every knob at its default is a strict no-op: the materialized
         scenario is bit-identical to the legacy constructor's.
         """
@@ -498,7 +500,7 @@ class ScenarioSpec:
             scenario.severity_mix[DeviceType[device]] = {
                 Severity[level]: share for level, share in mix.items()
             }
-        scenario.spec_digest = self.digest()
+        scenario.spec_digest = self.with_updates(correlated=None).digest()
         return scenario
 
     def _materialize_backbone(self):

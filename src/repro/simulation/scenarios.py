@@ -110,9 +110,12 @@ class IntraScenario:
     repair_success: Dict[DeviceType, float] = field(default_factory=dict)
     seed: int = 1
     #: Digest of the :class:`repro.scenarios.ScenarioSpec` this
-    #: scenario materialized from (None for hand-built scenarios).
-    #: Excluded from equality: two identical corpora are the same
-    #: corpus however they were described.
+    #: scenario materialized from, with its ``correlated`` block
+    #: cleared (None for hand-built scenarios).  Only the survivability
+    #: trials read that block, and their fingerprint carries its knobs,
+    #: so specs that differ only there key one SEV corpus.  Excluded
+    #: from equality: two identical corpora are the same corpus
+    #: however they were described.
     spec_digest: Optional[str] = field(default=None, compare=False,
                                        repr=False)
 

@@ -351,14 +351,9 @@ class _TieredStore:
             self.manifest.save(self.root)
         return count
 
-    # ``insert_many`` / ``bulk_load`` aliases keep the monolithic
-    # store's write surface working: serve ingests into a served
-    # tiered store through ``insert_many``, and a loader written for
-    # ``SEVStore.bulk_load`` can fill a tiered store.
+    # The monolithic store's batch write, for serve's ingest into a
+    # served tiered store (its only caller).
     def insert_many(self, records: Iterable) -> int:
-        return self.ingest(records)
-
-    def bulk_load(self, records: Iterable, **_kwargs) -> int:
         return self.ingest(records)
 
     def restore(self, key: PartitionKey, source: Iterable) -> int:

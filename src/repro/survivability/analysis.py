@@ -72,9 +72,9 @@ class SurvivabilityTallies:
     def fold_batch(self, batch) -> None:
         """Array-at-a-time fold over a trial column batch."""
         for design, idx, pct, connected, rsw, links_up, links in zip(
-            batch.designs, batch.fraction_idxs, batch.fraction_pcts,
-            batch.connected_rsws, batch.total_rsws,
-            batch.surviving_linkss, batch.total_linkss,
+            batch.design, batch.fraction_idx, batch.fraction_pct,
+            batch.connected_rsw, batch.total_rsw,
+            batch.surviving_links, batch.total_links,
         ):
             key = (design, idx)
             self.connected[key] = self.connected.get(key, 0) + connected

@@ -97,10 +97,6 @@ class TestInMemoryPath:
         assert connections == []
         assert record["metrics"]["rows"] > 0
 
-    def test_sql_shards_is_none_not_an_empty_generator(self):
-        context = build_intra_context(seed=1, scale=0.05)
-        assert context.corpus_for("sev").sql_shards() is None
-
 
 class TestReadOnlyCorpus:
     def corpus(self):
@@ -145,7 +141,7 @@ class TestServedStore:
             assert store.provenance == context.corpus_for(
                 "sev").fingerprint()
             assert [kind for kind, _ in
-                    context.corpus_for("sev").sql_shards()] == ["store"]
+                    context.corpus_for("sev").shards()] == ["store"]
             served = report_digest(run_intra_report(context))
         finally:
             store.close()

@@ -74,7 +74,7 @@ class TestExpansion:
             GridSpec(base=BASE, axes={"scale": [-1.0]})
 
 
-def _column_batches(context):
+def _columnar_report(context):
     return intra_report_from(Executor(batch_size=64).run(
         intra_report_analyses(), context,
         source=context.store.all_reports(),
@@ -91,7 +91,7 @@ STANDALONE = {
         reference_fold(intra_report_analyses(), context)
     ),
     "sharded": lambda context: run_intra_report(context, jobs=2),
-    "columnar": _column_batches,
+    "columnar": _columnar_report,
 }
 
 

@@ -187,6 +187,39 @@ class TestGridSweep:
         assert warm_runner.cell_misses == 0
         assert warm["summary_digest"] == cold["summary_digest"]
 
+    def test_cells_differing_only_in_correlated_generate_once(
+        self, monkeypatch
+    ):
+        # Only the trials read the correlated block, so both cells
+        # share one intra corpus: generated and folded once, the
+        # second cell's intra analyses all cache hits, and every cell
+        # record as it was when each cell generated its own.
+        from repro.scenarios import GridRunner
+        from repro.simulation.generator import IntraSimulator
+
+        runs = []
+        generate = IntraSimulator.run
+
+        def counted(simulator, *args, **kwargs):
+            runs.append(simulator)
+            return generate(simulator, *args, **kwargs)
+
+        monkeypatch.setattr(IntraSimulator, "run", counted)
+        grid = self._grid()
+        cache = ResultCache()
+        report = GridRunner(cache=cache).run(grid)
+        assert len(runs) == 1
+        # 8 report analyses + corpus_size per cell hit in the second.
+        assert cache.hits == 9
+        assert report["summary_digest"] == (
+            "f6dc7ed707a46a66c66bbc9ce20355ce341a6303c377010f9d6a5168ba0c2f72"
+        )
+        cells = report["cells"]
+        assert [cell["metrics"]["rows"] for cell in cells] == [109, 109]
+        assert [cell["spec_digest"] for cell in cells] == [
+            cell.spec.digest() for cell in grid.cells()
+        ]
+
     def test_plain_cells_unaffected_by_the_feature(self):
         # A spec without a correlated block must not carry (or pay
         # for) the survivability workload.
