@@ -24,106 +24,47 @@ analyses in :mod:`repro.runtime.analyses`); a question no analysis
 asks is a :mod:`repro.core` finalizer over
 :class:`~repro.incidents.query.SEVQuery` counts.
 
+Every export resolves on first use (:mod:`repro._lazy`): ``import
+repro`` loads no ``repro`` module but the helper, and
+``repro.IntraSimulator`` imports the simulator when it is first read.
+
 See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from repro.core import (
-    capacity_report,
-    irt_vs_fleet_size,
-    population_breakdown,
-    remediation_table,
-    sevs_per_employee,
-    survivable_capacity,
-    switches_vs_employees,
-)
-from repro.backbone import BackboneMonitor, TicketDatabase, TrafficEngineer
-from repro.survivability import generate_trials, run_survivability_report
-from repro.config import DeploymentPipeline, ReviewPolicy
-from repro.drtest import DatacenterDrainDrill, FaultInjector, StormDrill
-from repro.fleet import paper_employees, paper_fleet
-from repro.incidents import RootCause, SEVReport, SEVStore, Severity
-from repro.priorwork import compare_root_causes
-from repro.remediation import RemediationEngine
-from repro.services import (
-    ImpactModel,
-    masking_report,
-    place_uniform,
-    reference_catalog,
-)
-from repro.simulation import (
-    BackboneSimulator,
-    IntraSimulator,
-    paper_backbone_scenario,
-    paper_scenario,
-)
-from repro.runtime import (
-    Executor,
-    ResultCache,
-    RunContext,
-    build_backbone_context,
-    build_intra_context,
-    run_backbone_report,
-    run_intra_report,
-)
-from repro.stream import StreamAggregates, StreamEngine
-from repro.topology import (
-    DeviceType,
-    NetworkDesign,
-    build_backbone,
-    build_cluster_network,
-    build_fabric_network,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BackboneMonitor",
-    "BackboneSimulator",
-    "DatacenterDrainDrill",
-    "DeploymentPipeline",
-    "DeviceType",
-    "Executor",
-    "FaultInjector",
-    "ImpactModel",
-    "IntraSimulator",
-    "NetworkDesign",
-    "RemediationEngine",
-    "ResultCache",
-    "ReviewPolicy",
-    "RootCause",
-    "RunContext",
-    "SEVReport",
-    "SEVStore",
-    "Severity",
-    "StormDrill",
-    "StreamAggregates",
-    "StreamEngine",
-    "TicketDatabase",
-    "TrafficEngineer",
-    "__version__",
-    "build_backbone",
-    "build_backbone_context",
-    "build_cluster_network",
-    "build_fabric_network",
-    "build_intra_context",
-    "capacity_report",
-    "compare_root_causes",
-    "generate_trials",
-    "irt_vs_fleet_size",
-    "masking_report",
-    "paper_backbone_scenario",
-    "paper_employees",
-    "paper_fleet",
-    "paper_scenario",
-    "place_uniform",
-    "population_breakdown",
-    "reference_catalog",
-    "remediation_table",
-    "run_backbone_report",
-    "run_intra_report",
-    "run_survivability_report",
-    "sevs_per_employee",
-    "survivable_capacity",
-    "switches_vs_employees",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro": ("__version__",),
+    "repro.core": (
+        "capacity_report", "irt_vs_fleet_size", "population_breakdown",
+        "remediation_table", "sevs_per_employee", "survivable_capacity",
+        "switches_vs_employees",
+    ),
+    "repro.backbone": ("BackboneMonitor", "TicketDatabase", "TrafficEngineer"),
+    "repro.survivability": ("generate_trials", "run_survivability_report"),
+    "repro.config": ("DeploymentPipeline", "ReviewPolicy"),
+    "repro.drtest": ("DatacenterDrainDrill", "FaultInjector", "StormDrill"),
+    "repro.fleet": ("paper_employees", "paper_fleet"),
+    "repro.incidents": ("RootCause", "SEVReport", "SEVStore", "Severity"),
+    "repro.priorwork": ("compare_root_causes",),
+    "repro.remediation": ("RemediationEngine",),
+    "repro.services": (
+        "ImpactModel", "masking_report", "place_uniform", "reference_catalog",
+    ),
+    "repro.simulation": (
+        "BackboneSimulator", "IntraSimulator", "paper_backbone_scenario",
+        "paper_scenario",
+    ),
+    "repro.runtime": (
+        "Executor", "ResultCache", "RunContext", "build_backbone_context",
+        "build_intra_context", "run_backbone_report", "run_intra_report",
+    ),
+    "repro.stream": ("StreamAggregates", "StreamEngine"),
+    "repro.topology": (
+        "DeviceType", "NetworkDesign", "build_backbone",
+        "build_cluster_network", "build_fabric_network",
+    ),
+})

@@ -10,81 +10,31 @@ and the traffic-engineering layer that consumes reliability models for
 rerouting and conditional-risk capacity planning.
 """
 
-from repro.backbone.vendors import FiberVendor, VendorDirectory
-from repro.backbone.emails import (
-    EmailParseError,
-    VendorEmail,
-    format_completion_email,
-    format_start_email,
-    parse_vendor_email,
-)
-from repro.backbone.tickets import RepairTicket, TicketDatabase, TicketType
-from repro.backbone.monitor import (
-    BackboneMonitor,
-    EdgeFailure,
-    LinkOutage,
-    failures_from_link_outages,
-)
-from repro.backbone.optical import (
-    Channel,
-    OpticalCircuit,
-    OpticalPlant,
-    build_circuit,
-)
-from repro.backbone.scorecards import (
-    VendorScorecard,
-    grade_distribution,
-    scorecards_from_outages,
-    shortlist,
-)
-from repro.backbone.planes import (
-    PLANE_COUNT,
-    CapacityExhausted,
-    CrossDCDemand,
-    EdgePresence,
-    Plane,
-    PlanedBackbone,
-    route_user_traffic,
-)
-from repro.backbone.traffic import (
-    CapacityPlan,
-    RerouteResult,
-    TrafficEngineer,
-    conditional_risk,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackboneMonitor",
-    "CapacityExhausted",
-    "CapacityPlan",
-    "Channel",
-    "CrossDCDemand",
-    "EdgeFailure",
-    "EdgePresence",
-    "EmailParseError",
-    "FiberVendor",
-    "LinkOutage",
-    "OpticalCircuit",
-    "OpticalPlant",
-    "PLANE_COUNT",
-    "Plane",
-    "PlanedBackbone",
-    "RepairTicket",
-    "RerouteResult",
-    "TicketDatabase",
-    "TicketType",
-    "TrafficEngineer",
-    "VendorDirectory",
-    "VendorScorecard",
-    "VendorEmail",
-    "build_circuit",
-    "conditional_risk",
-    "failures_from_link_outages",
-    "format_completion_email",
-    "format_start_email",
-    "grade_distribution",
-    "parse_vendor_email",
-    "route_user_traffic",
-    "scorecards_from_outages",
-    "shortlist",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.backbone.vendors": ("FiberVendor", "VendorDirectory"),
+    "repro.backbone.emails": (
+        "EmailParseError", "VendorEmail", "format_completion_email",
+        "format_start_email", "parse_vendor_email",
+    ),
+    "repro.backbone.tickets": ("RepairTicket", "TicketDatabase", "TicketType"),
+    "repro.backbone.monitor": (
+        "BackboneMonitor", "EdgeFailure", "LinkOutage",
+        "failures_from_link_outages",
+    ),
+    "repro.backbone.optical": (
+        "Channel", "OpticalCircuit", "OpticalPlant", "build_circuit",
+    ),
+    "repro.backbone.scorecards": (
+        "VendorScorecard", "grade_distribution", "scorecards_from_outages",
+        "shortlist",
+    ),
+    "repro.backbone.planes": (
+        "PLANE_COUNT", "CapacityExhausted", "CrossDCDemand", "EdgePresence",
+        "Plane", "PlanedBackbone", "route_user_traffic",
+    ),
+    "repro.backbone.traffic": (
+        "CapacityPlan", "RerouteResult", "TrafficEngineer", "conditional_risk",
+    ),
+})

@@ -45,16 +45,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro import (
-    BackboneSimulator,
-    DeviceType,
-    IntraSimulator,
-    paper_backbone_scenario,
-    paper_fleet,
-    paper_scenario,
-)
-from repro.incidents import RootCause, Severity
-from repro.viz import format_table
 
 def _parse_jobs(value: str):
     """``--jobs`` accepts a positive worker count or ``auto``."""
@@ -452,10 +442,13 @@ def _print_intra_tables(context, jobs: int = 1, cache=None):
     (``corpus_size``), so a warm cached run prints both without
     building the corpus.  Returns the report.
     """
+    from repro.incidents import RootCause, Severity
     from repro.runtime import (
         Executor, intra_report_analyses, intra_report_from,
     )
     from repro.runtime.analyses import CorpusSizeAnalysis
+    from repro.topology import DeviceType
+    from repro.viz import format_table
 
     results = Executor(jobs=jobs, cache=cache).run(
         intra_report_analyses() + [CorpusSizeAnalysis()], context
@@ -593,6 +586,10 @@ def _check_data_file(path: str) -> None:
 def _export(dataset: str, path: str, seed: Optional[int],
             scale: float = 1.0) -> None:
     from repro.io import write_records
+    from repro.simulation import (
+        BackboneSimulator, IntraSimulator, paper_backbone_scenario,
+        paper_scenario,
+    )
 
     _check_data_file(path)
     if dataset == "sevs":
@@ -619,6 +616,11 @@ def _store(args) -> int:
     import json
 
     if args.store_command == "init":
+        from repro.simulation import (
+            BackboneSimulator, IntraSimulator, paper_backbone_scenario,
+            paper_scenario,
+        )
+
         if args.dataset == "sevs":
             from repro.incidents.memory import ReportSink
             from repro.storage import PartitionedSEVStore
@@ -704,6 +706,7 @@ def _stream(seed: int, scale: float, jobs: int,
             )
             return
     elif dataset == "tickets":
+        from repro.simulation import paper_backbone_scenario
         from repro.stream import live_ticket_feed
 
         if checkpoint is not None:
@@ -732,6 +735,8 @@ def _stream(seed: int, scale: float, jobs: int,
         print(f"ingested {consumed} new events from {replay}")
         aggregates = engine.aggregates
     else:
+        from repro.simulation import paper_scenario
+
         # Sharded parallel generation: N workers, identical output.
         scenario = paper_scenario(seed=seed, scale=scale)
         fleet = scenario.fleet
@@ -773,6 +778,7 @@ def _analyze(path: str) -> None:
     if dataset == "tickets":
         _analyze_tickets(records)
         return
+    from repro.fleet import paper_fleet
     from repro.incidents.store import SEVStore
     from repro.runtime import RunContext
 

@@ -11,27 +11,14 @@ proposals, mandatory code review, canary deployment to a small switch
 sample, and fleet-wide rollout, with defect detection at each gate.
 """
 
-from repro.config.model import (
-    ConfigError,
-    DeviceConfig,
-    RoutingRule,
-    validate_config,
-)
-from repro.config.changes import ChangeProposal, ChangeState
-from repro.config.pipeline import (
-    DeploymentPipeline,
-    PipelineReport,
-    ReviewPolicy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChangeProposal",
-    "ChangeState",
-    "ConfigError",
-    "DeploymentPipeline",
-    "DeviceConfig",
-    "PipelineReport",
-    "ReviewPolicy",
-    "RoutingRule",
-    "validate_config",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config.model": (
+        "ConfigError", "DeviceConfig", "RoutingRule", "validate_config",
+    ),
+    "repro.config.changes": ("ChangeProposal", "ChangeState"),
+    "repro.config.pipeline": (
+        "DeploymentPipeline", "PipelineReport", "ReviewPolicy",
+    ),
+})

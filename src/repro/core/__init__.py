@@ -28,84 +28,37 @@ Figures 6, 11 and 14, which no analysis computes, read the substrate
 directly.  Nothing in here reads :mod:`repro.paperdata`.
 """
 
-from repro.core.root_causes import (
-    RootCauseBreakdown,
-    device_fractions_from_counts,
-)
-from repro.core.incident_rates import IncidentRateSeries, rates_from_counts
-from repro.core.severity import (
-    SeverityByDevice,
-    SeverityRateSeries,
-    severity_rates_from_counts,
-    sevs_per_employee,
-    switches_vs_employees,
-)
-from repro.core.distribution import IncidentDistribution, growth_from_totals
-from repro.core.design_comparison import (
-    DesignComparison,
-    design_counts_from_type_counts,
-    population_breakdown,
-)
-from repro.core.switch_reliability import (
-    SwitchReliability,
-    irt_fleet_correlation,
-    irt_vs_fleet_size,
-    switch_reliability_from_counts,
-)
-from repro.core.remediation_stats import RemediationTable, remediation_table
-from repro.core.backbone_reliability import (
-    BackboneReliability,
-    ContinentRow,
-    RepairDurationSummary,
-    continent_rows_from_failures,
-    reliability_from_outages,
-)
-from repro.core.conditional_risk import (
-    CapacityReport,
-    SurvivableCapacityRow,
-    capacity_report,
-    survivable_capacity,
-)
-from repro.core.fault_tolerance import (
-    RedundancyMargin,
-    redundancy_margin,
-    redundancy_report,
-)
-from repro.core.reports import BackboneStudyReport, IntraStudyReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackboneReliability",
-    "BackboneStudyReport",
-    "CapacityReport",
-    "ContinentRow",
-    "DesignComparison",
-    "IncidentDistribution",
-    "IncidentRateSeries",
-    "IntraStudyReport",
-    "RedundancyMargin",
-    "RemediationTable",
-    "RepairDurationSummary",
-    "RootCauseBreakdown",
-    "SeverityByDevice",
-    "SeverityRateSeries",
-    "SurvivableCapacityRow",
-    "SwitchReliability",
-    "capacity_report",
-    "continent_rows_from_failures",
-    "design_counts_from_type_counts",
-    "device_fractions_from_counts",
-    "growth_from_totals",
-    "irt_fleet_correlation",
-    "irt_vs_fleet_size",
-    "population_breakdown",
-    "rates_from_counts",
-    "redundancy_margin",
-    "redundancy_report",
-    "reliability_from_outages",
-    "remediation_table",
-    "severity_rates_from_counts",
-    "sevs_per_employee",
-    "survivable_capacity",
-    "switch_reliability_from_counts",
-    "switches_vs_employees",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.root_causes": (
+        "RootCauseBreakdown", "device_fractions_from_counts",
+    ),
+    "repro.core.incident_rates": ("IncidentRateSeries", "rates_from_counts"),
+    "repro.core.severity": (
+        "SeverityByDevice", "SeverityRateSeries", "severity_rates_from_counts",
+        "sevs_per_employee", "switches_vs_employees",
+    ),
+    "repro.core.distribution": ("IncidentDistribution", "growth_from_totals"),
+    "repro.core.design_comparison": (
+        "DesignComparison", "design_counts_from_type_counts",
+        "population_breakdown",
+    ),
+    "repro.core.switch_reliability": (
+        "SwitchReliability", "irt_fleet_correlation", "irt_vs_fleet_size",
+        "switch_reliability_from_counts",
+    ),
+    "repro.core.remediation_stats": ("RemediationTable", "remediation_table"),
+    "repro.core.backbone_reliability": (
+        "BackboneReliability", "ContinentRow", "RepairDurationSummary",
+        "continent_rows_from_failures", "reliability_from_outages",
+    ),
+    "repro.core.conditional_risk": (
+        "CapacityReport", "SurvivableCapacityRow", "capacity_report",
+        "survivable_capacity",
+    ),
+    "repro.core.fault_tolerance": (
+        "RedundancyMargin", "redundancy_margin", "redundancy_report",
+    ),
+    "repro.core.reports": ("BackboneStudyReport", "IntraStudyReport"),
+})

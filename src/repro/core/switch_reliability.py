@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
 from repro.fleet.population import FleetModel, HOURS_PER_YEAR
 from repro.incidents.query import SEVQuery
 from repro.incidents.store import SEVStore
@@ -52,6 +50,8 @@ class SwitchReliability:
 
         Three orders in 2017 (Cores ~4e4 h, RSWs ~1e7 h).
         """
+        import numpy as np
+
         values = [v for v in self.mtbi_h.get(year, {}).values()
                   if np.isfinite(v) and v > 0]
         if len(values) < 2:
@@ -64,6 +64,8 @@ class SwitchReliability:
         types = CLUSTER_TYPES if design is NetworkDesign.CLUSTER else FABRIC_TYPES
         if design is NetworkDesign.SHARED:
             raise ValueError("SHARED is not a design aggregate")
+        import numpy as np
+
         values = [
             self.mtbi_h[year][t]
             for t in types
@@ -136,4 +138,6 @@ def irt_fleet_correlation(store: SEVStore, fleet: FleetModel) -> float:
     if len(points) < 3:
         raise ValueError("need at least three yearly points to correlate")
     xs, ys = zip(*points)
+    import numpy as np
+
     return float(np.corrcoef(xs, ys)[0, 1])

@@ -11,17 +11,11 @@ service-impact substrates: single-device fault injection sweeps,
 correlated-failure storms, and the full drain-a-datacenter drill.
 """
 
-from repro.drtest.injector import FaultInjector, InjectionResult
-from repro.drtest.drills import (
-    DatacenterDrainDrill,
-    DrillOutcome,
-    StormDrill,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DatacenterDrainDrill",
-    "DrillOutcome",
-    "FaultInjector",
-    "InjectionResult",
-    "StormDrill",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.drtest.injector": ("FaultInjector", "InjectionResult"),
+    "repro.drtest.drills": (
+        "DatacenterDrainDrill", "DrillOutcome", "StormDrill",
+    ),
+})

@@ -17,65 +17,24 @@ Three layers:
     ``python -m repro chaos`` drill suite built on it.
 
 ``plan`` and ``hooks`` import only the standard library, so every
-runtime layer can depend on them without cycles; the oracle and drills
-(which import the runtime) load lazily via module ``__getattr__``.
+runtime layer can depend on them without cycles.  Like every ``repro``
+package, this one imports nothing until an export is first read (see
+:mod:`repro._lazy`), so the oracle and drills, which import the
+runtime, load only when asked for.
 """
 
-from repro.faultline.hooks import active_plan, fire, injected, suppressed
-from repro.faultline.plan import (
-    SITES,
-    CheckpointKilled,
-    FaultEvent,
-    FaultPlan,
-    FaultSpec,
-    FaultToleranceError,
-    FaultlineError,
-    GridCellCrash,
-    InjectedFault,
-    JobWorkerCrash,
-    PartitionLost,
-    ShardWorkerCrash,
-    SurvivabilitySweepCrash,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SITES",
-    "CheckpointKilled",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultToleranceError",
-    "FaultlineError",
-    "GridCellCrash",
-    "InjectedFault",
-    "JobWorkerCrash",
-    "OracleReport",
-    "PartitionLost",
-    "PlanRun",
-    "ShardWorkerCrash",
-    "SurvivabilitySweepCrash",
-    "active_plan",
-    "chaos_suite",
-    "fire",
-    "injected",
-    "report_digest",
-    "run_differential",
-    "suppressed",
-]
-
-_LAZY = {
-    "OracleReport": "repro.faultline.oracle",
-    "PlanRun": "repro.faultline.oracle",
-    "report_digest": "repro.faultline.oracle",
-    "run_differential": "repro.faultline.oracle",
-    "chaos_suite": "repro.faultline.drills",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faultline.hooks": ("active_plan", "fire", "injected", "suppressed"),
+    "repro.faultline.plan": (
+        "SITES", "CheckpointKilled", "FaultEvent", "FaultPlan", "FaultSpec",
+        "FaultToleranceError", "FaultlineError", "GridCellCrash",
+        "InjectedFault", "JobWorkerCrash", "PartitionLost", "ShardWorkerCrash",
+        "SurvivabilitySweepCrash",
+    ),
+    "repro.faultline.oracle": (
+        "OracleReport", "PlanRun", "report_digest", "run_differential",
+    ),
+    "repro.faultline.drills": ("chaos_suite",),
+})

@@ -7,19 +7,11 @@ This package models that fleet: per-type populations per year, and the
 public employee-count series used as the Figure 6 denominator.
 """
 
-from repro.fleet.population import (
-    FleetModel,
-    FleetSnapshot,
-    HOURS_PER_YEAR,
-    paper_fleet,
-)
-from repro.fleet.employees import EmployeeModel, paper_employees
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EmployeeModel",
-    "FleetModel",
-    "FleetSnapshot",
-    "HOURS_PER_YEAR",
-    "paper_employees",
-    "paper_fleet",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fleet.population": (
+        "FleetModel", "FleetSnapshot", "HOURS_PER_YEAR", "paper_fleet",
+    ),
+    "repro.fleet.employees": ("EmployeeModel", "paper_employees"),
+})

@@ -11,43 +11,20 @@ authoring/review workflow that enforces the mandatory root-cause
 field.
 """
 
-from repro.incidents.classifier import (
-    AgreementReport,
-    Classification,
-    audit_labels,
-    classify_description,
-)
-from repro.incidents.sev import (
-    RootCause,
-    Severity,
-    SEVReport,
-    SEVERITY_EXAMPLES,
-)
-from repro.incidents.memory import GeneratedReports, ReportSink
-from repro.incidents.store import SEVStore
-from repro.incidents.query import SEVQuery
-from repro.incidents.workflow import (
-    ReviewState,
-    SEVAuthoringWorkflow,
-    SEVDraft,
-    ValidationError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AgreementReport",
-    "Classification",
-    "GeneratedReports",
-    "ReportSink",
-    "ReviewState",
-    "RootCause",
-    "SEVERITY_EXAMPLES",
-    "SEVAuthoringWorkflow",
-    "SEVDraft",
-    "SEVQuery",
-    "SEVReport",
-    "SEVStore",
-    "Severity",
-    "audit_labels",
-    "classify_description",
-    "ValidationError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.incidents.classifier": (
+        "AgreementReport", "Classification", "audit_labels",
+        "classify_description",
+    ),
+    "repro.incidents.sev": (
+        "RootCause", "Severity", "SEVReport", "SEVERITY_EXAMPLES",
+    ),
+    "repro.incidents.memory": ("GeneratedReports", "ReportSink"),
+    "repro.incidents.store": ("SEVStore",),
+    "repro.incidents.query": ("SEVQuery",),
+    "repro.incidents.workflow": (
+        "ReviewState", "SEVAuthoringWorkflow", "SEVDraft", "ValidationError",
+    ),
+})

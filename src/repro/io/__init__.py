@@ -17,32 +17,17 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.io.codec import (
-    CODECS,
-    SEV_CODEC,
-    TICKET_CODEC,
-    RecordCodec,
-    data_format,
-    read_records,
-    write_records,
-)
-from repro.io.compression import is_gzip_path, open_text, strip_gz_suffix
-from repro.io.errors import ReadErrors
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CODECS",
-    "ReadErrors",
-    "RecordCodec",
-    "SEV_CODEC",
-    "TICKET_CODEC",
-    "data_format",
-    "is_gzip_path",
-    "open_text",
-    "read_records",
-    "sniff_dataset",
-    "strip_gz_suffix",
-    "write_records",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.io.codec": (
+        "CODECS", "SEV_CODEC", "TICKET_CODEC", "RecordCodec", "data_format",
+        "read_records", "write_records",
+    ),
+    "repro.io.compression": ("is_gzip_path", "open_text", "strip_gz_suffix"),
+    "repro.io.errors": ("ReadErrors",),
+    "repro.io": ("sniff_dataset",),
+})
 
 
 def sniff_dataset(path: Union[str, Path]) -> str:
@@ -58,6 +43,9 @@ def sniff_dataset(path: Union[str, Path]) -> str:
     lines, an unparseable (torn) first row — raises a plain
     :class:`ValueError` naming the file, never a raw decoder error.
     """
+    from repro.io.codec import data_format
+    from repro.io.compression import open_text
+
     path = Path(path)
     fmt = data_format(path)
     if fmt == "csv":

@@ -18,30 +18,14 @@ Quickstart::
           f"{record.metrics['partitioned_overhead']:.2f}x")
 """
 
-from repro.perf.bench import (
-    bench_backbone,
-    bench_fold_matrix,
-    bench_ingest,
-    bench_stream_throughput,
-    events_per_second,
-    run_bench_suite,
-)
-from repro.perf.record import (
-    BenchRecord,
-    environment,
-    load_record,
-    write_record,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchRecord",
-    "bench_backbone",
-    "bench_fold_matrix",
-    "bench_ingest",
-    "bench_stream_throughput",
-    "environment",
-    "events_per_second",
-    "load_record",
-    "run_bench_suite",
-    "write_record",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.bench": (
+        "bench_backbone", "bench_fold_matrix", "bench_ingest",
+        "bench_stream_throughput", "events_per_second", "run_bench_suite",
+    ),
+    "repro.perf.record": (
+        "BenchRecord", "environment", "load_record", "write_record",
+    ),
+})

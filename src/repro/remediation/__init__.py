@@ -9,34 +9,18 @@ Incidents that survive this filter are what the intra data center
 study analyzes.
 """
 
-from repro.remediation.actions import RepairAction, RepairOutcome, execute_action
-from repro.remediation.policy import RepairPolicy, ScheduledRepair
-from repro.remediation.tickets import TechnicianTicket, TicketQueue
-from repro.remediation.backlog import (
-    RepairQueue,
-    fleet_escalation_rate,
-    technicians_needed,
-)
-from repro.remediation.engine import (
-    DeviceIssue,
-    IssueKind,
-    RemediationEngine,
-    RemediationStats,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeviceIssue",
-    "IssueKind",
-    "RemediationEngine",
-    "RemediationStats",
-    "RepairAction",
-    "RepairQueue",
-    "RepairOutcome",
-    "RepairPolicy",
-    "ScheduledRepair",
-    "TechnicianTicket",
-    "TicketQueue",
-    "execute_action",
-    "fleet_escalation_rate",
-    "technicians_needed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.remediation.actions": (
+        "RepairAction", "RepairOutcome", "execute_action",
+    ),
+    "repro.remediation.policy": ("RepairPolicy", "ScheduledRepair"),
+    "repro.remediation.tickets": ("TechnicianTicket", "TicketQueue"),
+    "repro.remediation.backlog": (
+        "RepairQueue", "fleet_escalation_rate", "technicians_needed",
+    ),
+    "repro.remediation.engine": (
+        "DeviceIssue", "IssueKind", "RemediationEngine", "RemediationStats",
+    ),
+})

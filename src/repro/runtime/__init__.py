@@ -24,80 +24,29 @@ runs over unchanged corpora free; a generated corpus is keyed by its
 provenance, so a repeat run does not even generate it.
 """
 
-from repro.runtime.analysis import Analysis, PendingCorpus, RunContext
-from repro.runtime.analyses import (
-    backbone_report_analyses,
-    intra_report_analyses,
-    registry,
-)
-from repro.runtime.cache import (
-    GENERATOR_VERSION,
-    ResultCache,
-    corpus_fingerprint,
-    provenance_fingerprint,
-    ticket_fingerprint,
-    trial_fingerprint,
-)
-from repro.runtime.columns import COLUMN_BATCH_ROWS, ColumnBatch
-from repro.runtime.domain import Corpus, SEVCorpus, TicketCorpus, TrialCorpus
-from repro.runtime.executor import (
-    Executor,
-    backbone_report_from,
-    build_backbone_context,
-    build_intra_context,
-    generated_backbone_context,
-    generated_intra_context,
-    intra_report_from,
-    reference_fold,
-    run_backbone_report,
-    run_intra_report,
-    shutdown_executor_pool,
-)
-from repro.runtime.states import (
-    CauseCounts,
-    CauseTallies,
-    DurationSketches,
-    OutageTallies,
-    SeverityTallies,
-    TicketDurationSketches,
-    YearTypeCounts,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Analysis",
-    "COLUMN_BATCH_ROWS",
-    "CauseCounts",
-    "CauseTallies",
-    "ColumnBatch",
-    "Corpus",
-    "DurationSketches",
-    "Executor",
-    "GENERATOR_VERSION",
-    "OutageTallies",
-    "PendingCorpus",
-    "ResultCache",
-    "RunContext",
-    "SEVCorpus",
-    "SeverityTallies",
-    "TicketCorpus",
-    "TicketDurationSketches",
-    "TrialCorpus",
-    "YearTypeCounts",
-    "shutdown_executor_pool",
-    "backbone_report_analyses",
-    "backbone_report_from",
-    "build_backbone_context",
-    "build_intra_context",
-    "corpus_fingerprint",
-    "generated_backbone_context",
-    "generated_intra_context",
-    "intra_report_analyses",
-    "intra_report_from",
-    "provenance_fingerprint",
-    "reference_fold",
-    "registry",
-    "run_backbone_report",
-    "run_intra_report",
-    "ticket_fingerprint",
-    "trial_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.analysis": ("Analysis", "PendingCorpus", "RunContext"),
+    "repro.runtime.analyses": (
+        "backbone_report_analyses", "intra_report_analyses", "registry",
+    ),
+    "repro.runtime.cache": (
+        "GENERATOR_VERSION", "ResultCache", "corpus_fingerprint",
+        "provenance_fingerprint", "ticket_fingerprint", "trial_fingerprint",
+    ),
+    "repro.runtime.columns": ("COLUMN_BATCH_ROWS", "ColumnBatch"),
+    "repro.runtime.domain": (
+        "Corpus", "SEVCorpus", "TicketCorpus", "TrialCorpus",
+    ),
+    "repro.runtime.executor": (
+        "Executor", "backbone_report_from", "build_backbone_context",
+        "build_intra_context", "generated_backbone_context",
+        "generated_intra_context", "intra_report_from", "reference_fold",
+        "run_backbone_report", "run_intra_report", "shutdown_executor_pool",
+    ),
+    "repro.runtime.states": (
+        "CauseCounts", "CauseTallies", "DurationSketches", "OutageTallies",
+        "SeverityTallies", "TicketDurationSketches", "YearTypeCounts",
+    ),
+})

@@ -7,36 +7,14 @@ validation, JSON/optional-YAML loaders, shipped presets);
 analysis executor with whole-cell result caching.
 """
 
-from repro.scenarios.grid import (
-    GRID_FORMAT,
-    GridCell,
-    GridRunner,
-    GridSpec,
-    grid_diff,
-)
-from repro.scenarios.spec import (
-    SPEC_FORMAT,
-    ScenarioError,
-    ScenarioSpec,
-    canonical_spec_json,
-    list_presets,
-    load_spec,
-    preset,
-    spec_from_dict,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GRID_FORMAT",
-    "GridCell",
-    "GridRunner",
-    "GridSpec",
-    "SPEC_FORMAT",
-    "ScenarioError",
-    "ScenarioSpec",
-    "canonical_spec_json",
-    "grid_diff",
-    "list_presets",
-    "load_spec",
-    "preset",
-    "spec_from_dict",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.scenarios.grid": (
+        "GRID_FORMAT", "GridCell", "GridRunner", "GridSpec", "grid_diff",
+    ),
+    "repro.scenarios.spec": (
+        "SPEC_FORMAT", "ScenarioError", "ScenarioSpec", "canonical_spec_json",
+        "list_presets", "load_spec", "preset", "spec_from_dict",
+    ),
+})

@@ -39,36 +39,16 @@ threads; both digest alike.
 Entry point: ``python -m repro serve --port 8351``.
 """
 
-from repro.runtime import build_backbone_context, build_intra_context
-from repro.serve.api import ApiError, ServeApp, ServeState
-from repro.serve.jobs import JOB_KINDS, Job, JobQueue, execute_job
-from repro.serve.payloads import (
-    FIGURES,
-    backbone_report_payload,
-    canonical_json,
-    figure_ids,
-    intra_report_payload,
-    payload_digest,
-)
-from repro.serve.warm import CacheWarmer
-from repro.survivability import build_survivability_context
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ApiError",
-    "CacheWarmer",
-    "FIGURES",
-    "JOB_KINDS",
-    "Job",
-    "JobQueue",
-    "ServeApp",
-    "ServeState",
-    "backbone_report_payload",
-    "build_backbone_context",
-    "build_intra_context",
-    "build_survivability_context",
-    "canonical_json",
-    "execute_job",
-    "figure_ids",
-    "intra_report_payload",
-    "payload_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime": ("build_backbone_context", "build_intra_context"),
+    "repro.serve.api": ("ApiError", "ServeApp", "ServeState"),
+    "repro.serve.jobs": ("JOB_KINDS", "Job", "JobQueue", "execute_job"),
+    "repro.serve.payloads": (
+        "FIGURES", "backbone_report_payload", "canonical_json", "figure_ids",
+        "intra_report_payload", "payload_digest",
+    ),
+    "repro.serve.warm": ("CacheWarmer",),
+    "repro.survivability": ("build_survivability_context",),
+})

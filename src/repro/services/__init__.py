@@ -13,33 +13,17 @@ faults surface at all, and the impact taxonomy (timeouts, lost
 capacity, retries, latency) the SEV reports describe.
 """
 
-from repro.services.catalog import (
-    Service,
-    ServiceCatalog,
-    ServiceTier,
-    reference_catalog,
-)
-from repro.services.placement import Placement, place_service, place_uniform
-from repro.services.impact import (
-    ImpactAssessment,
-    ImpactKind,
-    ImpactModel,
-    ServiceImpact,
-)
-from repro.services.masking import MaskingReport, masking_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ImpactAssessment",
-    "ImpactKind",
-    "ImpactModel",
-    "MaskingReport",
-    "Placement",
-    "Service",
-    "ServiceCatalog",
-    "ServiceImpact",
-    "ServiceTier",
-    "masking_report",
-    "place_service",
-    "place_uniform",
-    "reference_catalog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.services.catalog": (
+        "Service", "ServiceCatalog", "ServiceTier", "reference_catalog",
+    ),
+    "repro.services.placement": (
+        "Placement", "place_service", "place_uniform",
+    ),
+    "repro.services.impact": (
+        "ImpactAssessment", "ImpactKind", "ImpactModel", "ServiceImpact",
+    ),
+    "repro.services.masking": ("MaskingReport", "masking_report"),
+})

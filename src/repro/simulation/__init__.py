@@ -11,53 +11,22 @@ Only this package and the benchmarks read :mod:`repro.paperdata`; the
 analyses recover the numbers from the generated corpus.
 """
 
-from repro.simulation.clock import SimClock
-from repro.simulation.events import Event, EventQueue
-from repro.simulation.failures import (
-    deterministic_times,
-    largest_remainder_allocation,
-    poisson_times,
-)
-from repro.simulation.scenarios import (
-    BackboneScenario,
-    IntraScenario,
-    no_drain_policy_scenario,
-    paper_backbone_scenario,
-    paper_scenario,
-    shifted_fabric_scenario,
-)
-from repro.simulation.generator import (
-    IntraSimulator,
-    RemediationMonthResult,
-    cell_reports,
-    cell_seed,
-    iter_scenario_reports,
-    scenario_cells,
-)
-from repro.simulation.backbone_sim import BackboneCorpus, BackboneSimulator
-from repro.simulation.fleetsim import FleetSimReport, FleetSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackboneCorpus",
-    "BackboneScenario",
-    "BackboneSimulator",
-    "Event",
-    "EventQueue",
-    "FleetSimReport",
-    "FleetSimulator",
-    "IntraScenario",
-    "IntraSimulator",
-    "RemediationMonthResult",
-    "SimClock",
-    "cell_reports",
-    "cell_seed",
-    "deterministic_times",
-    "iter_scenario_reports",
-    "largest_remainder_allocation",
-    "no_drain_policy_scenario",
-    "paper_backbone_scenario",
-    "paper_scenario",
-    "poisson_times",
-    "scenario_cells",
-    "shifted_fabric_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulation.clock": ("SimClock",),
+    "repro.simulation.events": ("Event", "EventQueue"),
+    "repro.simulation.failures": (
+        "deterministic_times", "largest_remainder_allocation", "poisson_times",
+    ),
+    "repro.simulation.scenarios": (
+        "BackboneScenario", "IntraScenario", "no_drain_policy_scenario",
+        "paper_backbone_scenario", "paper_scenario", "shifted_fabric_scenario",
+    ),
+    "repro.simulation.generator": (
+        "IntraSimulator", "RemediationMonthResult", "cell_reports",
+        "cell_seed", "iter_scenario_reports", "scenario_cells",
+    ),
+    "repro.simulation.backbone_sim": ("BackboneCorpus", "BackboneSimulator"),
+    "repro.simulation.fleetsim": ("FleetSimReport", "FleetSimulator"),
+})

@@ -7,55 +7,24 @@ exponential fits with coefficient of determination, and the yearly
 bucketing behind the longitudinal figures.
 """
 
-from repro.stats.bootstrap import (
-    ConfidenceInterval,
-    bootstrap_ci,
-    mean_ci,
-    median_ci,
-)
-from repro.stats.expfit import ExponentialModel, fit_exponential_percentile
-from repro.stats.exponentiality import (
-    ExponentialityResult,
-    interarrival_times,
-    test_exponentiality,
-)
-from repro.stats.intervals import (
-    OutageInterval,
-    merge_intervals,
-    total_downtime,
-)
-from repro.stats.mtbf import (
-    mean_time_between,
-    mtbf_from_intervals,
-    mtbi_device_hours,
-)
-from repro.stats.mttr import mean_time_to_recovery, percentile
-from repro.stats.percentile import PercentileCurve, curve_of_means
-from repro.stats.quantile import P2Quantile, QuantileSketch
-from repro.stats.timeseries import YearlyCounts, yearly_fraction
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfidenceInterval",
-    "ExponentialModel",
-    "ExponentialityResult",
-    "OutageInterval",
-    "P2Quantile",
-    "PercentileCurve",
-    "QuantileSketch",
-    "YearlyCounts",
-    "bootstrap_ci",
-    "curve_of_means",
-    "fit_exponential_percentile",
-    "interarrival_times",
-    "mean_ci",
-    "mean_time_between",
-    "mean_time_to_recovery",
-    "median_ci",
-    "merge_intervals",
-    "mtbf_from_intervals",
-    "mtbi_device_hours",
-    "percentile",
-    "test_exponentiality",
-    "total_downtime",
-    "yearly_fraction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stats.bootstrap": (
+        "ConfidenceInterval", "bootstrap_ci", "mean_ci", "median_ci",
+    ),
+    "repro.stats.expfit": ("ExponentialModel", "fit_exponential_percentile"),
+    "repro.stats.exponentiality": (
+        "ExponentialityResult", "interarrival_times", "test_exponentiality",
+    ),
+    "repro.stats.intervals": (
+        "OutageInterval", "merge_intervals", "total_downtime",
+    ),
+    "repro.stats.mtbf": (
+        "mean_time_between", "mtbf_from_intervals", "mtbi_device_hours",
+    ),
+    "repro.stats.mttr": ("mean_time_to_recovery",),
+    "repro.stats.percentile": ("PercentileCurve", "curve_of_means"),
+    "repro.stats.quantile": ("P2Quantile", "QuantileSketch"),
+    "repro.stats.timeseries": ("YearlyCounts", "yearly_fraction"),
+})

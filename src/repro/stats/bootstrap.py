@@ -9,9 +9,10 @@ the reproduction's tolerance bands in EXPERIMENTS.md rest on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ def bootstrap_ci(
     heavily skewed statistic on a tiny sample), the band is widened to
     include it rather than reporting an incoherent interval.
     """
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size < 2:
         raise ValueError("bootstrap needs at least two observations")
@@ -84,6 +87,8 @@ def bootstrap_ci(
 def median_ci(values: Sequence[float], confidence: float = 0.95,
               resamples: int = 2000, seed: int = 0) -> ConfidenceInterval:
     """Bootstrap CI for the median (the curves' p50 anchors)."""
+    import numpy as np
+
     return bootstrap_ci(values, lambda a: float(np.median(a)),
                         confidence, resamples, seed)
 

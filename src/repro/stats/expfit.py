@@ -15,9 +15,10 @@ log-space convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,13 @@ class ExponentialModel:
         """Evaluate the model at percentile fraction ``p`` in [0, 1]."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"percentile fraction {p} outside [0, 1]")
+        import numpy as np
+
         return self.a * float(np.exp(self.b * p))
 
     def predict_many(self, ps: Sequence[float]) -> np.ndarray:
+        import numpy as np
+
         arr = np.asarray(ps, dtype=float)
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise ValueError("percentile fractions must lie in [0, 1]")
@@ -57,6 +62,8 @@ class ExponentialModel:
 
 def r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
     """Coefficient of determination in linear space."""
+    import numpy as np
+
     observed = np.asarray(observed, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     ss_res = float(np.sum((observed - predicted) ** 2))
@@ -77,6 +84,8 @@ def fit_exponential_percentile(
     ``ps`` are percentile fractions in [0, 1]; ``values`` must be
     positive (they are means of strictly positive durations).
     """
+    import numpy as np
+
     p_arr = np.asarray(ps, dtype=float)
     v_arr = np.asarray(values, dtype=float)
     if p_arr.shape != v_arr.shape:
@@ -106,6 +115,8 @@ def sample_from_model(
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     ps = (np.arange(n) + 0.5) / n
     values = model.predict_many(ps)

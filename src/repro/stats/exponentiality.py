@@ -8,15 +8,14 @@ the coefficient-of-variation diagnostic (an exponential has CV = 1).
 
 ``scipy.stats`` is imported inside :func:`test_exponentiality`, its
 only user: loading it costs over a second, and no CLI command or
-served request runs the test.
+served request runs the test.  numpy is imported there too, as in
+every ``repro.stats`` module, so importing one loads no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,7 @@ def test_exponentiality(samples: Sequence[float]) -> ExponentialityResult:
     optimistic (the Lilliefors effect), which is acceptable here: the
     paper's claim is "closely follow", not a sharp hypothesis test.
     """
+    import numpy as np
     from scipy import stats as sps
 
     arr = np.asarray(list(samples), dtype=float)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.stats.expfit import ExponentialModel, fit_exponential_percentile
 
 
@@ -44,6 +42,8 @@ class PercentileCurve:
         """The mean at (or interpolated around) a percentile fraction."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside [0, 1]")
+        import numpy as np
+
         return float(np.interp(fraction, self.fractions, self.values))
 
     @property
@@ -64,6 +64,8 @@ class PercentileCurve:
 
     @property
     def std(self) -> float:
+        import numpy as np
+
         return float(np.std(np.asarray(self.values)))
 
     def fit_exponential(self, strict: bool = True) -> ExponentialModel:

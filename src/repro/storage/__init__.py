@@ -14,28 +14,14 @@ digests.  ``python -m repro store init|compact|status`` is the
 operator surface.
 """
 
-from repro.storage.manifest import (
-    MANIFEST_FORMAT,
-    MANIFEST_NAME,
-    Manifest,
-    ManifestError,
-    PartitionEntry,
-    StorageError,
-    TIERS,
-)
-from repro.storage.partitioned import (
-    PartitionedSEVStore,
-    PartitionedTicketStore,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MANIFEST_FORMAT",
-    "MANIFEST_NAME",
-    "Manifest",
-    "ManifestError",
-    "PartitionEntry",
-    "PartitionedSEVStore",
-    "PartitionedTicketStore",
-    "StorageError",
-    "TIERS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.storage.manifest": (
+        "MANIFEST_FORMAT", "MANIFEST_NAME", "Manifest", "ManifestError",
+        "PartitionEntry", "StorageError", "TIERS",
+    ),
+    "repro.storage.partitioned": (
+        "PartitionedSEVStore", "PartitionedTicketStore",
+    ),
+})

@@ -36,31 +36,15 @@ Quickstart::
     print(results["root_causes"].distribution())
 """
 
-from repro.stream.aggregates import StreamAggregates, finalize_analyses
-from repro.stream.checkpoint import load_checkpoint, save_checkpoint
-from repro.stream.engine import StreamEngine
-from repro.stream.sharding import (
-    AUTO_SERIAL_THRESHOLD,
-    aggregate_cells,
-    cell_weights,
-    generate_aggregates,
-    resolve_jobs,
-    shard_cells,
-)
-from repro.stream.sources import live_feed, live_ticket_feed
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AUTO_SERIAL_THRESHOLD",
-    "StreamAggregates",
-    "StreamEngine",
-    "aggregate_cells",
-    "cell_weights",
-    "finalize_analyses",
-    "generate_aggregates",
-    "live_feed",
-    "live_ticket_feed",
-    "load_checkpoint",
-    "resolve_jobs",
-    "save_checkpoint",
-    "shard_cells",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stream.aggregates": ("StreamAggregates", "finalize_analyses"),
+    "repro.stream.checkpoint": ("load_checkpoint", "save_checkpoint"),
+    "repro.stream.engine": ("StreamEngine",),
+    "repro.stream.sharding": (
+        "AUTO_SERIAL_THRESHOLD", "aggregate_cells", "cell_weights",
+        "generate_aggregates", "resolve_jobs", "shard_cells",
+    ),
+    "repro.stream.sources": ("live_feed", "live_ticket_feed"),
+})

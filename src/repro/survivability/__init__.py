@@ -20,54 +20,22 @@ Three layers:
   per-row reference fold answer them bit-identically.
 """
 
-from repro.survivability.analysis import (
-    DesignSurvivability,
-    SurvivabilityCurve,
-    SurvivabilityCurves,
-    SurvivabilityPoint,
-    SurvivabilityStudyReport,
-    SurvivabilitySummary,
-    SurvivabilityTallies,
-    build_survivability_context,
-    run_survivability_report,
-    survivability_report_analyses,
-    survivability_report_from,
-)
-from repro.survivability.correlated import (
-    correlated_failure_order,
-    power_domains,
-)
-from repro.survivability.trials import (
-    DESIGNS,
-    FRACTION_PERCENTS,
-    FailureTrial,
-    TrialSet,
-    default_correlated_knobs,
-    design_networks,
-    generate_trials,
-    reference_trials,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DESIGNS",
-    "DesignSurvivability",
-    "FRACTION_PERCENTS",
-    "FailureTrial",
-    "SurvivabilityCurve",
-    "SurvivabilityCurves",
-    "SurvivabilityPoint",
-    "SurvivabilityStudyReport",
-    "SurvivabilitySummary",
-    "SurvivabilityTallies",
-    "TrialSet",
-    "build_survivability_context",
-    "correlated_failure_order",
-    "default_correlated_knobs",
-    "design_networks",
-    "generate_trials",
-    "power_domains",
-    "reference_trials",
-    "run_survivability_report",
-    "survivability_report_analyses",
-    "survivability_report_from",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.survivability.analysis": (
+        "DesignSurvivability", "SurvivabilityCurve", "SurvivabilityCurves",
+        "SurvivabilityPoint", "SurvivabilityStudyReport",
+        "SurvivabilitySummary", "SurvivabilityTallies",
+        "build_survivability_context", "run_survivability_report",
+        "survivability_report_analyses", "survivability_report_from",
+    ),
+    "repro.survivability.correlated": (
+        "correlated_failure_order", "power_domains",
+    ),
+    "repro.survivability.trials": (
+        "DESIGNS", "FRACTION_PERCENTS", "FailureTrial", "TrialSet",
+        "default_correlated_knobs", "design_networks", "generate_trials",
+        "reference_trials",
+    ),
+})

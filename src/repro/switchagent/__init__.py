@@ -15,32 +15,15 @@ a port), and the central health monitor that turns misbehavior into
 :class:`~repro.remediation.engine.DeviceIssue` submissions.
 """
 
-from repro.switchagent.agent import (
-    AgentCrash,
-    AgentState,
-    AgentUnavailable,
-    SwitchAgent,
-)
-from repro.switchagent.firmware import (
-    FirmwareBug,
-    FirmwareImage,
-    FirmwareRegistry,
-    fboss_image,
-    vendor_image,
-)
-from repro.switchagent.monitor import AlarmKind, HealthAlarm, HealthMonitor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AgentCrash",
-    "AgentState",
-    "AgentUnavailable",
-    "AlarmKind",
-    "FirmwareBug",
-    "FirmwareImage",
-    "FirmwareRegistry",
-    "HealthAlarm",
-    "HealthMonitor",
-    "SwitchAgent",
-    "fboss_image",
-    "vendor_image",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.switchagent.agent": (
+        "AgentCrash", "AgentState", "AgentUnavailable", "SwitchAgent",
+    ),
+    "repro.switchagent.firmware": (
+        "FirmwareBug", "FirmwareImage", "FirmwareRegistry", "fboss_image",
+        "vendor_image",
+    ),
+    "repro.switchagent.monitor": ("AlarmKind", "HealthAlarm", "HealthMonitor"),
+})

@@ -6,73 +6,29 @@ design, the regions and data centers that contain them, and the WAN
 backbone of edge nodes joined by fiber links.
 """
 
-from repro.topology.devices import (
-    Device,
-    DeviceRole,
-    DeviceType,
-    NetworkDesign,
-    Port,
-)
-from repro.topology.naming import (
-    DeviceName,
-    device_type_from_name,
-    make_device_name,
-    parse_device_name,
-)
-from repro.topology.cluster import ClusterNetwork, build_cluster_network
-from repro.topology.fabric import FabricNetwork, build_fabric_network
-from repro.topology.region import DataCenter, Region, build_region
-from repro.topology.graph import (
-    bisection_links,
-    build_graph,
-    downstream_devices,
-    is_connected_under_failures,
-    path_diversity,
-)
-from repro.topology.audit import (
-    AuditReport,
-    audit_cluster_network,
-    audit_fabric_network,
-)
-from repro.topology.world import World, build_paper_world
-from repro.topology.backbone import (
-    BackboneTopology,
-    Continent,
-    EdgeNode,
-    FiberLink,
-    build_backbone,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AuditReport",
-    "BackboneTopology",
-    "ClusterNetwork",
-    "Continent",
-    "DataCenter",
-    "Device",
-    "DeviceName",
-    "DeviceRole",
-    "DeviceType",
-    "EdgeNode",
-    "FabricNetwork",
-    "FiberLink",
-    "NetworkDesign",
-    "Port",
-    "Region",
-    "World",
-    "audit_cluster_network",
-    "audit_fabric_network",
-    "bisection_links",
-    "build_backbone",
-    "build_cluster_network",
-    "build_fabric_network",
-    "build_graph",
-    "build_paper_world",
-    "build_region",
-    "device_type_from_name",
-    "downstream_devices",
-    "is_connected_under_failures",
-    "make_device_name",
-    "parse_device_name",
-    "path_diversity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.devices": (
+        "Device", "DeviceRole", "DeviceType", "NetworkDesign", "Port",
+    ),
+    "repro.topology.naming": (
+        "DeviceName", "device_type_from_name", "make_device_name",
+        "parse_device_name",
+    ),
+    "repro.topology.cluster": ("ClusterNetwork", "build_cluster_network"),
+    "repro.topology.fabric": ("FabricNetwork", "build_fabric_network"),
+    "repro.topology.region": ("DataCenter", "Region", "build_region"),
+    "repro.topology.graph": (
+        "bisection_links", "build_graph", "downstream_devices",
+        "is_connected_under_failures", "path_diversity",
+    ),
+    "repro.topology.audit": (
+        "AuditReport", "audit_cluster_network", "audit_fabric_network",
+    ),
+    "repro.topology.world": ("World", "build_paper_world"),
+    "repro.topology.backbone": (
+        "BackboneTopology", "Continent", "EdgeNode", "FiberLink",
+        "build_backbone",
+    ),
+})

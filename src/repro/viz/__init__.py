@@ -6,33 +6,18 @@ charts so a terminal diff against the paper is possible.  The stream
 dashboard renders the live counterparts from incremental aggregates.
 """
 
-from repro.viz.tables import format_table
-from repro.viz.ascii import bar_chart, series_chart
-from repro.viz.grid_view import axis_table, grid_table
-from repro.viz.report_builder import build_report, collect_artifacts
-from repro.viz.stream_view import stream_dashboard
-from repro.viz.survivability_view import (
-    survivability_curve_table,
-    survivability_table,
-)
-from repro.viz.ticket_view import (
-    duration_table,
-    scorecard_table,
-    ticket_dashboard,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "axis_table",
-    "bar_chart",
-    "build_report",
-    "collect_artifacts",
-    "duration_table",
-    "format_table",
-    "grid_table",
-    "scorecard_table",
-    "series_chart",
-    "stream_dashboard",
-    "survivability_curve_table",
-    "survivability_table",
-    "ticket_dashboard",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.viz.tables": ("format_table",),
+    "repro.viz.ascii": ("bar_chart", "series_chart"),
+    "repro.viz.grid_view": ("axis_table", "grid_table"),
+    "repro.viz.report_builder": ("build_report", "collect_artifacts"),
+    "repro.viz.stream_view": ("stream_dashboard",),
+    "repro.viz.survivability_view": (
+        "survivability_curve_table", "survivability_table",
+    ),
+    "repro.viz.ticket_view": (
+        "duration_table", "scorecard_table", "ticket_dashboard",
+    ),
+})

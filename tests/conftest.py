@@ -6,8 +6,14 @@ tests that mutate state build their own objects.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.backbone.monitor import BackboneMonitor
 from repro.core.backbone_reliability import reliability_from_outages
 from repro.fleet.employees import paper_employees
@@ -63,3 +69,26 @@ def reliability(backbone_corpus, backbone_monitor):
         backbone_monitor.outages_by_vendor(),
         backbone_corpus.window_h,
     )
+
+
+@pytest.fixture()
+def fresh_python():
+    """Run a script in a fresh interpreter; returns its stdout lines.
+
+    Modules this suite has already imported cannot hide an eager
+    import there.  The interpreter finds this tree's ``repro`` first.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def run(script: str):
+        probe = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=600,
+        )
+        assert probe.returncode == 0, probe.stderr[-2000:]
+        return probe.stdout.splitlines()
+
+    return run

@@ -328,7 +328,7 @@ class TestParsing:
 
 class TestImportCost:
     def test_reports_grids_stores_and_serving_load_no_networkx(
-        self, tmp_path
+        self, tmp_path, fresh_python
     ):
         """networkx is loaded only by a function that walks a graph.
 
@@ -364,13 +364,4 @@ class TestImportCost:
             print(sorted(m for m in sys.modules
                          if m.split(".")[0] == "networkx"))
         """)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
-        probe = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True,
-            text=True, timeout=600,
-        )
-        assert probe.returncode == 0, probe.stderr[-2000:]
-        assert probe.stdout.strip().splitlines()[-1] == "[]"
+        assert fresh_python(script)[-1] == "[]"

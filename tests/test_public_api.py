@@ -1,6 +1,32 @@
 """Public API surface checks."""
 
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
 import repro
+
+
+def _packages():
+    """``repro`` and every one of its subpackages."""
+    return [repro] + [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+    ]
+
+
+def _export_table(package):
+    """The ``{module: names}`` table a package hands ``lazy_exports``."""
+    tree = ast.parse(Path(package.__file__).read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "lazy_exports"):
+            return ast.literal_eval(node.args[1])
+    raise AssertionError(f"{package.__name__} has no export table")
 
 
 class TestPublicSurface:
@@ -15,31 +41,41 @@ class TestPublicSurface:
         assert list(repro.__all__) == sorted(repro.__all__)
 
     def test_subpackage_alls_resolve(self):
-        import repro.backbone
-        import repro.config
-        import repro.core
-        import repro.drtest
-        import repro.fleet
-        import repro.incidents
-        import repro.io
-        import repro.remediation
-        import repro.runtime
-        import repro.scenarios
-        import repro.services
-        import repro.simulation
-        import repro.stats
-        import repro.topology
-        import repro.viz
+        # Every export is the object its defining module holds, also
+        # once every submodule is loaded: a submodule named like an
+        # export would replace the package attribute on import.
+        for package in _packages():
+            table = _export_table(package)
+            assert package.__all__ == sorted(
+                name for names in table.values() for name in names
+            ), package.__name__
+            for info in pkgutil.walk_packages(package.__path__,
+                                              package.__name__ + "."):
+                importlib.import_module(info.name)
+            for module, names in table.items():
+                owner = importlib.import_module(module)
+                for name in names:
+                    assert getattr(package, name) is getattr(owner, name), (
+                        f"{package.__name__}.{name} is not {module}.{name}"
+                    )
 
-        for module in (repro.backbone, repro.config, repro.core,
-                       repro.drtest, repro.fleet, repro.incidents,
-                       repro.io, repro.remediation, repro.runtime,
-                       repro.scenarios, repro.services, repro.simulation,
-                       repro.stats, repro.topology, repro.viz):
-            for name in module.__all__:
-                assert hasattr(module, name), (
-                    f"{module.__name__} missing {name}"
-                )
+    def test_dir_lists_every_export(self):
+        for package in _packages():
+            missing = set(package.__all__) - set(dir(package))
+            assert not missing, (package.__name__, sorted(missing))
+
+    def test_unknown_name_is_an_attribute_error_naming_the_package(self):
+        for package in _packages():
+            with pytest.raises(AttributeError,
+                               match=re.escape(repr(package.__name__))):
+                getattr(package, "no_such_export")
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        for name in repro.__all__:
+            assert namespace[name] is getattr(repro, name)
 
     def test_quickstart_from_docstring(self):
         # The module docstring's quickstart must actually run.

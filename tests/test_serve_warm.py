@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import textwrap
 import threading
 
 import pytest
@@ -36,6 +37,33 @@ def new_events(count):
 
 
 class TestPrewarm:
+    def test_reads_and_jobs_import_nothing(self, fresh_python):
+        # Whatever a served read or a report job needs is loaded by the
+        # time the pre-warmed app starts serving, so no lazy import
+        # lands inside a timed read or job.
+        out = fresh_python(textwrap.dedent("""
+            import json
+            import sys
+
+            from repro.serve import ServeApp
+
+            with ServeApp(seed=1, scale=0.1, prewarm=True) as app:
+                before = set(sys.modules)
+                for path in ("/reports/intra", "/figures/fig3",
+                             "/tables/table4"):
+                    assert app.handle("GET", path)[0] == 200, path
+                job = {"kind": "report", "params": {
+                    "study": "intra", "seed": 2, "scale": 0.1}}
+                status, posted = app.handle(
+                    "POST", "/jobs", body=json.dumps(job).encode())
+                assert status == 202
+                assert app.queue.join(timeout=300)
+                _, done = app.handle("GET", "/jobs/" + posted["id"])
+                assert done["status"] == "done", done
+                print(sorted(set(sys.modules) - before))
+        """))
+        assert out[-1] == "[]"
+
     def test_first_request_after_prewarm_is_a_hit(self, app):
         digests = app.warmer.prewarm()
         assert set(digests) == {"intra", "backbone", "survivability"}

@@ -1,15 +1,11 @@
 """Tests for exponentiality testing (section 6's headline claim)."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
+from repro.cli import main
 from repro.stats.exponentiality import (
     interarrival_times,
     test_exponentiality as check_exponentiality,
@@ -92,23 +88,59 @@ class TestPaperClaim:
 
 
 class TestImportCost:
-    @pytest.mark.parametrize("package", ["scipy", "networkx"])
-    def test_importing_the_cli_loads_no(self, package):
-        """scipy.stats is loaded only when the KS test runs, networkx
-        only when a function walks a graph.
+    """What a command loads before and while it runs.
 
-        A fresh interpreter, so modules this suite has already imported
-        cannot hide an eager import.
-        """
-        src = str(Path(repro.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
-        probe = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro.cli; "
-             "print(sorted(m for m in sys.modules "
-             f"if m.split('.')[0] == {package!r}))"],
-            env=env, capture_output=True, text=True, check=True,
+    Each case runs in a fresh interpreter (the ``fresh_python``
+    fixture), so modules this suite has already imported cannot hide
+    an eager import.
+    """
+
+    @pytest.mark.parametrize("package", ["scipy", "networkx", "numpy"])
+    def test_importing_the_cli_loads_no(self, package, fresh_python):
+        """scipy.stats is loaded only when the KS test runs, networkx
+        only when a function walks a graph, numpy only when a function
+        computes with arrays."""
+        out = fresh_python(
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == {package!r}))"
         )
-        assert probe.stdout.strip() == "[]"
+        assert out == ["[]"]
+
+    def test_importing_the_cli_loads_no_other_repro_module(
+        self, fresh_python
+    ):
+        # Package exports resolve on first use and every command
+        # imports what it runs, so the import itself is the CLI alone.
+        out = fresh_python(
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'repro'))"
+        )
+        assert out == ["['repro', 'repro._lazy', 'repro.cli']"]
+
+    def test_warm_grid_run_loads_no_numpy(self, tmp_path, fresh_python):
+        argv = ["grid", "run", "--axes", "fabric_year=2015,2016",
+                "--seed", "3", "--scale", "0.1",
+                "--cache", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        out = fresh_python(
+            "import sys; from repro.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print('numpy' in sys.modules)"
+        )
+        assert "[grid] 2 cells, 2 cached, 0 computed" in out
+        assert out[-1] == "False"
+
+    def test_stored_corpus_read_loads_no_numpy(self, tmp_path, fresh_python):
+        store = str(tmp_path / "store")
+        assert main(["store", "init", store, "--seed", "3",
+                     "--scale", "0.1"]) == 0
+        out = fresh_python(
+            "import sys; from repro.cli import main; "
+            f"assert main(['report', 'intra', '--store-dir', {store!r}, "
+            "'--digest']) == 0; "
+            "print('numpy' in sys.modules)"
+        )
+        assert any(line.startswith("report_digest: ") for line in out)
+        assert out[-1] == "False"
